@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -124,6 +125,22 @@ def test_sinr_output(tmp_path):
     assert len(lines) == 1 + 50 * 2
     ici_col = lines[0].split(",").index("ici")
     assert all(float(l.split(",")[ici_col]) == 0.0 for l in lines[1:])
+
+
+# sha256 of `fdsim sinr --L 2 --K 2 --M 8 --N 4 --trials 100` (seed 0)
+GOLDEN_SINR_SHA256 = {
+    "downlink": "272bdf9b6e4159c6c9adab97c63ab4649ff7f6de549e79c1f89192870a0e18b8",
+    "uplink": "8412cd867640f390ccc36f91791816398c063b8c4072f9aa58275276eacf0500",
+}
+
+
+@pytest.mark.parametrize("direction", ["downlink", "uplink"])
+def test_sinr_golden_run(tmp_path, monkeypatch, direction):
+    monkeypatch.delenv("FDSIM_SEED", raising=False)
+    out = tmp_path / "sinr.csv"
+    assert main(["sinr", "--L", "2", "--K", "2", "--M", "8", "--N", "4",
+                 "--trials", "100", "--direction", direction, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SINR_SHA256[direction]
 
 
 def test_invalid_geometry_exits_2(tmp_path):
