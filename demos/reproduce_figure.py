@@ -16,7 +16,6 @@ import numpy as np
 
 from fdsim import (
     ExperimentConfig,
-    Mode,
     RicianSpec,
     SystemGeometry,
     gamma_mimo,
@@ -32,14 +31,9 @@ panels = []
 
 for K in (1, 3):
     geom = SystemGeometry(L=1, K=K, M=16, N=8)
-    emp = run_si_empirical(
-        ExperimentConfig(geom=geom, si_spec=spec, trials=trials, seed=2024),
-        threads=4,
-    )
-    thr = run_si_theoretical(
-        ExperimentConfig(geom=geom, si_spec=spec, trials=trials, seed=2024,
-                         mode=Mode.THEORETICAL),
-    )
+    cfg = ExperimentConfig(geom=geom, si_spec=spec, trials=trials, seed=2024)
+    emp = run_si_empirical(cfg, threads=4)
+    thr = run_si_theoretical(cfg)
     g = gamma_mimo(geom, spec)
     print(f"K={K}: matched Gamma(kappa={g.kappa:.5f}, theta={g.theta:.5f})")
     print(f"  empirical   mean {emp.emp_m1:.4f}  var {emp.emp_var:.4f}  "

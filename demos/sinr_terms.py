@@ -6,9 +6,11 @@ term means against their known laws: ZF useful gain ~ Gamma(M-K+1, 1)
 (downlink) / Gamma(N-K+1, 1) (uplink), inter-cell gains ~ Gamma(K, 1)
 per interfering cell, and the residual SI mean K (mu^2 + nu^2).
 
-Run:
-    python3 demos/sinr_terms.py
+Run (default 50k trials per direction):
+    python3 demos/sinr_terms.py [trials]
 """
+import sys
+
 import numpy as np
 
 from fdsim import (
@@ -22,7 +24,7 @@ from fdsim.mc import run_sinr
 
 spec = RicianSpec(0.5, 1.0)
 L, K, M, N = 2, 2, 16, 8
-trials = 50_000
+trials = int(sys.argv[1]) if len(sys.argv) > 1 else 50_000
 geom = SystemGeometry(L=L, K=K, M=M, N=N)
 
 for direction in (Direction.DOWNLINK, Direction.UPLINK):

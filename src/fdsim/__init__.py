@@ -5,7 +5,7 @@ moment matching for the residual SI power gain, and Monte Carlo
 validation of the closed forms.
 """
 
-from .beamforming import BeamformerPair, residual_si_gain, zf_decoder, zf_precoder
+from .beamforming import residual_si_gain, zf_decoder, zf_precoder
 from .channel import (
     RicianSpec,
     RngHandle,
@@ -32,7 +32,6 @@ from .mc import (
     Direction,
     ExperimentConfig,
     McReport,
-    Mode,
     SinrSample,
     run_si_empirical,
     run_si_theoretical,

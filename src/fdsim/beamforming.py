@@ -1,49 +1,25 @@
 """Zero-forcing precoder/decoder construction and residual SI power gain.
 
 ZF beamformers are the normalised columns (rows) of the Moore-Penrose
-pseudo-inverse of the downlink (uplink) channel.  Any externally supplied
-(V, W) pair with unit-norm columns/rows is accepted wherever beamformers
-are consumed, so non-ZF linear designs can be plugged in.
+pseudo-inverse of the downlink (uplink) channel.  One batched kernel,
+``zf_precoder_batch``, computes them all: the decoder is the precoder of
+the transposed channel, and the single-matrix routines run the kernel on
+a batch of one.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import InvalidParameterError, SingularChannelError
 
-__all__ = ["BeamformerPair", "zf_precoder", "zf_decoder", "residual_si_gain"]
-
-_NORM_TOL = 1e-10
+__all__ = ["zf_precoder", "zf_decoder", "residual_si_gain"]
 
 
-@dataclass(frozen=True)
-class BeamformerPair:
-    """Precoder V (M x K, unit-norm columns) and decoder W (K x N, unit-norm rows)."""
-
-    V: np.ndarray
-    W: np.ndarray
-
-    def __post_init__(self):
-        V = np.asarray(self.V)
-        W = np.asarray(self.W)
-        if V.ndim != 2 or W.ndim != 2 or V.shape[1] != W.shape[0]:
-            raise InvalidParameterError("V must be M x K and W must be K x N")
-        if not np.allclose(np.linalg.norm(V, axis=0), 1.0, atol=_NORM_TOL):
-            raise InvalidParameterError("columns of V must have unit norm")
-        if not np.allclose(np.linalg.norm(W, axis=1), 1.0, atol=_NORM_TOL):
-            raise InvalidParameterError("rows of W must have unit norm")
-
-
-def _check_rank(H: np.ndarray) -> None:
-    s = np.linalg.svd(H, compute_uv=False)
-    tol = max(H.shape) * np.finfo(float).eps * s[0]
-    if s[-1] <= tol:
-        raise SingularChannelError(
-            f"channel matrix of shape {H.shape} is rank deficient "
-            f"(smallest singular value {s[-1]:.3e} <= tol {tol:.3e})"
-        )
+def _zf_one(H: np.ndarray, zf_batch) -> np.ndarray:
+    out, bad = zf_batch(H[None])
+    if bad[0]:
+        raise SingularChannelError(f"channel matrix of shape {H.shape} is rank deficient")
+    return out[0]
 
 
 def zf_precoder(H_down: np.ndarray) -> np.ndarray:
@@ -59,9 +35,7 @@ def zf_precoder(H_down: np.ndarray) -> np.ndarray:
     K, M = H.shape
     if K > M:
         raise InvalidParameterError(f"need K <= M, got K={K}, M={M}")
-    _check_rank(H)
-    pinv = H.conj().T @ np.linalg.inv(H @ H.conj().T)
-    return pinv / np.linalg.norm(pinv, axis=0, keepdims=True)
+    return _zf_one(H, zf_precoder_batch)
 
 
 def zf_decoder(H_up: np.ndarray) -> np.ndarray:
@@ -76,9 +50,7 @@ def zf_decoder(H_up: np.ndarray) -> np.ndarray:
     N, K = H.shape
     if K > N:
         raise InvalidParameterError(f"need K <= N, got K={K}, N={N}")
-    _check_rank(H)
-    pinv = np.linalg.inv(H.conj().T @ H) @ H.conj().T
-    return pinv / np.linalg.norm(pinv, axis=1, keepdims=True)
+    return _zf_one(H, zf_decoder_batch)
 
 
 def residual_si_gain(w_row: np.ndarray, H_si: np.ndarray, V: np.ndarray) -> float:
@@ -100,9 +72,11 @@ def residual_si_gain(w_row: np.ndarray, H_si: np.ndarray, V: np.ndarray) -> floa
 # regenerate the offending trials.
 
 def _gram_bad(G: np.ndarray, dim_max: int) -> np.ndarray:
+    # eigvalsh is accurate to about eps * ev_max, so a smaller eigenvalue
+    # is indistinguishable from zero: the channel is numerically rank
+    # deficient (cond(H) >= 1/sqrt(dim_max * eps)).
     ev = np.linalg.eigvalsh(G)
-    tol = (dim_max * np.finfo(float).eps) ** 2 * ev[..., -1]
-    return ev[..., 0] <= tol
+    return ev[..., 0] <= dim_max * np.finfo(float).eps * ev[..., -1]
 
 
 def zf_precoder_batch(H_down: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -117,12 +91,9 @@ def zf_precoder_batch(H_down: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def zf_decoder_batch(H_up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched zf_decoder over shape (B, N, K); returns (W, bad_mask)."""
-    H = np.asarray(H_up, dtype=complex)
-    B, N, K = H.shape
-    Hh = H.conj().transpose(0, 2, 1)
-    G = Hh @ H
-    bad = _gram_bad(G, max(N, K))
-    G[bad] = np.eye(K)
-    pinv = np.linalg.solve(G, Hh)
-    return pinv / np.linalg.norm(pinv, axis=2, keepdims=True), bad
+    """Batched zf_decoder over shape (B, N, K); returns (W, bad_mask).
+
+    W is the transposed ZF precoder of the transposed channel.
+    """
+    V, bad = zf_precoder_batch(np.asarray(H_up, dtype=complex).transpose(0, 2, 1))
+    return V.transpose(0, 2, 1), bad

@@ -108,13 +108,9 @@ def sample_complex_gaussian(
     mu: float, nu: float, rng: RngHandle | Generator, size=None
 ) -> complex | np.ndarray:
     """Draw from CN(mu, nu^2): mean on the real axis, variance nu^2/2 per part."""
-    if not (nu > 0 and math.isfinite(nu)):
-        raise InvalidParameterError(f"nu must be > 0, got {nu}")
-    if not (mu >= 0 and math.isfinite(mu)):
-        raise InvalidParameterError(f"mu must be >= 0, got {mu}")
-    gen = _as_generator(rng)
-    sigma = nu / math.sqrt(2.0)
-    z = gen.normal(mu, sigma, size=size) + 1j * gen.normal(0.0, sigma, size=size)
+    spec = RicianSpec(mu, nu)
+    shape = () if size is None else size
+    z = generate_batch(1, 1, int(np.prod(shape)), spec, _as_generator(rng)).reshape(shape)
     if size is None:
         return complex(z)
     return z
@@ -126,22 +122,17 @@ def generate_matrix(
     """I.i.d. complex Gaussian matrix of shape (rows, cols) per ``spec``."""
     if rows < 1 or cols < 1:
         raise InvalidParameterError(f"dimensions must be >= 1, got {rows}x{cols}")
-    gen = _as_generator(rng)
-    return _matrix_from_generator(rows, cols, spec, gen)
-
-
-def _matrix_from_generator(rows, cols, spec: RicianSpec, gen: Generator) -> np.ndarray:
-    # Real parts drawn before imaginary parts; the MC engine relies on this order.
-    sigma = spec.nu / math.sqrt(2.0)
-    re = gen.normal(spec.mu, sigma, size=(rows, cols))
-    im = gen.normal(0.0, sigma, size=(rows, cols))
-    return re + 1j * im
+    return generate_batch(1, rows, cols, spec, _as_generator(rng))[0]
 
 
 def generate_batch(
     batch: int, rows: int, cols: int, spec: RicianSpec, gen: Generator
 ) -> np.ndarray:
-    """Stack of ``batch`` i.i.d. matrices, shape (batch, rows, cols)."""
+    """Stack of ``batch`` i.i.d. matrices, shape (batch, rows, cols).
+
+    This is the only place normals are drawn.  All real parts come before
+    all imaginary parts; the RNG stream layout relies on this order.
+    """
     sigma = spec.nu / math.sqrt(2.0)
     re = gen.normal(spec.mu, sigma, size=(batch, rows, cols))
     im = gen.normal(0.0, sigma, size=(batch, rows, cols))

@@ -29,7 +29,7 @@ from .closedform import (
     si_variance,
 )
 from .exceptions import InvalidParameterError, SingularChannelError
-from .mc import Direction, ExperimentConfig, Mode, run_si_empirical, run_si_theoretical, run_sinr
+from .mc import Direction, ExperimentConfig, run_si_empirical, run_si_theoretical, run_sinr
 from .stats import histogram
 
 SUMMARY_COLUMNS = [
@@ -202,18 +202,14 @@ def _cmd_si(merged: dict) -> int:
         print("fdsim si: --out is required", file=sys.stderr)
         return 2
     fmt = merged["format"]
+    cfg = ExperimentConfig(
+        geom=geom, si_spec=spec, trials=merged["trials"], seed=merged["seed"],
+        noise_power=merged["noise"],
+    )
     runs = []
     if merged["mode"] in ("empirical", "both"):
-        cfg = ExperimentConfig(
-            geom=geom, si_spec=spec, trials=merged["trials"], seed=merged["seed"],
-            noise_power=merged["noise"], mode=Mode.EMPIRICAL,
-        )
         runs.append(("empirical", run_si_empirical(cfg, threads=merged["threads"])))
     if merged["mode"] in ("theoretical", "both"):
-        cfg = ExperimentConfig(
-            geom=geom, si_spec=spec, trials=merged["trials"], seed=merged["seed"],
-            noise_power=merged["noise"], mode=Mode.THEORETICAL,
-        )
         runs.append(("theoretical", run_si_theoretical(cfg, threads=merged["threads"])))
 
     summary_rows = []

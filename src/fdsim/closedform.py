@@ -2,8 +2,12 @@
 
 Covers the SISO moment-matched Gamma, the general MIMO moment-matched
 Gamma, the special-case table (single-user, Rayleigh, massive MIMO), and
-the exact first/second moments and variance of ||w^T H V||^2 under
-arbitrary unit-norm linear beamforming.
+the exact first/second moments and variance of ||w^T H V||^2.
+
+The moments are derived for, and tested against, ZF beamformers built
+from Rayleigh uplink/downlink channels independent of the SI channel H.
+They do not hold for every unit-norm linear beamformer: an orthonormal
+precoder spanning the same space as the ZF one has a smaller variance.
 """
 from __future__ import annotations
 
@@ -116,7 +120,8 @@ def gamma_mimo(geom: SystemGeometry, spec: RicianSpec) -> GammaParams:
     """Moment-matched Gamma for the MIMO SI gain ||w^T H V||^2.
 
     Matches the exact first moment K(mu^2+nu^2) and the exact variance of
-    the residual SI under unit-norm linear beamforming.
+    the residual SI under ZF beamforming over independent Rayleigh
+    channels (see the module docstring for the scope).
     """
     _check_spec(spec)
     K, M, N = geom.K, geom.M, geom.N

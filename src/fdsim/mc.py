@@ -4,7 +4,8 @@ Trials are partitioned into fixed-size blocks; block ``b`` of a run draws
 all of its randomness from the Philox substream (seed, stream_id = b), so
 results are bitwise reproducible no matter how many workers execute the
 blocks.  Rank-deficient channel draws (vanishingly rare for Gaussian
-matrices) are regenerated from a dedicated retry substream and counted.
+matrices) are regenerated from the block's retry substream
+(seed, _RETRY_BASE + b) and counted.
 """
 from __future__ import annotations
 
@@ -17,13 +18,12 @@ import numpy as np
 from numpy.random import Generator
 
 from .beamforming import zf_decoder_batch, zf_precoder_batch
-from .channel import RicianSpec, RngHandle, generate_batch
+from .channel import RAYLEIGH, RicianSpec, RngHandle, generate_batch
 from .closedform import SystemGeometry, gamma_mimo
 from .exceptions import InvalidParameterError
 from .stats import GofReport, gamma_cdf, ks_distance
 
 __all__ = [
-    "Mode",
     "Direction",
     "ExperimentConfig",
     "SinrSample",
@@ -39,13 +39,6 @@ BLOCK_SIZE = 1 << 14
 # Retry substreams live far above any realistic block index.
 _RETRY_BASE = 1 << 48
 
-RAYLEIGH = RicianSpec(0.0, 1.0)
-
-
-class Mode(enum.Enum):
-    EMPIRICAL = "empirical"
-    THEORETICAL = "theoretical"
-
 
 class Direction(enum.Enum):
     DOWNLINK = "downlink"
@@ -59,7 +52,6 @@ class ExperimentConfig:
     trials: int
     seed: int
     noise_power: float = 1.0
-    mode: Mode = Mode.EMPIRICAL
     direction: Direction = Direction.DOWNLINK
 
     def __post_init__(self):
@@ -112,29 +104,51 @@ def _map_blocks(fn, trials: int, threads: int):
         return list(ex.map(lambda bn: fn(*bn), blocks))
 
 
+def _streams(cfg: ExperimentConfig, block: int) -> tuple[Generator, Generator]:
+    """Main and retry generators of one block; opening them draws nothing."""
+    return (
+        RngHandle(cfg.seed, block).generator(),
+        RngHandle(cfg.seed, _RETRY_BASE + block).generator(),
+    )
+
+
+def _draw_zf(n: int, gen: Generator, retry: Generator, *links) -> tuple[list, list, int]:
+    """Draw Rayleigh links and their ZF beamformers for ``n`` trials.
+
+    Each link is ``(rows, cols, zf_fn)``.  Every link is drawn from ``gen``
+    and passed through its ``zf_fn``; the trials where any link came back
+    rank deficient are then redrawn jointly from ``retry`` until none is
+    left.  Returns the channel stacks, the beamformer stacks (both in link
+    order) and the number of regenerated trials.
+    """
+    mats = [generate_batch(n, rows, cols, RAYLEIGH, gen) for rows, cols, _ in links]
+
+    def zf_all(sel):
+        outs = [zf_fn(H[sel]) for H, (_, _, zf_fn) in zip(mats, links)]
+        return [bf for bf, _ in outs], np.logical_or.reduce([bad for _, bad in outs])
+
+    bfs, bad = zf_all(slice(None))
+    idx = np.flatnonzero(bad)
+    regen = 0
+    while idx.size:
+        regen += idx.size
+        for H, (rows, cols, _) in zip(mats, links):
+            H[idx] = generate_batch(idx.size, rows, cols, RAYLEIGH, retry)
+        new, bad = zf_all(idx)
+        for bf, b in zip(bfs, new):
+            bf[idx] = b
+        idx = idx[bad]
+    return mats, bfs, regen
+
+
 def _si_gains_block(cfg: ExperimentConfig, block: int, n: int) -> tuple[np.ndarray, int]:
     """Uplink-side residual SI gains ||w_1^T H_si V||^2 for one block."""
     K, M, N = cfg.geom.K, cfg.geom.M, cfg.geom.N
-    gen = RngHandle(cfg.seed, block).generator()
+    gen, retry = _streams(cfg, block)
     H_si = generate_batch(n, N, M, cfg.si_spec, gen)
-    H_down = generate_batch(n, K, M, RAYLEIGH, gen)
-    H_up = generate_batch(n, N, K, RAYLEIGH, gen)
-
-    regen = 0
-    V, bad_v = zf_precoder_batch(H_down)
-    W, bad_w = zf_decoder_batch(H_up)
-    bad = bad_v | bad_w
-    if np.any(bad):
-        retry = RngHandle(cfg.seed, _RETRY_BASE + block).generator()
-        idx = np.flatnonzero(bad)
-        while idx.size:
-            regen += idx.size
-            H_down[idx] = generate_batch(idx.size, K, M, RAYLEIGH, retry)
-            H_up[idx] = generate_batch(idx.size, N, K, RAYLEIGH, retry)
-            V[idx], bad_v = zf_precoder_batch(H_down[idx])
-            W[idx], bad_w = zf_decoder_batch(H_up[idx])
-            idx = idx[bad_v | bad_w]
-
+    _, (V, W), regen = _draw_zf(
+        n, gen, retry, (K, M, zf_precoder_batch), (N, K, zf_decoder_batch)
+    )
     w1 = W[:, 0:1, :]  # decoder row for stream k = 1
     rows = w1 @ H_si @ V  # (n, 1, K)
     gains = np.sum(np.abs(rows) ** 2, axis=(1, 2))
@@ -165,8 +179,6 @@ def _report(cfg: ExperimentConfig, samples: np.ndarray, regenerated: int) -> McR
 
 def run_si_empirical(cfg: ExperimentConfig, threads: int = 1) -> McReport:
     """Residual SI gains from the full transmit/receive chain with ZF beamforming."""
-    if cfg.mode is not Mode.EMPIRICAL:
-        raise InvalidParameterError("config mode must be EMPIRICAL")
     parts = _map_blocks(lambda b, n: _si_gains_block(cfg, b, n), cfg.trials, threads)
     samples = np.concatenate([p[0] for p in parts])
     regenerated = sum(p[1] for p in parts)
@@ -175,8 +187,6 @@ def run_si_empirical(cfg: ExperimentConfig, threads: int = 1) -> McReport:
 
 def run_si_theoretical(cfg: ExperimentConfig, threads: int = 1) -> McReport:
     """Residual SI gains drawn directly from the moment-matched Gamma law."""
-    if cfg.mode is not Mode.THEORETICAL:
-        raise InvalidParameterError("config mode must be THEORETICAL")
     gp = gamma_mimo(cfg.geom, cfg.si_spec)
 
     def block(b, n):
@@ -195,45 +205,28 @@ def _sq(z: np.ndarray) -> np.ndarray:
     return np.abs(z) ** 2
 
 
-def _regen_zf(gen_fn, zf_fn, mats, bf, bad, retry: Generator) -> int:
-    regen = 0
-    idx = np.flatnonzero(bad)
-    while idx.size:
-        regen += idx.size
-        mats[idx] = gen_fn(retry, idx.size)
-        bf[idx], still = zf_fn(mats[idx])
-        idx = idx[still]
-    return regen
+def _terms(G: np.ndarray, ici, cmi, si, noise, regen: int) -> dict:
+    """Assemble a block's SINR terms; row k of G holds radio k's gains."""
+    g2 = _sq(G)
+    useful = np.einsum("bkk->bk", g2).copy()
+    mui = g2.sum(axis=2) - useful
+    sinr = useful / (mui + ici + cmi + si + noise)
+    return dict(
+        useful=useful, mui=mui, ici=ici, cmi=cmi, si=si, noise=noise, sinr=sinr,
+        regenerated=regen,
+    )
 
 
 def _sinr_block_downlink(cfg: ExperimentConfig, block: int, n: int) -> dict:
     L, K, M = cfg.geom.L, cfg.geom.K, cfg.geom.M
-    gen = RngHandle(cfg.seed, block).generator()
-    retry = None
-
-    def own_draw(g, m):
-        return generate_batch(m, K, M, RAYLEIGH, g)
-
-    H_own = own_draw(gen, n)
-    V_own, bad = zf_precoder_batch(H_own)
-    regen = 0
-    if np.any(bad):
-        retry = RngHandle(cfg.seed, _RETRY_BASE + block).generator()
-        regen += _regen_zf(own_draw, zf_precoder_batch, H_own, V_own, bad, retry)
-
-    G = H_own @ V_own  # (n, K, K); row k = gains of radio k
-    g2 = _sq(G)
-    useful = np.einsum("bkk->bk", g2).copy()
-    mui = g2.sum(axis=2) - useful
+    gen, retry = _streams(cfg, block)
+    down = (K, M, zf_precoder_batch)
+    (H_own,), (V_own,), regen = _draw_zf(n, gen, retry, down)
 
     ici = np.zeros((n, K))
     for _ in range(L - 1):
-        H_j = own_draw(gen, n)  # other cell's own downlink channel
-        V_j, bad = zf_precoder_batch(H_j)
-        if np.any(bad):
-            if retry is None:
-                retry = RngHandle(cfg.seed, _RETRY_BASE + block).generator()
-            regen += _regen_zf(own_draw, zf_precoder_batch, H_j, V_j, bad, retry)
+        _, (V_j,), r = _draw_zf(n, gen, retry, down)  # other cell's own downlink
+        regen += r
         H_cross = generate_batch(n, K, M, RAYLEIGH, gen)  # rows: per-radio 1 x M
         ici += _sq(H_cross @ V_j).sum(axis=2)
 
@@ -245,50 +238,24 @@ def _sinr_block_downlink(cfg: ExperimentConfig, block: int, n: int) -> dict:
         cmi = np.zeros((n, K))
 
     si = _sq(generate_batch(n, K, 1, cfg.si_spec, gen))[:, :, 0]
-    sigma = math.sqrt(cfg.noise_power) if cfg.noise_power > 0 else 0.0
-    if sigma > 0:
-        noise = _sq(generate_batch(n, K, 1, RicianSpec(0.0, sigma), gen))[:, :, 0]
+    if cfg.noise_power > 0:
+        eta = generate_batch(n, K, 1, RicianSpec(0.0, math.sqrt(cfg.noise_power)), gen)
+        noise = _sq(eta)[:, :, 0]
     else:
         noise = np.zeros((n, K))
 
-    sinr = useful / (mui + ici + cmi + si + noise)
-    return dict(
-        useful=useful, mui=mui, ici=ici, cmi=cmi, si=si, noise=noise, sinr=sinr,
-        regenerated=regen,
-    )
+    return _terms(H_own @ V_own, ici, cmi, si, noise, regen)
 
 
 def _sinr_block_uplink(cfg: ExperimentConfig, block: int, n: int) -> dict:
     L, K, M, N = cfg.geom.L, cfg.geom.K, cfg.geom.M, cfg.geom.N
-    gen = RngHandle(cfg.seed, block).generator()
-    retry = None
-    regen = 0
-
-    def up_draw(g, m):
-        return generate_batch(m, N, K, RAYLEIGH, g)
-
-    def down_draw(g, m):
-        return generate_batch(m, K, M, RAYLEIGH, g)
-
-    H_up = up_draw(gen, n)
-    W, bad = zf_decoder_batch(H_up)
-    if np.any(bad):
-        retry = RngHandle(cfg.seed, _RETRY_BASE + block).generator()
-        regen += _regen_zf(up_draw, zf_decoder_batch, H_up, W, bad, retry)
-
-    H_down = down_draw(gen, n)  # own cell's downlink channel, fixes V for the SI term
-    V_own, bad = zf_precoder_batch(H_down)
-    if np.any(bad):
-        if retry is None:
-            retry = RngHandle(cfg.seed, _RETRY_BASE + block).generator()
-        regen += _regen_zf(down_draw, zf_precoder_batch, H_down, V_own, bad, retry)
-
+    gen, retry = _streams(cfg, block)
+    down = (K, M, zf_precoder_batch)
+    (H_up,), (W,), regen = _draw_zf(n, gen, retry, (N, K, zf_decoder_batch))
+    # own cell's downlink channel, fixes V for the SI term
+    _, (V_own,), r = _draw_zf(n, gen, retry, down)
+    regen += r
     H_si = generate_batch(n, N, M, cfg.si_spec, gen)
-
-    G = W @ H_up  # (n, K, K)
-    g2 = _sq(G)
-    useful = np.einsum("bkk->bk", g2).copy()
-    mui = g2.sum(axis=2) - useful
 
     # Inter-cell: uplink transmissions of FD radios in other cells; own-cell
     # radios already enter through the multi-user term.
@@ -301,29 +268,20 @@ def _sinr_block_uplink(cfg: ExperimentConfig, block: int, n: int) -> dict:
 
     cmi = np.zeros((n, K))
     for _ in range(L - 1):
-        H_j = down_draw(gen, n)
-        V_j, bad = zf_precoder_batch(H_j)
-        if np.any(bad):
-            if retry is None:
-                retry = RngHandle(cfg.seed, _RETRY_BASE + block).generator()
-            regen += _regen_zf(down_draw, zf_precoder_batch, H_j, V_j, bad, retry)
+        _, (V_j,), r = _draw_zf(n, gen, retry, down)
+        regen += r
         H_cross = generate_batch(n, N, M, RAYLEIGH, gen)
         cmi += _sq(W @ H_cross @ V_j).sum(axis=2)
 
     si = _sq(W @ H_si @ V_own).sum(axis=2)
 
-    sigma = math.sqrt(cfg.noise_power) if cfg.noise_power > 0 else 0.0
-    if sigma > 0:
-        eta = generate_batch(n, N, 1, RicianSpec(0.0, sigma), gen)
+    if cfg.noise_power > 0:
+        eta = generate_batch(n, N, 1, RicianSpec(0.0, math.sqrt(cfg.noise_power)), gen)
         noise = _sq(W @ eta)[:, :, 0]
     else:
         noise = np.zeros((n, K))
 
-    sinr = useful / (mui + ici + cmi + si + noise)
-    return dict(
-        useful=useful, mui=mui, ici=ici, cmi=cmi, si=si, noise=noise, sinr=sinr,
-        regenerated=regen,
-    )
+    return _terms(W @ H_up, ici, cmi, si, noise, regen)
 
 
 _TERM_KEYS = ("useful", "mui", "ici", "cmi", "si", "noise", "sinr")
@@ -342,15 +300,7 @@ def run_sinr(cfg: ExperimentConfig, threads: int = 1) -> dict:
 
 def _samples_from_block(block: dict) -> list[SinrSample]:
     return [
-        SinrSample(
-            useful=float(block["useful"][0, k]),
-            mui=float(block["mui"][0, k]),
-            ici=float(block["ici"][0, k]),
-            cmi=float(block["cmi"][0, k]),
-            si=float(block["si"][0, k]),
-            noise=float(block["noise"][0, k]),
-            sinr=float(block["sinr"][0, k]),
-        )
+        SinrSample(**{key: float(block[key][0, k]) for key in _TERM_KEYS})
         for k in range(block["useful"].shape[1])
     ]
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fdsim import (
-    BeamformerPair,
     GammaParams,
     InvalidParameterError,
     RicianSpec,
@@ -170,11 +169,39 @@ def test_singular_channel_rejected():
         zf_decoder(H.T)
 
 
-def test_beamformer_pair_validation():
-    V = np.eye(4)[:, :2]
-    W = np.eye(4)[:2, :]
-    BeamformerPair(V=V, W=W)
-    with pytest.raises(InvalidParameterError):
-        BeamformerPair(V=2 * V, W=W)
-    with pytest.raises(InvalidParameterError):
-        BeamformerPair(V=V, W=0.5 * W)
+
+def _rank_deficient(n, K, M, seed):
+    """n exactly rank-(K-1) K x M complex matrices."""
+    g = RngHandle(seed, 0).generator()
+    A = generate_batch(n, K, K - 1, RAYLEIGH, g)
+    B = generate_batch(n, K - 1, M, RAYLEIGH, g)
+    return A @ B
+
+
+@pytest.mark.parametrize("K,M", [(2, 4), (3, 16), (8, 64), (2, 2), (4, 4)])
+def test_rank_deficient_always_flagged(K, M):
+    H = _rank_deficient(4000, K, M, seed=K * 100 + M)
+    _, bad_v = zf_precoder_batch(H)
+    _, bad_w = zf_decoder_batch(H.transpose(0, 2, 1))
+    assert bad_v.all() and bad_w.all()
+    for h in H[:20]:
+        with pytest.raises(SingularChannelError):
+            zf_precoder(h)
+        with pytest.raises(SingularChannelError):
+            zf_decoder(h.T)
+
+
+@pytest.mark.parametrize("K,M", [(2, 4), (3, 16), (8, 64)])
+def test_full_rank_draws_not_flagged(K, M):
+    g = RngHandle(14, K * 100 + M).generator()
+    H = generate_batch(5000, K, M, RAYLEIGH, g)
+    assert not zf_precoder_batch(H)[1].any()
+    assert not zf_decoder_batch(H.transpose(0, 2, 1))[1].any()
+
+
+def test_single_matrix_routines_match_batch():
+    g = RngHandle(15, 0).generator()
+    H = generate_batch(1, 3, 8, RAYLEIGH, g)
+    assert np.array_equal(zf_precoder(H[0]), zf_precoder_batch(H)[0][0])
+    Hu = H.transpose(0, 2, 1)
+    assert np.array_equal(zf_decoder(Hu[0]), zf_decoder_batch(Hu)[0][0])

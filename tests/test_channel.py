@@ -55,6 +55,18 @@ def test_generate_matrix_deterministic():
     assert not np.array_equal(c, generate_matrix(4, 6, RicianSpec(0.5, 2.0), RngHandle(77, 6)))
 
 
+@pytest.mark.parametrize("size", [None, 1, 7, (3, 4)])
+def test_single_draws_are_generate_batch(size):
+    spec = RicianSpec(0.5, 1.3)
+    z = sample_complex_gaussian(spec.mu, spec.nu, RngHandle(9, 1), size=size)
+    n = int(np.prod(() if size is None else size))
+    ref = generate_batch(1, 1, n, spec, RngHandle(9, 1).generator())
+    assert np.array_equal(np.reshape(z, -1), ref.reshape(-1))
+    assert isinstance(z, complex) == (size is None)
+    m = generate_matrix(4, 6, spec, RngHandle(9, 2))
+    assert np.array_equal(m, generate_batch(1, 4, 6, spec, RngHandle(9, 2).generator())[0])
+
+
 def test_generate_matrix_entry_power():
     g = RngHandle(5, 0).generator()
     mats = generate_batch(100_000, 8, 16, RicianSpec(0.5, 1.0), g)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fdsim import (
     InvalidParameterError,
     RicianSpec,
+    RngHandle,
     SpecialCase,
     SystemGeometry,
     gamma_mimo,
@@ -18,6 +19,8 @@ from fdsim import (
     moment_match,
     si_variance,
 )
+from fdsim.beamforming import zf_decoder_batch, zf_precoder_batch
+from fdsim.channel import RAYLEIGH, generate_batch
 
 geoms = st.tuples(
     st.integers(1, 64), st.integers(1, 64), st.integers(1, 16)
@@ -200,3 +203,36 @@ def test_geometry_validation():
         SystemGeometry(L=0, K=1, M=1, N=1)
     with pytest.raises(InvalidParameterError):
         SystemGeometry(L=1, K=2, M=1, N=4)
+
+
+def _var_and_se(x):
+    m = x.mean()
+    var = np.mean((x - m) ** 2)
+    return var, np.sqrt((np.mean((x - m) ** 4) - var**2) / x.size)
+
+
+def test_variance_scope_is_zf_not_any_unit_norm_precoder():
+    # si_variance is the variance under ZF beamformers from independent
+    # Rayleigh channels; an orthonormal V (QR of H_down^H) spanning the same
+    # space as the ZF precoder has unit-norm columns too, but a smaller
+    # variance (about 5.21 against 5.83 here).
+    M, N, K = 16, 8, 3
+    spec = RicianSpec(0.5, 1.0)
+    zf, orth = [], []
+    for b in range(10):  # 200k trials
+        g = RngHandle(30, b).generator()
+        n = 20_000
+        H_si = generate_batch(n, N, M, spec, g)
+        H_down = generate_batch(n, K, M, RAYLEIGH, g)
+        H_up = generate_batch(n, N, K, RAYLEIGH, g)
+        V, _ = zf_precoder_batch(H_down)
+        W, _ = zf_decoder_batch(H_up)
+        Q, _ = np.linalg.qr(H_down.conj().transpose(0, 2, 1))
+        w1_H = W[:, 0:1, :] @ H_si
+        zf.append(np.sum(np.abs(w1_H @ V) ** 2, axis=(1, 2)))
+        orth.append(np.sum(np.abs(w1_H @ Q) ** 2, axis=(1, 2)))
+    cf = si_variance(_geom(M, N, K), spec)
+    var_zf, se_zf = _var_and_se(np.concatenate(zf))
+    var_orth, se_orth = _var_and_se(np.concatenate(orth))
+    assert abs(var_zf - cf) < 5 * se_zf
+    assert abs(var_orth - cf) > 5 * se_orth

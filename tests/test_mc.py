@@ -1,12 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+import fdsim.mc as mc
 from fdsim import (
     Direction,
     ExperimentConfig,
     GammaParams,
     InvalidParameterError,
-    Mode,
     RicianSpec,
     RngHandle,
     SystemGeometry,
@@ -62,22 +64,18 @@ class TestSiEmpirical:
         assert np.array_equal(a.samples, b.samples)
         assert a.emp_m1 == b.emp_m1 and a.gof.ks_statistic == b.gof.ks_statistic
 
-    def test_mode_mismatch_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            run_si_empirical(_cfg(mode=Mode.THEORETICAL))
-
 
 class TestSiTheoretical:
     def test_mean(self):
-        rep = run_si_theoretical(_cfg(K=3, trials=200_000, mode=Mode.THEORETICAL))
+        rep = run_si_theoretical(_cfg(K=3, trials=200_000))
         assert rep.emp_m1 == pytest.approx(moment1(3, SPEC), rel=0.01)
 
     def test_ks_self_consistency(self):
-        rep = run_si_theoretical(_cfg(trials=100_000, mode=Mode.THEORETICAL))
+        rep = run_si_theoretical(_cfg(trials=100_000))
         assert rep.gof.ks_statistic <= 0.01
 
     def test_matched_seeds_reproduce(self):
-        cfg = _cfg(trials=30_000, mode=Mode.THEORETICAL)
+        cfg = _cfg(trials=30_000)
         a = run_si_theoretical(cfg)
         b = run_si_theoretical(cfg, threads=4)
         assert np.array_equal(a.samples, b.samples)
@@ -158,10 +156,6 @@ def test_config_validation():
 # has Re H[0, 0] > 1.5 (about 1.7% of draws).  Choosing by content keeps the
 # stub deterministic and thread safe; the digests pin the retry stream layout.
 
-import hashlib
-
-import fdsim.mc as mc
-
 
 def _flag_by_content(zf_fn):
     def stub(H):
@@ -215,8 +209,7 @@ def test_sinr_regeneration_path(flaky_zf, direction):
     b = run_sinr(cfg, threads=4)
     assert a["regenerated"] > 0
     assert a["regenerated"] == b["regenerated"]
-    keys = ("useful", "mui", "ici", "cmi", "si", "noise", "sinr")
-    for k in keys:
+    for k in mc._TERM_KEYS:
         assert np.array_equal(a[k], b[k])
-    got = (a["regenerated"], _digest(*(a[k] for k in keys)))
+    got = (a["regenerated"], _digest(*(a[k] for k in mc._TERM_KEYS)))
     assert got == SINR_RETRY_GOLDEN[direction]
