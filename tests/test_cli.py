@@ -191,3 +191,55 @@ def test_no_partial_file_on_failure(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         main(_si_args(out, trials="10"))
     assert list(tmp_path.iterdir()) == []
+
+
+# sha256 of the raw-sample `fdsim si` files (`_si_args` without --bins), per format
+GOLDEN_SI_RAW_SHA256 = {
+    ("csv", "empirical"): "11201dd98f22c58a392656a0e2848b23e39ed3a2222e074bd86a0fdec0d51e31",
+    ("csv", "theoretical"): "c095b08760d9d641f57424bb3be74152f368b07098f1e0d668b84b61256b7300",
+    ("csv", "summary"): "4a92f2d785294f957c5d2ec464ce2a4b567df17d42f307fa74f3a80f693573cd",
+    ("jsonl", "empirical"): "e22c723f793d1838058c8b32e3147b9add4345ed469469773018e6dea7417113",
+    ("jsonl", "theoretical"): "2a2824f240a4ad20e6f3b165ff7863aba31f82ee70322b755edc3ae2f27aedba",
+    ("jsonl", "summary"): "41c3080e75f8f34f448d70f5c3b211fe898b0e7e6754e125be902042bf5b387f",
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_si_raw_samples_golden(tmp_path, fmt):
+    out = str(tmp_path / f"raw.{fmt}")
+    assert main(_si_args(out, bins=None, format=fmt)) == 0
+    for suffix in ("empirical", "theoretical", "summary"):
+        data = (tmp_path / f"raw_{suffix}.{fmt}").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == GOLDEN_SI_RAW_SHA256[fmt, suffix]
+
+
+# sha256 of `fdsim sinr --L 2 --K 2 --M 8 --N 4 --trials 100 --format jsonl` (seed 0)
+GOLDEN_SINR_JSONL_SHA256 = {
+    "downlink": "80ad4ec8d44833c2f6249603ec28bbaaaa0d7bc04cc2da2f4440a7c6dd9eebbe",
+    "uplink": "fb7e38a75f11ae4315bbbb23d303fb5bd73e19078565a212bc6a0df1445315fb",
+}
+
+
+@pytest.mark.parametrize("direction", ["downlink", "uplink"])
+def test_sinr_jsonl_golden_run(tmp_path, monkeypatch, direction):
+    monkeypatch.delenv("FDSIM_SEED", raising=False)
+    out = tmp_path / "sinr.jsonl"
+    assert main(["sinr", "--L", "2", "--K", "2", "--M", "8", "--N", "4",
+                 "--trials", "100", "--direction", direction, "--format", "jsonl",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SINR_JSONL_SHA256[direction]
+
+
+# sha256 of `fdsim moments --M 16 --N 8 --K 3 --mu 0.5 --nu 1` on stdout, per format
+GOLDEN_MOMENTS_SHA256 = {
+    "csv": "b44ca38f70ee35e79e9eb6ecc766f439d8941fbe0d401c9e88770d8affa8638b",
+    "jsonl": "f4853b1359e6f430647e2141f4cfa81c70317f8f33b4d158d66609b790e00fc5",
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_moments_golden_stdout(capsys, fmt):
+    assert main(["moments", "--M", "16", "--N", "8", "--K", "3",
+                 "--mu", "0.5", "--nu", "1", "--format", fmt]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == GOLDEN_MOMENTS_SHA256[fmt]
