@@ -15,7 +15,6 @@ from .channel import (
 )
 from .closedform import (
     GammaParams,
-    MomentSet,
     SpecialCase,
     SystemGeometry,
     gamma_mimo,
@@ -24,7 +23,6 @@ from .closedform import (
     moment1,
     moment2,
     moment_match,
-    moments,
     si_variance,
 )
 from .exceptions import InvalidParameterError, SingularChannelError

@@ -6,9 +6,10 @@ Subcommands:
   moments  print the closed-form moments and Gamma parameters
   sinr     run multi-cell SINR sampling and write per-term samples
 
-All numeric output is emitted with round-trip double precision.  Files
-are written to a temporary name and atomically renamed, so a failed run
-leaves no partial output.
+All numeric output is emitted with round-trip double precision.  A run
+formats all of its output before it creates any file, writes every file
+under a temporary name and then renames them all, so a failed run leaves
+none of its output set.
 """
 from __future__ import annotations
 
@@ -39,51 +40,46 @@ SUMMARY_COLUMNS = [
     "kappa", "theta", "ks",
 ]
 
+MOMENT_COLUMNS = ["M", "N", "K", "mu", "nu", "m1", "m2", "var", "kappa", "theta"]
+
 SINR_COLUMNS = ["trial", "k", "useful", "mui", "ici", "cmi", "si", "noise", "sinr"]
 
-_CONFIG_KEYS = (
-    "M", "N", "K", "L", "mu", "nu", "varpi", "omega", "trials", "seed",
-    "noise", "mode", "direction", "bins", "out", "format", "threads",
+_DEFAULTS = dict(
+    M=16, N=8, K=1, L=1, trials=100000, noise=1.0, mode="empirical",
+    direction="downlink", format="csv", threads=1,
 )
 
 
-def _fmt(v) -> str:
-    """Round-trip decimal for floats, plain str otherwise."""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def _atomic_write(path: str, text: str) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".fdsim-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _rows_to_csv(columns, rows) -> str:
-    lines = [",".join(columns)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
-
-
-def _rows_to_jsonl(columns, rows) -> str:
-    return "".join(
-        json.dumps(dict(zip(columns, row)), allow_nan=False) + "\n" for row in rows
-    )
-
-
-def _write_rows(path, columns, rows, fmt) -> None:
+def _table(header, columns, fmt: str) -> str:
+    """CSV or JSONL text of equal-length columns of Python scalars (``str`` is
+    the round-trip ``repr`` for floats)."""
+    rows = zip(*columns)
     if fmt == "jsonl":
-        _atomic_write(path, _rows_to_jsonl(columns, rows))
-    else:
-        _atomic_write(path, _rows_to_csv(columns, rows))
+        return "".join(
+            json.dumps(dict(zip(header, row)), allow_nan=False) + "\n" for row in rows
+        )
+    return "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
+
+
+def _atomic_write(files: dict) -> None:
+    """Write ``{path: text}`` to temporary files, then rename them all; on any
+    failure remove the temporary files and the targets already renamed."""
+    staged, renamed = [], []
+    try:
+        for path, text in files.items():
+            d = os.path.dirname(os.path.abspath(path))
+            fd, tmp = tempfile.mkstemp(dir=d, prefix=".fdsim-", suffix=".tmp")
+            staged.append(tmp)
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+        for tmp, path in zip(staged, files):
+            os.replace(tmp, path)
+            renamed.append(path)
+    except BaseException:
+        for p in staged + renamed:
+            if os.path.exists(p):
+                os.unlink(p)
+        raise
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
@@ -101,7 +97,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bins", type=int, help="histogram bin count; omit to emit raw samples")
     p.add_argument("--out", help="output file path")
     p.add_argument("--format", choices=["csv", "jsonl"], help="output format (default csv)")
-    p.add_argument("--threads", type=int, help="worker thread cap (default 1)")
+    p.add_argument("--threads", type=int, help="worker thread cap, >= 1 (default 1)")
     p.add_argument("--config", help="JSON file with flag defaults; flags override")
 
 
@@ -124,39 +120,57 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_config(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
-    """Resolve flag > config file > default for every setting."""
+    """Resolve flag > config file > default (FDSIM_SEED for the seed) per setting.
+
+    Config-file and FDSIM_SEED values go through the flag's own ``type``
+    and ``choices``; the setting names are the flags of every subcommand.
+    """
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {
+        a.dest: a for p in sub.choices.values() for a in p._actions
+        if a.option_strings and a.dest not in ("help", "config")
+    }
+
+    def typed(key, val, source):
+        action = actions[key]
+        try:
+            if isinstance(val, (bool, list, dict)):
+                raise TypeError
+            val = (action.type or str)(str(val))
+            if action.choices is not None and val not in action.choices:
+                raise ValueError
+        except (TypeError, ValueError):
+            parser.error(f"{source}: invalid --{key} value: {val!r}")
+        return val
+
     file_vals = {}
-    if getattr(ns, "config", None):
+    if ns.config:
+        source = f"--config {ns.config}"
         try:
             with open(ns.config) as fh:
                 file_vals = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            parser.error(f"cannot read --config {ns.config}: {exc}")
-        unknown = set(file_vals) - set(_CONFIG_KEYS)
+            parser.error(f"cannot read {source}: {exc}")
+        if not isinstance(file_vals, dict):
+            parser.error(f"{source}: expected a JSON object")
+        unknown = set(file_vals) - set(actions)
         if unknown:
             parser.error(f"unknown keys in --config: {sorted(unknown)}")
+        file_vals = {k: typed(k, v, source) for k, v in file_vals.items() if v is not None}
 
-    merged = {}
-    for key in _CONFIG_KEYS:
-        flag_val = getattr(ns, key, None)
-        merged[key] = flag_val if flag_val is not None else file_vals.get(key)
+    flags = {k: getattr(ns, k) for k in actions if getattr(ns, k, None) is not None}
+    merged = {**dict.fromkeys(actions), **_DEFAULTS, **file_vals, **flags}
 
     mu_given = merged["mu"] is not None or merged["nu"] is not None
     factor_given = merged["varpi"] is not None or merged["omega"] is not None
     if mu_given and factor_given:
         parser.error("(--mu, --nu) and (--varpi, --omega) are mutually exclusive")
 
-    merged.setdefault("seed", None)
     if merged["seed"] is None:
-        merged["seed"] = int(os.environ.get("FDSIM_SEED", "0"))
-
-    defaults = dict(
-        M=16, N=8, K=1, L=1, trials=100000, noise=1.0, mode="empirical",
-        direction="downlink", bins=None, format="csv", threads=1,
-    )
-    for key, val in defaults.items():
-        if merged[key] is None:
-            merged[key] = val
+        merged["seed"] = typed("seed", os.environ.get("FDSIM_SEED", "0"), "FDSIM_SEED")
+    for key in ("bins", "threads"):
+        if merged[key] is not None and merged[key] < 1:
+            parser.error(f"--{key} must be >= 1, got {merged[key]}")
     return merged
 
 
@@ -175,101 +189,77 @@ def _data_path(out: str, suffix: str) -> str:
     return f"{stem}_{suffix}{ext or '.csv'}"
 
 
-def _write_report_data(report, path: str, bins, fmt: str) -> None:
-    if bins is not None:
-        h = histogram(report.samples, bins)
-        rows = list(zip((float(e) for e in h.bin_edges[:-1]), (int(c) for c in h.counts)))
-        _write_rows(path, ["bin_left", "count"], rows, fmt)
-    else:
-        _write_rows(path, ["si_gain"], [(float(x),) for x in report.samples], fmt)
-
-
-def _summary_row(merged, spec, geom, report) -> list:
+def _closed_form(geom: SystemGeometry, spec: RicianSpec) -> list:
+    """Closed-form m1, m2, variance and matched Gamma (kappa, theta)."""
     gp = gamma_mimo(geom, spec)
     return [
-        geom.M, geom.N, geom.K, spec.mu, spec.nu,
-        merged["trials"], merged["seed"],
-        report.emp_m1, report.emp_m2, report.emp_var,
-        moment1(geom.K, spec), moment2(geom, spec), si_variance(geom, spec),
-        gp.kappa, gp.theta, report.gof.ks_statistic,
-    ]
-
-
-def _cmd_si(merged: dict) -> int:
-    spec = _resolve_spec(merged)
-    geom = SystemGeometry(L=merged["L"], K=merged["K"], M=merged["M"], N=merged["N"])
-    if not merged["out"]:
-        print("fdsim si: --out is required", file=sys.stderr)
-        return 2
-    fmt = merged["format"]
-    cfg = ExperimentConfig(
-        geom=geom, si_spec=spec, trials=merged["trials"], seed=merged["seed"],
-        noise_power=merged["noise"],
-    )
-    runs = []
-    if merged["mode"] in ("empirical", "both"):
-        runs.append(("empirical", run_si_empirical(cfg, threads=merged["threads"])))
-    if merged["mode"] in ("theoretical", "both"):
-        runs.append(("theoretical", run_si_theoretical(cfg, threads=merged["threads"])))
-
-    summary_rows = []
-    for label, report in runs:
-        _write_report_data(report, _data_path(merged["out"], label), merged["bins"], fmt)
-        summary_rows.append(_summary_row(merged, spec, geom, report))
-    _write_rows(_data_path(merged["out"], "summary"), SUMMARY_COLUMNS, summary_rows, fmt)
-    return 0
-
-
-def _cmd_moments(merged: dict) -> int:
-    spec = _resolve_spec(merged)
-    geom = SystemGeometry(L=merged["L"], K=merged["K"], M=merged["M"], N=merged["N"])
-    gp = gamma_mimo(geom, spec)
-    columns = ["M", "N", "K", "mu", "nu", "m1", "m2", "var", "kappa", "theta"]
-    row = [
-        geom.M, geom.N, geom.K, spec.mu, spec.nu,
         moment1(geom.K, spec), moment2(geom, spec), si_variance(geom, spec),
         gp.kappa, gp.theta,
     ]
-    if merged["format"] == "jsonl":
-        sys.stdout.write(_rows_to_jsonl(columns, [row]))
-    else:
-        sys.stdout.write(_rows_to_csv(columns, [row]))
-    return 0
 
 
-def _cmd_sinr(merged: dict) -> int:
-    spec = _resolve_spec(merged)
-    geom = SystemGeometry(L=merged["L"], K=merged["K"], M=merged["M"], N=merged["N"])
-    if not merged["out"]:
-        print("fdsim sinr: --out is required", file=sys.stderr)
-        return 2
-    cfg = ExperimentConfig(
-        geom=geom, si_spec=spec, trials=merged["trials"], seed=merged["seed"],
-        noise_power=merged["noise"],
-        direction=Direction(merged["direction"]),
-    )
-    terms = run_sinr(cfg, threads=merged["threads"])
-    rows = []
-    for t in range(merged["trials"]):
-        for k in range(geom.K):
-            rows.append(
-                [t, k]
-                + [float(terms[key][t, k]) for key in SINR_COLUMNS[2:]]
+def _cmd_si(merged: dict, cfg: ExperimentConfig, head: list, cf: list) -> dict:
+    out, bins, fmt = merged["out"], merged["bins"], merged["format"]
+    runs = {}
+    if merged["mode"] in ("empirical", "both"):
+        runs["empirical"] = run_si_empirical(cfg, threads=merged["threads"])
+    if merged["mode"] in ("theoretical", "both"):
+        runs["theoretical"] = run_si_theoretical(cfg, threads=merged["threads"])
+    files = {}
+    for label, report in runs.items():
+        if bins is None:
+            table = _table(["si_gain"], [report.samples.tolist()], fmt)
+        else:
+            h = histogram(report.samples, bins)
+            table = _table(
+                ["bin_left", "count"], [h.bin_edges[:-1].tolist(), h.counts.tolist()], fmt
             )
-    _write_rows(merged["out"], SINR_COLUMNS, rows, merged["format"])
-    return 0
+        files[_data_path(out, label)] = table
+    rows = [
+        head + [cfg.trials, cfg.seed, r.emp_m1, r.emp_m2, r.emp_var]
+        + cf + [r.gof.ks_statistic]
+        for r in runs.values()
+    ]
+    files[_data_path(out, "summary")] = _table(SUMMARY_COLUMNS, zip(*rows), fmt)
+    return files
+
+
+def _cmd_sinr(merged: dict, cfg: ExperimentConfig) -> dict:
+    terms = run_sinr(cfg, threads=merged["threads"])
+    T, K = cfg.trials, cfg.geom.K
+    columns = [np.repeat(np.arange(T), K).tolist(), np.tile(np.arange(K), T).tolist()]
+    columns += [terms[key].ravel().tolist() for key in SINR_COLUMNS[2:]]
+    return {merged["out"]: _table(SINR_COLUMNS, columns, merged["format"])}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     merged = _merge_config(ns, parser)
+    out = merged["out"]
+    out_ok = out and os.path.isdir(os.path.dirname(os.path.abspath(out)))
+    if ns.command != "moments" and not out_ok:
+        print(f"fdsim {ns.command}: --out must name a file in an existing directory",
+              file=sys.stderr)
+        return 2
     try:
-        if ns.command == "si":
-            return _cmd_si(merged)
+        spec = _resolve_spec(merged)
+        geom = SystemGeometry(L=merged["L"], K=merged["K"], M=merged["M"], N=merged["N"])
+        head = [geom.M, geom.N, geom.K, spec.mu, spec.nu]
         if ns.command == "moments":
-            return _cmd_moments(merged)
-        return _cmd_sinr(merged)
+            row = head + _closed_form(geom, spec)
+            sys.stdout.write(_table(MOMENT_COLUMNS, [[v] for v in row], merged["format"]))
+            return 0
+        cfg = ExperimentConfig(
+            geom=geom, si_spec=spec, trials=merged["trials"], seed=merged["seed"],
+            noise_power=merged["noise"], direction=Direction(merged["direction"]),
+        )
+        if ns.command == "si":
+            files = _cmd_si(merged, cfg, head, _closed_form(geom, spec))
+        else:
+            files = _cmd_sinr(merged, cfg)
+        _atomic_write(files)
+        return 0
     except InvalidParameterError as exc:
         print(f"fdsim: invalid parameters: {exc}", file=sys.stderr)
         return 2

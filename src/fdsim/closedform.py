@@ -19,7 +19,6 @@ from .exceptions import InvalidParameterError
 
 __all__ = [
     "GammaParams",
-    "MomentSet",
     "SystemGeometry",
     "SpecialCase",
     "gamma_siso",
@@ -27,7 +26,6 @@ __all__ = [
     "gamma_special",
     "moment1",
     "moment2",
-    "moments",
     "si_variance",
     "moment_match",
 ]
@@ -57,15 +55,6 @@ class GammaParams:
     @property
     def variance(self) -> float:
         return self.kappa * self.theta**2
-
-
-@dataclass(frozen=True)
-class MomentSet:
-    """First moment, second moment, and variance of the residual SI gain."""
-
-    m1: float
-    m2: float
-    var: float
 
 
 @dataclass(frozen=True)
@@ -200,13 +189,6 @@ def si_variance(geom: SystemGeometry, spec: RicianSpec) -> float:
         (N + 1) * (M + 1)
     )
     return K / (M - K + 2) * (c * mu2 * mu2 + (M + 1) * t)
-
-
-def moments(geom: SystemGeometry, spec: RicianSpec) -> MomentSet:
-    """Bundle of moment1 / moment2 / si_variance for one configuration."""
-    return MomentSet(
-        m1=moment1(geom.K, spec), m2=moment2(geom, spec), var=si_variance(geom, spec)
-    )
 
 
 def moment_match(m1: float, var: float) -> GammaParams:

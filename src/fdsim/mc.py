@@ -83,7 +83,6 @@ class McReport:
     emp_m2: float
     emp_var: float
     gof: GofReport
-    config_echo: ExperimentConfig
     regenerated_trials: int = 0
 
 
@@ -172,7 +171,6 @@ def _report(cfg: ExperimentConfig, samples: np.ndarray, regenerated: int) -> McR
         emp_m2=emp_m2,
         emp_var=emp_var,
         gof=gof,
-        config_echo=cfg,
         regenerated_trials=regenerated,
     )
 

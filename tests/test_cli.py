@@ -243,3 +243,88 @@ def test_moments_golden_stdout(capsys, fmt):
                  "--mu", "0.5", "--nu", "1", "--format", fmt]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == GOLDEN_MOMENTS_SHA256[fmt]
+
+
+def test_run_level_atomicity(tmp_path, monkeypatch):
+    # the second rename of a three-file run fails: the first target is removed again
+    real_replace, calls = os.replace, []
+
+    def second_fails(src, dst):
+        calls.append(dst)
+        if len(calls) == 2:
+            raise OSError("simulated rename failure")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", second_fails)
+    with pytest.raises(OSError):
+        main(_si_args(str(tmp_path / "x.csv"), trials="10"))
+    assert len(calls) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture
+def no_monte_carlo(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Monte Carlo work started before validation")
+
+    for name in ("run_si_empirical", "run_si_theoretical", "run_sinr"):
+        monkeypatch.setattr(f"fdsim.cli.{name}", forbidden)
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("extra", [
+    ["--bins", "0"],
+    ["--threads", "0"],
+    ["--threads", "-3"],
+    ["--out", "missing_dir/run.csv"],
+])
+def test_user_errors_fail_before_monte_carlo(tmp_path, monkeypatch, capsys, no_monte_carlo,
+                                             extra):
+    monkeypatch.chdir(tmp_path)
+    assert _exit_code(_si_args("run.csv") + extra) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("fdsim")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("config, env_seed", [
+    (None, "abc"),
+    ({"threads": "four"}, None),
+    ({"threads": 0}, None),
+    ({"mu": "half"}, None),
+    ({"M": 16.5}, None),
+    ({"K": [2]}, None),
+    ({"trials": True}, None),
+    ({"direction": "sideways"}, None),
+    ({"mode": "foo"}, None),
+    ({"format": "xml"}, None),
+    (["M", "N"], None),
+])
+def test_bad_config_or_env_value_exits_2(tmp_path, monkeypatch, capsys, no_monte_carlo,
+                                         config, env_seed):
+    monkeypatch.chdir(tmp_path)
+    args = _si_args("run.csv", seed=None)
+    if env_seed is None:
+        monkeypatch.delenv("FDSIM_SEED", raising=False)
+    else:
+        monkeypatch.setenv("FDSIM_SEED", env_seed)
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        args += ["--config", "cfg.json"]
+    assert _exit_code(args) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("fdsim")
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["cfg.json"] if config else [])
+
+
+def test_config_strings_converted_by_flag_type(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"M": "16", "N": "8", "K": "3", "mu": "0.5", "nu": "1",
+                               "threads": "4", "format": "csv"}))
+    assert main(["moments", "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == GOLDEN_MOMENTS_SHA256["csv"]
