@@ -82,7 +82,7 @@ def _atomic_write(files: dict) -> None:
         raise
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
+def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--M", type=int, help="transmit antennas at the FD node")
     p.add_argument("--N", type=int, help="receive antennas at the FD node")
     p.add_argument("--K", type=int, help="number of FD radios / streams")
@@ -91,14 +91,15 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nu", type=float, help="SI channel std (sqrt of total variance)")
     p.add_argument("--varpi", type=float, help="Rician factor (alternative to --mu/--nu)")
     p.add_argument("--omega", type=float, help="fading attenuation (with --varpi)")
+    p.add_argument("--format", choices=["csv", "jsonl"], help="output format (default csv)")
+    p.add_argument("--config", help="JSON file with flag defaults; flags override")
+
+
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trials", type=int, help="Monte Carlo trial count")
     p.add_argument("--seed", type=int, help="RNG seed (fallback: FDSIM_SEED, then 0)")
-    p.add_argument("--noise", type=float, help="noise power (default 1.0)")
-    p.add_argument("--bins", type=int, help="histogram bin count; omit to emit raw samples")
     p.add_argument("--out", help="output file path")
-    p.add_argument("--format", choices=["csv", "jsonl"], help="output format (default csv)")
     p.add_argument("--threads", type=int, help="worker thread cap, >= 1 (default 1)")
-    p.add_argument("--config", help="JSON file with flag defaults; flags override")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,14 +107,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     p_si = sub.add_parser("si", help="residual SI distribution experiment")
-    _add_common_flags(p_si)
+    _add_model_flags(p_si)
+    _add_run_flags(p_si)
+    p_si.add_argument("--bins", type=int, help="histogram bin count; omit to emit raw samples")
     p_si.add_argument("--mode", choices=["empirical", "theoretical", "both"])
 
     p_mom = sub.add_parser("moments", help="closed-form moments and Gamma parameters")
-    _add_common_flags(p_mom)
+    _add_model_flags(p_mom)
 
     p_sinr = sub.add_parser("sinr", help="multi-cell SINR term sampling")
-    _add_common_flags(p_sinr)
+    _add_model_flags(p_sinr)
+    _add_run_flags(p_sinr)
+    p_sinr.add_argument("--noise", type=float, help="noise power (default 1.0)")
     p_sinr.add_argument("--direction", choices=["downlink", "uplink"])
 
     return p

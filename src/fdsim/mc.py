@@ -96,8 +96,10 @@ def _blocks(trials: int):
 
 
 def _map_blocks(fn, trials: int, threads: int):
+    if threads < 1:
+        raise InvalidParameterError(f"threads must be >= 1, got {threads!r}")
     blocks = _blocks(trials)
-    if threads <= 1 or len(blocks) == 1:
+    if threads == 1 or len(blocks) == 1:
         return [fn(b, n) for b, n in blocks]
     with ThreadPoolExecutor(max_workers=threads) as ex:
         return list(ex.map(lambda bn: fn(*bn), blocks))

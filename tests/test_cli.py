@@ -292,6 +292,23 @@ def test_user_errors_fail_before_monte_carlo(tmp_path, monkeypatch, capsys, no_m
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["moments", "--trials", "5", "--out", "x.csv"],
+    ["moments", "--seed", "1"],
+    ["moments", "--noise", "2"],
+    ["moments", "--bins", "5"],
+    ["moments", "--threads", "3"],
+    ["si", "--noise", "2", "--out", "x.csv"],
+    ["sinr", "--bins", "5", "--out", "x.csv"],
+])
+def test_flag_the_subcommand_does_not_read_exits_2(tmp_path, monkeypatch, capsys,
+                                                   no_monte_carlo, argv):
+    monkeypatch.chdir(tmp_path)
+    assert _exit_code(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("config, env_seed", [
     (None, "abc"),
     ({"threads": "four"}, None),

@@ -213,3 +213,11 @@ def test_sinr_regeneration_path(flaky_zf, direction):
         assert np.array_equal(a[k], b[k])
     got = (a["regenerated"], _digest(*(a[k] for k in mc._TERM_KEYS)))
     assert got == SINR_RETRY_GOLDEN[direction]
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_thread_count_below_one_rejected(threads):
+    cfg = _cfg(trials=10)
+    for run in (run_si_empirical, run_si_theoretical, run_sinr):
+        with pytest.raises(InvalidParameterError, match="threads"):
+            run(cfg, threads=threads)
