@@ -58,7 +58,7 @@ for ax, (K, emp, thr, g) in zip(axes, panels):
     widths = np.diff(h.bin_edges)
     centers = h.bin_edges[:-1] + widths / 2
     ax.bar(centers, h.counts / (h.total * widths), width=widths,
-           alpha=0.45, label="empirical (full chain)")
+           alpha=0.45, label="empirical (Monte Carlo)")
     x = np.linspace(1e-6, float(h.bin_edges[-1]), 400)
     ax.plot(x, gamma_pdf(x, g), "r-", lw=2, label="matched Gamma")
     ax.set_title(f"K = {K}")

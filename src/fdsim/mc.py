@@ -6,6 +6,36 @@ results are bitwise reproducible no matter how many workers execute the
 blocks.  Rank-deficient channel draws (vanishingly rare for Gaussian
 matrices) are regenerated from the block's retry substream
 (seed, _RETRY_BASE + b) and counted.
+
+Stream layout 2.  A link that the engine only ever sees between fixed
+beamformers, ``A @ H @ B`` with H drawn independently of A and B, is
+sampled from its exact law instead of through H (``_sandwich``).  The
+entries of H are i.i.d. ``CN(mu, nu^2)``: circularly symmetric about a
+real mean.  Given (A, B), ``A @ H @ B`` is then circularly-symmetric
+complex Gaussian with mean ``mu (A 1)(1^T B)`` and, for its column-major
+vec, covariance ``nu^2 kron((B^H B)^*, A A^H)``.  A Gaussian law is fixed
+by these moments, and ``mu (A 1)(1^T B) + nu L_A Z R_B``, with Z a
+Rayleigh matrix of shape (rows(A), cols(B)), ``L_A L_A^H = A A^H`` and
+``R_B^H R_B = B^H B``, has the same ones.  Such a link costs
+2 rows(A) cols(B) normals per trial instead of 2 rows(H) cols(H); the
+channels the beamformers are computed from are drawn in full.  Each block
+draws, in this order (every draw is one ``generate_batch`` call: all real
+parts, then all imaginary parts; ``Z[r x c]`` is a sandwich):
+
+- ``run_si_empirical``: H_down (K x M), H_up (N x K), then Z[1 x K] for
+  the SI row ``w_1^T H_si V``;
+- ``run_si_theoretical``: n Gamma variates;
+- downlink SINR: H_own (K x M); per other cell, H_j (K x M) then
+  Z[K x K] for ``H_cross V_j``; the cross-mode scalars (K x (LK - 1)), the
+  SI scalars (K x 1) and, when noise_power > 0, the noise (K x 1);
+- uplink SINR: H_up (N x K), H_own (K x M), Z[K x K] for
+  ``W H_si V_own``, Z[K x K(L - 1)] for ``W H_x`` when L > 1; per other
+  cell, H_j (K x M) then Z[K x K] for ``W H_cross V_j``; when
+  noise_power > 0, Z[K x 1] for ``W eta``.
+
+Layout 1 drew each of these sandwiched links as its full matrix (H_si
+N x M first of all in ``run_si_empirical``; H_cross K x M or N x M, H_x
+N x K(L - 1), eta N x 1).
 """
 from __future__ import annotations
 
@@ -142,16 +172,33 @@ def _draw_zf(n: int, gen: Generator, retry: Generator, *links) -> tuple[list, li
     return mats, bfs, regen
 
 
+def _sandwich(A: np.ndarray, spec: RicianSpec, B: np.ndarray, gen: Generator) -> np.ndarray:
+    """Stack of ``A @ H @ B`` for H with i.i.d. ``CN(mu, nu^2)`` entries, H not drawn.
+
+    ``A`` is (rows(A), rows(H)) and ``B`` is (cols(H), cols(B)), either with
+    a leading batch axis, and rows(A) <= rows(H), cols(B) <= cols(H).  The
+    result is ``mu (A 1)(1^T B) + nu L_A Z R_B`` with Z a Rayleigh stack of
+    shape (n, rows(A), cols(B)); the triangular factors come from QR, which,
+    unlike a Cholesky factor of the Gram matrix, exists for every A and B.
+    """
+    (n,) = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+    L_A = np.linalg.qr(A.conj().swapaxes(-1, -2), mode="r").conj().swapaxes(-1, -2)
+    R_B = np.linalg.qr(B, mode="r")
+    Y = spec.nu * (L_A @ generate_batch(n, A.shape[-2], B.shape[-1], RAYLEIGH, gen) @ R_B)
+    if spec.mu:
+        Y += spec.mu * A.sum(axis=-1, keepdims=True) * B.sum(axis=-2, keepdims=True)
+    return Y
+
+
 def _si_gains_block(cfg: ExperimentConfig, block: int, n: int) -> tuple[np.ndarray, int]:
     """Uplink-side residual SI gains ||w_1^T H_si V||^2 for one block."""
     K, M, N = cfg.geom.K, cfg.geom.M, cfg.geom.N
     gen, retry = _streams(cfg, block)
-    H_si = generate_batch(n, N, M, cfg.si_spec, gen)
     _, (V, W), regen = _draw_zf(
         n, gen, retry, (K, M, zf_precoder_batch), (N, K, zf_decoder_batch)
     )
     w1 = W[:, 0:1, :]  # decoder row for stream k = 1
-    rows = w1 @ H_si @ V  # (n, 1, K)
+    rows = _sandwich(w1, cfg.si_spec, V, gen)  # (n, 1, K)
     gains = np.sum(np.abs(rows) ** 2, axis=(1, 2))
     return gains, regen
 
@@ -178,7 +225,7 @@ def _report(cfg: ExperimentConfig, samples: np.ndarray, regenerated: int) -> McR
 
 
 def run_si_empirical(cfg: ExperimentConfig, threads: int = 1) -> McReport:
-    """Residual SI gains from the full transmit/receive chain with ZF beamforming."""
+    """Residual SI gains ||w_1^T H_si V||^2 with ZF beamformers from Rayleigh channels."""
     parts = _map_blocks(lambda b, n: _si_gains_block(cfg, b, n), cfg.trials, threads)
     samples = np.concatenate([p[0] for p in parts])
     regenerated = sum(p[1] for p in parts)
@@ -227,8 +274,7 @@ def _sinr_block_downlink(cfg: ExperimentConfig, block: int, n: int) -> dict:
     for _ in range(L - 1):
         _, (V_j,), r = _draw_zf(n, gen, retry, down)  # other cell's own downlink
         regen += r
-        H_cross = generate_batch(n, K, M, RAYLEIGH, gen)  # rows: per-radio 1 x M
-        ici += _sq(H_cross @ V_j).sum(axis=2)
+        ici += _sq(_sandwich(np.eye(K), RAYLEIGH, V_j, gen)).sum(axis=2)  # H_cross V_j
 
     # Cross-mode: one Rayleigh scalar per FD radio in every cell except self.
     n_cmi = L * K - 1
@@ -255,14 +301,13 @@ def _sinr_block_uplink(cfg: ExperimentConfig, block: int, n: int) -> dict:
     # own cell's downlink channel, fixes V for the SI term
     _, (V_own,), r = _draw_zf(n, gen, retry, down)
     regen += r
-    H_si = generate_batch(n, N, M, cfg.si_spec, gen)
+    si = _sq(_sandwich(W, cfg.si_spec, V_own, gen)).sum(axis=2)  # W H_si V_own
 
     # Inter-cell: uplink transmissions of FD radios in other cells; own-cell
     # radios already enter through the multi-user term.
     n_ici = K * (L - 1)
     if n_ici > 0:
-        H_x = generate_batch(n, N, n_ici, RAYLEIGH, gen)
-        ici = _sq(W @ H_x).sum(axis=2)
+        ici = _sq(_sandwich(W, RAYLEIGH, np.eye(n_ici), gen)).sum(axis=2)  # W H_x
     else:
         ici = np.zeros((n, K))
 
@@ -270,14 +315,11 @@ def _sinr_block_uplink(cfg: ExperimentConfig, block: int, n: int) -> dict:
     for _ in range(L - 1):
         _, (V_j,), r = _draw_zf(n, gen, retry, down)
         regen += r
-        H_cross = generate_batch(n, N, M, RAYLEIGH, gen)
-        cmi += _sq(W @ H_cross @ V_j).sum(axis=2)
-
-    si = _sq(W @ H_si @ V_own).sum(axis=2)
+        cmi += _sq(_sandwich(W, RAYLEIGH, V_j, gen)).sum(axis=2)  # W H_cross V_j
 
     if cfg.noise_power > 0:
-        eta = generate_batch(n, N, 1, RicianSpec(0.0, math.sqrt(cfg.noise_power)), gen)
-        noise = _sq(W @ eta)[:, :, 0]
+        spec = RicianSpec(0.0, math.sqrt(cfg.noise_power))
+        noise = _sq(_sandwich(W, spec, np.ones((1, 1)), gen))[:, :, 0]  # W eta
     else:
         noise = np.zeros((n, K))
 

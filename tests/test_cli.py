@@ -8,19 +8,19 @@ from fdsim.cli import main
 
 GOLDEN_SUMMARY = (
     "M,N,K,mu,nu,trials,seed,emp_m1,emp_m2,emp_var,cf_m1,cf_m2,cf_var,kappa,theta,ks\n"
-    "4,4,2,0.5,1.0,200,123,2.3156330766644597,8.683292077608536,3.321135531866025,"
-    "2.5,10.27,4.02,1.5547263681592038,1.608,0.08138813164446368\n"
+    "4,4,2,0.5,1.0,200,123,2.4339646353377016,9.425359101647796,3.501175255573205,"
+    "2.5,10.27,4.02,1.5547263681592038,1.608,0.06584971328772149\n"
     "4,4,2,0.5,1.0,200,123,2.2835662387063165,8.478914500092998,3.2642397335336844,"
     "2.5,10.27,4.02,1.5547263681592038,1.608,0.08633245687126145\n"
 )
 
 GOLDEN_EMPIRICAL = (
     "bin_left,count\n"
-    "0.0,109\n"
-    "2.1066826815033877,73\n"
-    "4.213365363006775,8\n"
-    "6.3200480445101626,6\n"
-    "8.42673072601355,4\n"
+    "0.0,100\n"
+    "1.8737013844132921,63\n"
+    "3.7474027688265843,20\n"
+    "5.621104153239877,12\n"
+    "7.494805537653169,5\n"
 )
 
 
@@ -129,8 +129,8 @@ def test_sinr_output(tmp_path):
 
 # sha256 of `fdsim sinr --L 2 --K 2 --M 8 --N 4 --trials 100` (seed 0)
 GOLDEN_SINR_SHA256 = {
-    "downlink": "272bdf9b6e4159c6c9adab97c63ab4649ff7f6de549e79c1f89192870a0e18b8",
-    "uplink": "8412cd867640f390ccc36f91791816398c063b8c4072f9aa58275276eacf0500",
+    "downlink": "a9bf54457b69450eee7f6bbc608cfb3f52c40b20394a4098b044cb74662b293e",
+    "uplink": "161130fb5623bcdbe5075dc37819230d77352dc1eda74c65f3b881ccdc12f30a",
 }
 
 
@@ -195,12 +195,12 @@ def test_no_partial_file_on_failure(tmp_path, monkeypatch):
 
 # sha256 of the raw-sample `fdsim si` files (`_si_args` without --bins), per format
 GOLDEN_SI_RAW_SHA256 = {
-    ("csv", "empirical"): "11201dd98f22c58a392656a0e2848b23e39ed3a2222e074bd86a0fdec0d51e31",
+    ("csv", "empirical"): "00cfd8379bd196e42e91b520cf5bb0ac02f0f001e249a94b97e8000830f9ffa5",
     ("csv", "theoretical"): "c095b08760d9d641f57424bb3be74152f368b07098f1e0d668b84b61256b7300",
-    ("csv", "summary"): "4a92f2d785294f957c5d2ec464ce2a4b567df17d42f307fa74f3a80f693573cd",
-    ("jsonl", "empirical"): "e22c723f793d1838058c8b32e3147b9add4345ed469469773018e6dea7417113",
+    ("csv", "summary"): "0f7293c013f18fe723f9c4039ce864d36d3cc5cb9a0e43f2d825f445a0854193",
+    ("jsonl", "empirical"): "3015aed12df2b86f7131931e73ac1868f7c5eb29151b991278f6f6bc21871b36",
     ("jsonl", "theoretical"): "2a2824f240a4ad20e6f3b165ff7863aba31f82ee70322b755edc3ae2f27aedba",
-    ("jsonl", "summary"): "41c3080e75f8f34f448d70f5c3b211fe898b0e7e6754e125be902042bf5b387f",
+    ("jsonl", "summary"): "82c1a3860770828ca2795f4f87ee61397cbb4f0eb842e075b114dd1d641f919a",
 }
 
 
@@ -215,8 +215,8 @@ def test_si_raw_samples_golden(tmp_path, fmt):
 
 # sha256 of `fdsim sinr --L 2 --K 2 --M 8 --N 4 --trials 100 --format jsonl` (seed 0)
 GOLDEN_SINR_JSONL_SHA256 = {
-    "downlink": "80ad4ec8d44833c2f6249603ec28bbaaaa0d7bc04cc2da2f4440a7c6dd9eebbe",
-    "uplink": "fb7e38a75f11ae4315bbbb23d303fb5bd73e19078565a212bc6a0df1445315fb",
+    "downlink": "891a5c64ba45f4f86b087ce3797404c248d12c21cf08be23685b2ca5196e2697",
+    "uplink": "a9aaad4a92d67a14bc4eb9e70db107e28f323ef7d2f7f2520b5881e274370f26",
 }
 
 

@@ -1,9 +1,13 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 import fdsim.mc as mc
+from fdsim.beamforming import zf_decoder_batch, zf_precoder_batch
+from fdsim.channel import RAYLEIGH, generate_batch
 from fdsim import (
     Direction,
     ExperimentConfig,
@@ -181,13 +185,13 @@ def _digest(*arrays) -> str:
 RETRY_TRIALS = 20_000  # two blocks, so the thread pool is exercised
 
 # (regenerated trials, sha256 of the outputs)
-SI_RETRY_GOLDEN = (698, "2e57aed454c163dd5d20070ed44f6ce7b1c8397980f688d298f7057e9340e9cc")
+SI_RETRY_GOLDEN = (684, "43b0428b9d1f3f46d1d00771991e15d696cfb5b5fe63dd4043c87483fd3a9ff0")
 SINR_RETRY_GOLDEN = {
     Direction.DOWNLINK: (
-        678, "ef1baf2bfb9468d8e12d8ae36fbf522660881976590e530b005840a73a753d4e"
+        678, "ea1946ff37c396dffe902f971869af345e7fe7fde9788697043b6c421ce642b2"
     ),
     Direction.UPLINK: (
-        996, "03de463dc84343def182a8897c2351f723d34460fb0fc8f57cc2e958db4eab0e"
+        1023, "b1acbae53c34990bec944d9513acc153b83b608110bea8f81b246402cd59a313"
     ),
 }
 
@@ -221,3 +225,166 @@ def test_thread_count_below_one_rejected(threads):
     for run in (run_si_empirical, run_si_theoretical, run_sinr):
         with pytest.raises(InvalidParameterError, match="threads"):
             run(cfg, threads=threads)
+
+
+# ---------------------------------------------------------------------------
+# Links seen only through fixed beamformers are drawn by ``mc._sandwich``
+# from the exact law of A @ H @ B, without H.  The full chain, which draws
+# every H, is kept here as the reference.
+
+
+def _within_5_se(samples, expected):
+    """Real and imaginary parts of the sample mean within 5 standard errors
+    (plus rounding, for parts such as Im |y|^2 that are exactly 0)."""
+    n = samples.shape[0]
+    err = samples.mean(axis=0) - expected
+    for part in (np.real, np.imag):
+        se = part(samples).std(axis=0) / np.sqrt(n)
+        assert np.all(np.abs(part(err)) <= 5 * se + 1e-9)
+
+
+def test_sandwich_mean_and_covariance():
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+    B = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    spec, n = RicianSpec(0.7, 1.3), 100_000
+    Y = mc._sandwich(
+        np.broadcast_to(A, (n, 2, 4)), spec, np.broadcast_to(B, (n, 5, 3)),
+        RngHandle(9).generator(),
+    )
+    y = Y.transpose(0, 2, 1).reshape(n, 6)  # column-major vec(Y)
+    mean = spec.mu * np.outer(A.sum(axis=1), B.sum(axis=0)).T.reshape(6)
+    _within_5_se(y, mean)
+    d = y - mean
+    cov = spec.nu**2 * np.kron((B.conj().T @ B).conj(), A @ A.conj().T)
+    _within_5_se(d[:, :, None] * d[:, None, :].conj(), cov)
+    _within_5_se(d[:, :, None] * d[:, None, :], np.zeros((6, 6)))  # circular
+
+
+def _near_tolerance(n, rows, cols, gen):
+    """Channels with cond(H) half the _gram_bad limit 1/sqrt(max(rows, cols) eps)."""
+    k = min(rows, cols)
+    s = np.geomspace(1.0, 2.0 * np.sqrt(max(rows, cols) * np.finfo(float).eps), k)
+    U = np.linalg.qr(generate_batch(n, rows, k, RAYLEIGH, gen))[0]
+    Vh = np.linalg.qr(generate_batch(n, cols, k, RAYLEIGH, gen))[0].conj().swapaxes(-1, -2)
+    return (U * s) @ Vh
+
+
+@pytest.mark.parametrize("K, M, N", [(2, 8, 4), (3, 16, 8), (8, 64, 32)])
+def test_sandwich_factors_every_accepted_beamformer(K, M, N):
+    gen = RngHandle(4).generator()
+    V, bad_v = zf_precoder_batch(_near_tolerance(256, K, M, gen))
+    W, bad_w = zf_decoder_batch(_near_tolerance(256, N, K, gen))
+    assert not bad_v.any() and not bad_w.any()
+    for A, B in [(W[:, :1], V), (W, V), (W, np.eye(K)), (W, np.ones((1, 1))), (np.eye(K), V)]:
+        Y = mc._sandwich(A, SPEC, B, gen)
+        assert Y.shape == (256, A.shape[-2], B.shape[-1]) and np.all(np.isfinite(Y))
+
+
+def test_normals_per_trial(monkeypatch):
+    # a return to full-matrix draws of H_si, H_cross, H_x or eta shows here
+    drawn = []
+
+    def counting(*args):
+        out = real(*args)
+        drawn.append(2 * out.size)
+        return out
+
+    real = mc.generate_batch
+    monkeypatch.setattr(mc, "generate_batch", counting)
+    K, M, N, T = 3, 16, 8, 1000
+    assert run_si_empirical(_cfg(K=K, M=M, N=N, trials=T)).regenerated_trials == 0
+    assert sum(drawn) == T * 2 * (K * M + N * K + K)
+    drawn.clear()
+    t = run_sinr(_cfg(L=2, K=2, M=16, N=8, trials=T, direction=Direction.UPLINK))
+    assert t["regenerated"] == 0 and sum(drawn) == T * 188
+
+
+def _zf(zf_fn, H):
+    out, bad = zf_fn(H)
+    assert not bad.any()
+    return out
+
+
+def _full_chain_si(cfg):
+    """Stream layout 1 of run_si_empirical: H_si, then H_down and H_up."""
+    K, M, N = cfg.geom.K, cfg.geom.M, cfg.geom.N
+    out = []
+    for b, n in mc._blocks(cfg.trials):
+        gen = RngHandle(cfg.seed, b).generator()
+        H_si = generate_batch(n, N, M, cfg.si_spec, gen)
+        V = _zf(zf_precoder_batch, generate_batch(n, K, M, RAYLEIGH, gen))
+        W = _zf(zf_decoder_batch, generate_batch(n, N, K, RAYLEIGH, gen))
+        out.append(np.sum(np.abs(W[:, :1] @ H_si @ V) ** 2, axis=(1, 2)))
+    return np.concatenate(out)
+
+
+def _full_chain_sinr(cfg):
+    """Stream layout 1 of run_sinr: every link drawn as its full matrix."""
+    L, K, M, N = cfg.geom.L, cfg.geom.K, cfg.geom.M, cfg.geom.N
+    noise_spec = RicianSpec(0.0, np.sqrt(cfg.noise_power))
+    parts = []
+    for b, n in mc._blocks(cfg.trials):
+        gen = RngHandle(cfg.seed, b).generator()
+
+        def draw(rows, cols, spec=RAYLEIGH):
+            return generate_batch(n, rows, cols, spec, gen)
+
+        if cfg.direction is Direction.DOWNLINK:
+            H_own = draw(K, M)
+            G = H_own @ _zf(zf_precoder_batch, H_own)
+            ici = 0.0
+            for _ in range(L - 1):
+                V_j = _zf(zf_precoder_batch, draw(K, M))
+                ici = ici + mc._sq(draw(K, M) @ V_j).sum(axis=2)
+            cmi = mc._sq(draw(K, L * K - 1)).sum(axis=2)
+            si = mc._sq(draw(K, 1, cfg.si_spec))[:, :, 0]
+            noise = mc._sq(draw(K, 1, noise_spec))[:, :, 0]
+        else:
+            H_up = draw(N, K)
+            W = _zf(zf_decoder_batch, H_up)
+            G = W @ H_up
+            V_own = _zf(zf_precoder_batch, draw(K, M))
+            H_si = draw(N, M, cfg.si_spec)
+            ici = mc._sq(W @ draw(N, K * (L - 1))).sum(axis=2)
+            cmi = 0.0
+            for _ in range(L - 1):
+                V_j = _zf(zf_precoder_batch, draw(K, M))
+                cmi = cmi + mc._sq(W @ draw(N, M) @ V_j).sum(axis=2)
+            si = mc._sq(W @ H_si @ V_own).sum(axis=2)
+            noise = mc._sq(W @ draw(N, 1, noise_spec))[:, :, 0]
+        parts.append(mc._terms(G, ici, cmi, si, noise, 0))
+    return {k: np.concatenate([p[k] for p in parts]) for k in mc._TERM_KEYS}
+
+
+KS_TRIALS = 20_000
+
+
+@pytest.mark.parametrize("K", [1, 3])
+def test_si_empirical_matches_full_chain(K):
+    cfg = _cfg(K=K, trials=KS_TRIALS, seed=70)
+    ref = _full_chain_si(replace(cfg, seed=71))
+    assert ks_2samp(run_si_empirical(cfg).samples, ref).pvalue > 0.01
+
+
+# The terms drawn through ``_sandwich``, and the SINR they enter.  The other
+# terms keep their draw (useful, mui: bit for bit, checked below).
+SANDWICH_TERMS = {
+    Direction.DOWNLINK: ("ici", "sinr"),
+    Direction.UPLINK: ("ici", "cmi", "si", "noise", "sinr"),
+}
+
+
+@pytest.mark.parametrize("direction", [Direction.DOWNLINK, Direction.UPLINK])
+def test_sinr_terms_match_full_chain(direction):
+    cfg = _cfg(L=2, K=2, M=8, N=4, trials=KS_TRIALS, seed=72, noise_power=0.5,
+               direction=direction)
+    got = run_sinr(cfg)
+    # one radio per trial: the K radios of a trial share their beamformers
+    ref = _full_chain_sinr(replace(cfg, seed=73))
+    for key in SANDWICH_TERMS[direction]:
+        assert ks_2samp(got[key][:, 0], ref[key][:, 0]).pvalue > 0.01, key
+    # H_own and H_up are still drawn first, in full: useful and mui keep their bits
+    same_seed = _full_chain_sinr(cfg)
+    for key in ("useful", "mui"):
+        assert np.array_equal(got[key], same_seed[key]), key
