@@ -33,9 +33,8 @@ parts, then all imaginary parts; ``Z[r x c]`` is a sandwich):
   cell, H_j (K x M) then Z[K x K] for ``W H_cross V_j``; when
   noise_power > 0, Z[K x 1] for ``W eta``.
 
-Layout 1 drew each of these sandwiched links as its full matrix (H_si
-N x M first of all in ``run_si_empirical``; H_cross K x M or N x M, H_x
-N x K(L - 1), eta N x 1).
+Layout 1 drew each sandwiched link as its full matrix, H_si first in
+``run_si_empirical``; the tests keep it as the reference chain.
 """
 from __future__ import annotations
 

@@ -6,8 +6,6 @@ import pytest
 from scipy.stats import ks_2samp
 
 import fdsim.mc as mc
-from fdsim.beamforming import zf_decoder_batch, zf_precoder_batch
-from fdsim.channel import RAYLEIGH, generate_batch
 from fdsim import (
     Direction,
     ExperimentConfig,
@@ -25,6 +23,8 @@ from fdsim import (
     sinr_sample_downlink,
     sinr_sample_uplink,
 )
+from fdsim.beamforming import zf_decoder_batch, zf_precoder_batch
+from fdsim.channel import RAYLEIGH, generate_batch
 
 SPEC = RicianSpec(0.5, 1.0)
 
