@@ -5,14 +5,7 @@ moment matching for the residual SI power gain, and Monte Carlo
 validation of the closed forms.
 """
 
-from .beamforming import residual_si_gain, zf_decoder, zf_precoder
-from .channel import (
-    RicianSpec,
-    RngHandle,
-    generate_matrix,
-    rician_from_factor,
-    sample_complex_gaussian,
-)
+from .channel import RicianSpec, RngHandle, rician_from_factor
 from .closedform import (
     GammaParams,
     SpecialCase,
@@ -25,24 +18,20 @@ from .closedform import (
     moment_match,
     si_variance,
 )
-from .exceptions import InvalidParameterError, SingularChannelError
+from .exceptions import InvalidParameterError
 from .mc import (
     Direction,
     ExperimentConfig,
     McReport,
-    SinrSample,
     run_si_empirical,
     run_si_theoretical,
     run_sinr,
-    sinr_sample_downlink,
-    sinr_sample_uplink,
 )
 from .stats import (
     GofReport,
     Histogram,
     gamma_cdf,
     gamma_pdf,
-    gamma_sample,
     histogram,
     ks_distance,
     si_pdf_siso,

@@ -20,8 +20,7 @@ __all__ = [
     "RicianSpec",
     "RngHandle",
     "rician_from_factor",
-    "sample_complex_gaussian",
-    "generate_matrix",
+    "generate_batch",
 ]
 
 
@@ -93,36 +92,6 @@ class RngHandle:
     def generator(self) -> Generator:
         """Fresh Generator positioned at the start of this substream."""
         return Generator(Philox(key=(self.seed << 64) | self.stream_id))
-
-    def substream(self, offset: int) -> "RngHandle":
-        return RngHandle(self.seed, self.stream_id + offset)
-
-
-def _as_generator(rng: RngHandle | Generator) -> Generator:
-    if isinstance(rng, RngHandle):
-        return rng.generator()
-    return rng
-
-
-def sample_complex_gaussian(
-    mu: float, nu: float, rng: RngHandle | Generator, size=None
-) -> complex | np.ndarray:
-    """Draw from CN(mu, nu^2): mean on the real axis, variance nu^2/2 per part."""
-    spec = RicianSpec(mu, nu)
-    shape = () if size is None else size
-    z = generate_batch(1, 1, int(np.prod(shape)), spec, _as_generator(rng)).reshape(shape)
-    if size is None:
-        return complex(z)
-    return z
-
-
-def generate_matrix(
-    rows: int, cols: int, spec: RicianSpec, rng: RngHandle | Generator
-) -> np.ndarray:
-    """I.i.d. complex Gaussian matrix of shape (rows, cols) per ``spec``."""
-    if rows < 1 or cols < 1:
-        raise InvalidParameterError(f"dimensions must be >= 1, got {rows}x{cols}")
-    return generate_batch(1, rows, cols, spec, _as_generator(rng))[0]
 
 
 def generate_batch(

@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .closedform import (
     moment2,
     si_variance,
 )
-from .exceptions import InvalidParameterError, SingularChannelError
+from .exceptions import InvalidParameterError
 from .mc import Direction, ExperimentConfig, run_si_empirical, run_si_theoretical, run_sinr
 from .stats import histogram
 
@@ -86,7 +87,6 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--M", type=int, help="transmit antennas at the FD node")
     p.add_argument("--N", type=int, help="receive antennas at the FD node")
     p.add_argument("--K", type=int, help="number of FD radios / streams")
-    p.add_argument("--L", type=int, help="number of cells")
     p.add_argument("--mu", type=float, help="SI channel complex-Gaussian mean")
     p.add_argument("--nu", type=float, help="SI channel std (sqrt of total variance)")
     p.add_argument("--varpi", type=float, help="Rician factor (alternative to --mu/--nu)")
@@ -118,6 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sinr = sub.add_parser("sinr", help="multi-cell SINR term sampling")
     _add_model_flags(p_sinr)
     _add_run_flags(p_sinr)
+    p_sinr.add_argument("--L", type=int, help="number of cells (default 1)")
     p_sinr.add_argument("--noise", type=float, help="noise power (default 1.0)")
     p_sinr.add_argument("--direction", choices=["downlink", "uplink"])
 
@@ -129,12 +130,15 @@ def _merge_config(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> di
 
     Config-file and FDSIM_SEED values go through the flag's own ``type``
     and ``choices``; the setting names are the flags of every subcommand.
+    The result holds only the settings of the running subcommand: config
+    values for the other flags are type-checked, then dropped.
     """
     (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     actions = {
         a.dest: a for p in sub.choices.values() for a in p._actions
         if a.option_strings and a.dest not in ("help", "config")
     }
+    own = {a.dest for a in sub.choices[ns.command]._actions} & actions.keys()
 
     def typed(key, val, source):
         action = actions[key]
@@ -163,18 +167,19 @@ def _merge_config(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> di
             parser.error(f"unknown keys in --config: {sorted(unknown)}")
         file_vals = {k: typed(k, v, source) for k, v in file_vals.items() if v is not None}
 
-    flags = {k: getattr(ns, k) for k in actions if getattr(ns, k, None) is not None}
-    merged = {**dict.fromkeys(actions), **_DEFAULTS, **file_vals, **flags}
+    flags = {k: getattr(ns, k) for k in own if getattr(ns, k) is not None}
+    vals = {**_DEFAULTS, **file_vals, **flags}
+    merged = {k: vals.get(k) for k in own}
 
     mu_given = merged["mu"] is not None or merged["nu"] is not None
     factor_given = merged["varpi"] is not None or merged["omega"] is not None
     if mu_given and factor_given:
         parser.error("(--mu, --nu) and (--varpi, --omega) are mutually exclusive")
 
-    if merged["seed"] is None:
+    if "seed" in merged and merged["seed"] is None:
         merged["seed"] = typed("seed", os.environ.get("FDSIM_SEED", "0"), "FDSIM_SEED")
     for key in ("bins", "threads"):
-        if merged[key] is not None and merged[key] < 1:
+        if merged.get(key) is not None and merged[key] < 1:
             parser.error(f"--{key} must be >= 1, got {merged[key]}")
     return merged
 
@@ -230,6 +235,7 @@ def _cmd_si(merged: dict, cfg: ExperimentConfig, head: list, cf: list) -> dict:
 
 
 def _cmd_sinr(merged: dict, cfg: ExperimentConfig) -> dict:
+    cfg = replace(cfg, noise_power=merged["noise"], direction=Direction(merged["direction"]))
     terms = run_sinr(cfg, threads=merged["threads"])
     T, K = cfg.trials, cfg.geom.K
     columns = [np.repeat(np.arange(T), K).tolist(), np.tile(np.arange(K), T).tolist()]
@@ -241,15 +247,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     merged = _merge_config(ns, parser)
-    out = merged["out"]
-    out_ok = out and os.path.isdir(os.path.dirname(os.path.abspath(out)))
+    out = merged.get("out")
+    out_ok = (
+        out and not out.endswith(os.sep) and not os.path.isdir(out)
+        and os.path.isdir(os.path.dirname(os.path.abspath(out)))
+    )
     if ns.command != "moments" and not out_ok:
         print(f"fdsim {ns.command}: --out must name a file in an existing directory",
               file=sys.stderr)
         return 2
     try:
         spec = _resolve_spec(merged)
-        geom = SystemGeometry(L=merged["L"], K=merged["K"], M=merged["M"], N=merged["N"])
+        geom = SystemGeometry(L=merged.get("L", 1), K=merged["K"], M=merged["M"], N=merged["N"])
         head = [geom.M, geom.N, geom.K, spec.mu, spec.nu]
         if ns.command == "moments":
             row = head + _closed_form(geom, spec)
@@ -257,7 +266,6 @@ def main(argv=None) -> int:
             return 0
         cfg = ExperimentConfig(
             geom=geom, si_spec=spec, trials=merged["trials"], seed=merged["seed"],
-            noise_power=merged["noise"], direction=Direction(merged["direction"]),
         )
         if ns.command == "si":
             files = _cmd_si(merged, cfg, head, _closed_form(geom, spec))
@@ -268,7 +276,7 @@ def main(argv=None) -> int:
     except InvalidParameterError as exc:
         print(f"fdsim: invalid parameters: {exc}", file=sys.stderr)
         return 2
-    except (SingularChannelError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"fdsim: numerical failure: {exc}", file=sys.stderr)
         return 1
 

@@ -3,7 +3,3 @@
 
 class InvalidParameterError(ValueError):
     """A parameter violates its domain (negative variance, bad geometry, ...)."""
-
-
-class SingularChannelError(RuntimeError):
-    """A channel matrix is rank-deficient beyond the pseudo-inverse tolerance."""

@@ -41,7 +41,7 @@ from __future__ import annotations
 import enum
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator
@@ -55,12 +55,9 @@ from .stats import GofReport, gamma_cdf, ks_distance
 __all__ = [
     "Direction",
     "ExperimentConfig",
-    "SinrSample",
     "McReport",
     "run_si_empirical",
     "run_si_theoretical",
-    "sinr_sample_downlink",
-    "sinr_sample_uplink",
     "run_sinr",
 ]
 
@@ -90,19 +87,6 @@ class ExperimentConfig:
             raise InvalidParameterError(
                 f"noise_power must be >= 0, got {self.noise_power}"
             )
-
-
-@dataclass(frozen=True)
-class SinrSample:
-    """One radio's power-gain decomposition and assembled SINR."""
-
-    useful: float
-    mui: float
-    ici: float
-    cmi: float
-    si: float
-    noise: float
-    sinr: float
 
 
 @dataclass(frozen=True)
@@ -337,26 +321,3 @@ def run_sinr(cfg: ExperimentConfig, threads: int = 1) -> dict:
     out = {k: np.concatenate([p[k] for p in parts]) for k in _TERM_KEYS}
     out["regenerated"] = sum(p["regenerated"] for p in parts)
     return out
-
-
-def _samples_from_block(block: dict) -> list[SinrSample]:
-    return [
-        SinrSample(**{key: float(block[key][0, k]) for key in _TERM_KEYS})
-        for k in range(block["useful"].shape[1])
-    ]
-
-
-def sinr_sample_downlink(cfg: ExperimentConfig, rng: RngHandle) -> list[SinrSample]:
-    """One downlink trial: a SinrSample per served radio."""
-    if cfg.direction is not Direction.DOWNLINK:
-        raise InvalidParameterError("config direction must be DOWNLINK")
-    one = replace(cfg, trials=1, seed=rng.seed)
-    return _samples_from_block(_sinr_block_downlink(one, rng.stream_id, 1))
-
-
-def sinr_sample_uplink(cfg: ExperimentConfig, rng: RngHandle) -> list[SinrSample]:
-    """One uplink trial: a SinrSample per served radio."""
-    if cfg.direction is not Direction.UPLINK:
-        raise InvalidParameterError("config direction must be UPLINK")
-    one = replace(cfg, trials=1, seed=rng.seed)
-    return _samples_from_block(_sinr_block_uplink(one, rng.stream_id, 1))

@@ -1,4 +1,4 @@
-"""Distribution evaluation, sampling, histograms, and goodness of fit.
+"""Distribution evaluation, histograms, and goodness of fit.
 
 The SISO residual SI gain |h|^2 with h ~ CN(mu, nu^2) follows a scaled
 non-central chi-squared law; its density is evaluated in the log domain
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .channel import RngHandle, _as_generator
 from .closedform import GammaParams
 from .exceptions import InvalidParameterError
 
@@ -23,7 +22,6 @@ __all__ = [
     "si_pdf_siso",
     "gamma_pdf",
     "gamma_cdf",
-    "gamma_sample",
     "ks_distance",
     "histogram",
 ]
@@ -97,17 +95,6 @@ def gamma_cdf(x, p: GammaParams):
         raise InvalidParameterError("x must be >= 0")
     out = special.gammainc(p.kappa, x / p.theta)
     return out if out.ndim else float(out)
-
-
-def gamma_sample(p: GammaParams, rng: RngHandle, size=None):
-    """Draw Gamma(kappa, theta) variates; deterministic given the handle.
-
-    numpy's gamma sampler (Marsaglia-Tsang squeeze with the kappa < 1
-    boost) covers the shapes produced by the MIMO matching, which can
-    fall below 1.
-    """
-    gen = _as_generator(rng)
-    return gen.gamma(p.kappa, p.theta, size=size)
 
 
 def ks_distance(samples, cdf) -> float:

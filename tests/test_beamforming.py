@@ -1,18 +1,7 @@
 import numpy as np
 import pytest
 
-from fdsim import (
-    GammaParams,
-    InvalidParameterError,
-    RicianSpec,
-    RngHandle,
-    SingularChannelError,
-    gamma_cdf,
-    ks_distance,
-    residual_si_gain,
-    zf_decoder,
-    zf_precoder,
-)
+from fdsim import GammaParams, RicianSpec, RngHandle, gamma_cdf, ks_distance
 from fdsim.beamforming import zf_decoder_batch, zf_precoder_batch
 from fdsim.channel import RAYLEIGH, generate_batch
 
@@ -46,53 +35,57 @@ def _useful_gains_decoder(N, K, trials, seed):
 
 def test_precoder_single_stream_is_matched_filter():
     g = RngHandle(10, 0).generator()
-    h = generate_batch(1, 1, 8, RAYLEIGH, g)[0]
-    v = zf_precoder(h)
-    assert np.allclose(v[:, 0], h[0].conj() / np.linalg.norm(h))
-    assert residual_si_gain(np.array([1.0]), h, v) == pytest.approx(
-        np.linalg.norm(h) ** 2
-    )
+    h = generate_batch(1, 1, 8, RAYLEIGH, g)
+    V, bad = zf_precoder_batch(h)
+    assert not bad.any()
+    assert np.allclose(V[0, :, 0], h[0, 0].conj() / np.linalg.norm(h))
+    assert np.abs(h @ V).item() ** 2 == pytest.approx(np.linalg.norm(h) ** 2)
 
 
 def test_precoder_identity_channel():
-    assert np.allclose(zf_precoder(np.eye(2)), np.eye(2))
+    V, bad = zf_precoder_batch(np.eye(2)[None])
+    assert not bad.any() and np.allclose(V[0], np.eye(2))
 
 
 def test_decoder_identity_channel():
-    assert np.allclose(zf_decoder(np.eye(2)), np.eye(2))
+    W, bad = zf_decoder_batch(np.eye(2)[None])
+    assert not bad.any() and np.allclose(W[0], np.eye(2))
 
 
 def test_decoder_single_stream():
     g = RngHandle(11, 0).generator()
-    h = generate_batch(1, 8, 1, RAYLEIGH, g)[0]
-    w = zf_decoder(h)
-    assert np.allclose(w[0, :], h[:, 0].conj() / np.linalg.norm(h))
+    h = generate_batch(1, 8, 1, RAYLEIGH, g)
+    W, bad = zf_decoder_batch(h)
+    assert not bad.any()
+    assert np.allclose(W[0, 0, :], h[0, :, 0].conj() / np.linalg.norm(h))
+
+
+def _assert_nulled(G):
+    """Each G in the stack is diagonal, with positive real diagonal entries."""
+    diag = np.einsum("bkk->bk", G)
+    off = np.abs(G - diag[:, :, None] * np.eye(G.shape[-1]))
+    assert np.all(diag.real > 0)
+    assert np.all(off.max(axis=(1, 2)) < 1e-8 * np.abs(diag).min(axis=1))
 
 
 @pytest.mark.parametrize("K,M", [(1, 4), (2, 4), (3, 16), (8, 8)])
 def test_zf_nulling_and_norms(K, M):
     g = RngHandle(12, K * 100 + M).generator()
-    H = generate_batch(1, K, M, RAYLEIGH, g)[0]
-    V = zf_precoder(H)
-    assert np.allclose(np.linalg.norm(V, axis=0), 1.0, atol=1e-10)
-    G = H @ V
-    diag = np.abs(np.diag(G))
-    off = np.abs(G - np.diag(np.diag(G)))
-    assert np.all(np.diag(G).real > 0)
-    assert off.max() < 1e-8 * diag.min()
+    H = generate_batch(64, K, M, RAYLEIGH, g)
+    V, bad = zf_precoder_batch(H)
+    assert not bad.any()
+    assert np.allclose(np.linalg.norm(V, axis=1), 1.0, atol=1e-10)
+    _assert_nulled(H @ V)
 
 
 @pytest.mark.parametrize("K,N", [(1, 4), (3, 8), (4, 4)])
 def test_zf_decoder_nulling_and_norms(K, N):
     g = RngHandle(13, K * 100 + N).generator()
-    H = generate_batch(1, N, K, RAYLEIGH, g)[0]
-    W = zf_decoder(H)
-    assert np.allclose(np.linalg.norm(W, axis=1), 1.0, atol=1e-10)
-    G = W @ H
-    diag = np.abs(np.diag(G))
-    off = np.abs(G - np.diag(np.diag(G)))
-    assert np.all(np.diag(G).real > 0)
-    assert off.max() < 1e-8 * diag.min()
+    H = generate_batch(64, N, K, RAYLEIGH, g)
+    W, bad = zf_decoder_batch(H)
+    assert not bad.any()
+    assert np.allclose(np.linalg.norm(W, axis=2), 1.0, atol=1e-10)
+    _assert_nulled(W @ H)
 
 
 def test_precoder_useful_gain_is_gamma():
@@ -122,20 +115,6 @@ def test_cross_gain_is_exponential():
     assert ks <= 0.01
 
 
-def test_residual_si_gain_selector_vectors():
-    N, M = 4, 5
-    H = np.zeros((N, M), dtype=complex)
-    z = 1.5 - 2.0j
-    H[0, 0] = z
-    w = np.eye(N)[0]
-    V = np.eye(M)[:, :1]
-    assert residual_si_gain(w, H, V) == pytest.approx(abs(z) ** 2)
-
-
-def test_residual_si_gain_scalar_case():
-    assert residual_si_gain(np.array([1.0]), np.array([[2.0 + 0j]]), np.array([[1.0]])) == pytest.approx(4.0)
-
-
 def test_residual_si_gain_mean_single_stream():
     # mean of ||w^T H V||^2 at K=1 is mu^2 + nu^2 = 1.25
     spec = RicianSpec(0.5, 1.0)
@@ -152,22 +131,10 @@ def test_residual_si_gain_mean_single_stream():
     assert total / n == pytest.approx(1.25, rel=0.01)
 
 
-def test_dimension_errors():
-    with pytest.raises(InvalidParameterError):
-        zf_precoder(np.ones((4, 2)))  # K > M
-    with pytest.raises(InvalidParameterError):
-        zf_decoder(np.ones((2, 4)))  # K > N
-    with pytest.raises(InvalidParameterError):
-        residual_si_gain(np.ones(3), np.ones((4, 2)), np.ones((2, 1)))
-
-
 def test_singular_channel_rejected():
-    H = np.ones((2, 4), dtype=complex)  # identical rows: rank 1
-    with pytest.raises(SingularChannelError):
-        zf_precoder(H)
-    with pytest.raises(SingularChannelError):
-        zf_decoder(H.T)
-
+    H = np.ones((1, 2, 4), dtype=complex)  # identical rows: rank 1
+    assert zf_precoder_batch(H)[1].all()
+    assert zf_decoder_batch(H.transpose(0, 2, 1))[1].all()
 
 
 def _rank_deficient(n, K, M, seed):
@@ -184,11 +151,6 @@ def test_rank_deficient_always_flagged(K, M):
     _, bad_v = zf_precoder_batch(H)
     _, bad_w = zf_decoder_batch(H.transpose(0, 2, 1))
     assert bad_v.all() and bad_w.all()
-    for h in H[:20]:
-        with pytest.raises(SingularChannelError):
-            zf_precoder(h)
-        with pytest.raises(SingularChannelError):
-            zf_decoder(h.T)
 
 
 @pytest.mark.parametrize("K,M", [(2, 4), (3, 16), (8, 64)])
@@ -197,11 +159,3 @@ def test_full_rank_draws_not_flagged(K, M):
     H = generate_batch(5000, K, M, RAYLEIGH, g)
     assert not zf_precoder_batch(H)[1].any()
     assert not zf_decoder_batch(H.transpose(0, 2, 1))[1].any()
-
-
-def test_single_matrix_routines_match_batch():
-    g = RngHandle(15, 0).generator()
-    H = generate_batch(1, 3, 8, RAYLEIGH, g)
-    assert np.array_equal(zf_precoder(H[0]), zf_precoder_batch(H)[0][0])
-    Hu = H.transpose(0, 2, 1)
-    assert np.array_equal(zf_decoder(Hu[0]), zf_decoder_batch(Hu)[0][0])

@@ -283,6 +283,7 @@ def _exit_code(argv):
     ["--threads", "0"],
     ["--threads", "-3"],
     ["--out", "missing_dir/run.csv"],
+    ["--out", "."],
 ])
 def test_user_errors_fail_before_monte_carlo(tmp_path, monkeypatch, capsys, no_monte_carlo,
                                              extra):
@@ -292,13 +293,27 @@ def test_user_errors_fail_before_monte_carlo(tmp_path, monkeypatch, capsys, no_m
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["si", "sinr"])
+@pytest.mark.parametrize("out", [".", "sub", "sub/"])
+def test_out_naming_a_directory_exits_2(tmp_path, monkeypatch, capsys, no_monte_carlo,
+                                        command, out):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    assert _exit_code([command, "--trials", "10", "--out", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"fdsim {command}: --out must name a file in an existing directory"]
+    assert [p.name for p in tmp_path.rglob("*")] == ["sub"]
+
+
 @pytest.mark.parametrize("argv", [
     ["moments", "--trials", "5", "--out", "x.csv"],
     ["moments", "--seed", "1"],
     ["moments", "--noise", "2"],
     ["moments", "--bins", "5"],
     ["moments", "--threads", "3"],
+    ["moments", "--L", "2"],
     ["si", "--noise", "2", "--out", "x.csv"],
+    ["si", "--L", "2", "--out", "x.csv"],
     ["sinr", "--bins", "5", "--out", "x.csv"],
 ])
 def test_flag_the_subcommand_does_not_read_exits_2(tmp_path, monkeypatch, capsys,
@@ -345,3 +360,28 @@ def test_config_strings_converted_by_flag_type(tmp_path, capsys):
     assert main(["moments", "--config", str(cfg)]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == GOLDEN_MOMENTS_SHA256["csv"]
+
+
+def test_config_values_the_subcommand_does_not_read_are_dropped(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"M": 16, "N": 8, "K": 3, "mu": 0.5, "nu": 1,
+                               "bins": 0, "L": 0}))
+    assert main(["moments", "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == GOLDEN_MOMENTS_SHA256["csv"]
+
+
+def test_config_value_of_the_wrong_type_is_rejected_even_if_unread(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"L": "two"}))
+    assert _exit_code(["moments", "--config", str(cfg)]) == 2
+    assert "invalid --L value" in capsys.readouterr().err
+
+
+def test_si_ignores_the_cell_count_in_a_config(tmp_path, monkeypatch):
+    monkeypatch.delenv("FDSIM_SEED", raising=False)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"L": 0, "noise": -1.0, "direction": "uplink"}))
+    out = str(tmp_path / "run.csv")
+    assert main(_si_args(out) + ["--config", str(cfg)]) == 0
+    assert (tmp_path / "run_summary.csv").read_text() == GOLDEN_SUMMARY

@@ -20,8 +20,6 @@ from fdsim import (
     run_si_empirical,
     run_si_theoretical,
     run_sinr,
-    sinr_sample_downlink,
-    sinr_sample_uplink,
 )
 from fdsim.beamforming import zf_decoder_batch, zf_precoder_batch
 from fdsim.channel import RAYLEIGH, generate_batch
@@ -109,16 +107,6 @@ class TestSinrDownlink:
         denom = t["mui"] + t["ici"] + t["cmi"] + t["si"] + t["noise"]
         assert np.allclose(t["sinr"], t["useful"] / denom, rtol=1e-12)
 
-    def test_single_sample_api(self):
-        cfg = _cfg(K=2, L=2, trials=1)
-        samples = sinr_sample_downlink(cfg, RngHandle(7, 3))
-        assert len(samples) == 2
-        for s in samples:
-            denom = s.mui + s.ici + s.cmi + s.si + s.noise
-            assert s.sinr == pytest.approx(s.useful / denom, rel=1e-12)
-        again = sinr_sample_downlink(cfg, RngHandle(7, 3))
-        assert samples == again
-
 
 class TestSinrUplink:
     def test_useful_gain_mean(self):
@@ -132,19 +120,6 @@ class TestSinrUplink:
     def test_si_term_mean_matches_closed_form(self):
         t = run_sinr(_cfg(K=3, trials=100_000, direction=Direction.UPLINK))
         assert t["si"].mean() == pytest.approx(moment1(3, SPEC), rel=0.02)
-
-    def test_single_sample_api(self):
-        cfg = _cfg(K=2, L=2, trials=1, direction=Direction.UPLINK)
-        samples = sinr_sample_uplink(cfg, RngHandle(8, 0))
-        assert len(samples) == 2
-        for s in samples:
-            assert s.useful > 0 and s.si > 0
-
-    def test_direction_mismatch_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            sinr_sample_uplink(_cfg(trials=1), RngHandle(0))
-        with pytest.raises(InvalidParameterError):
-            sinr_sample_downlink(_cfg(trials=1, direction=Direction.UPLINK), RngHandle(0))
 
 
 def test_config_validation():

@@ -9,14 +9,13 @@ from fdsim import (
     RngHandle,
     gamma_cdf,
     gamma_pdf,
-    gamma_sample,
     gamma_siso,
     histogram,
     ks_distance,
     rician_from_factor,
-    sample_complex_gaussian,
     si_pdf_siso,
 )
+from fdsim.channel import generate_batch
 
 PAIRS = [(0.0, 0.5), (0.0, 1.0), (0.25, 1.25), (1.0, 2.0), (10.0, 4.0), (0.25, 0.5)]
 
@@ -88,32 +87,32 @@ class TestGammaLaw:
         assert np.all(gamma_pdf(x, p) >= 0)
 
     def test_sample_mean_unit(self):
-        s = gamma_sample(GammaParams(1.0, 1.0), RngHandle(30, 0), size=1_000_000)
+        s = RngHandle(30, 0).generator().gamma(1.0, 1.0, size=1_000_000)
         assert s.mean() == pytest.approx(1.0, rel=0.01)
 
     def test_sample_mean_sub_unit_shape(self):
         # shape below 1 exercises the kappa < 1 sampling branch
         p = GammaParams(3825 / 4031, 4031 / 3060)
-        s = gamma_sample(p, RngHandle(31, 0), size=1_000_000)
+        s = RngHandle(31, 0).generator().gamma(p.kappa, p.theta, size=1_000_000)
         assert s.mean() == pytest.approx(1.25, rel=0.01)
 
     def test_sample_deterministic(self):
         p = GammaParams(2.0, 0.5)
-        a = gamma_sample(p, RngHandle(32, 4), size=1000)
-        b = gamma_sample(p, RngHandle(32, 4), size=1000)
+        a = RngHandle(32, 4).generator().gamma(p.kappa, p.theta, size=1000)
+        b = RngHandle(32, 4).generator().gamma(p.kappa, p.theta, size=1000)
         assert np.array_equal(a, b)
 
 
 class TestKsDistance:
     def test_self_consistency(self):
         p = GammaParams(1.0, 1.0)
-        s = gamma_sample(p, RngHandle(33, 0), size=100_000)
+        s = RngHandle(33, 0).generator().gamma(p.kappa, p.theta, size=100_000)
         assert ks_distance(s, lambda x: gamma_cdf(x, p)) <= 0.01
 
     def test_confidence_bound(self):
         p = GammaParams(2.5, 0.8)
         n = 100_000
-        s = gamma_sample(p, RngHandle(34, 0), size=n)
+        s = RngHandle(34, 0).generator().gamma(p.kappa, p.theta, size=n)
         assert ks_distance(s, lambda x: gamma_cdf(x, p)) <= 1.63 / np.sqrt(n)
 
     def test_degenerate_hand_case(self):
@@ -127,7 +126,7 @@ class TestKsDistance:
         spec = RicianSpec(0.5, 1.0)
         p = gamma_siso(spec)
         g = RngHandle(2024, 0).generator()
-        s = np.abs(sample_complex_gaussian(0.5, 1.0, g, size=1_000_000)) ** 2
+        s = np.abs(generate_batch(1, 1, 1_000_000, spec, g)) ** 2
         d = ks_distance(s, lambda x: gamma_cdf(x, p))
         assert 0.003 <= d <= 0.007
 
@@ -144,7 +143,7 @@ class TestHistogram:
         assert np.count_nonzero(h.counts) == 1
 
     def test_counts_sum_to_total(self):
-        s = gamma_sample(GammaParams(1.0, 1.0), RngHandle(35, 0), size=10_000)
+        s = RngHandle(35, 0).generator().gamma(1.0, 1.0, size=10_000)
         h = histogram(s, 32)
         assert h.counts.sum() == h.total == 10_000
         assert np.all(np.diff(h.bin_edges) > 0)
@@ -152,7 +151,7 @@ class TestHistogram:
     def test_frequencies_match_cdf_increments(self):
         p = GammaParams(1.0, 1.0)
         n = 1_000_000
-        s = gamma_sample(p, RngHandle(36, 0), size=n)
+        s = RngHandle(36, 0).generator().gamma(p.kappa, p.theta, size=n)
         h = histogram(s, 100)
         expected = n * np.diff(gamma_cdf(h.bin_edges, p))
         mask = expected >= 1000
