@@ -1,8 +1,10 @@
 """Closed-form residual SI statistics: Gamma moment matching and moments.
 
-Covers the SISO moment-matched Gamma, the general MIMO moment-matched
-Gamma, the special-case table (single-user, Rayleigh, massive MIMO), and
-the exact first/second moments and variance of ||w^T H V||^2.
+Covers the exact first/second moments and variance of ||w^T H V||^2,
+the SISO and general MIMO moment-matched Gammas, and the special-case
+table (single-user, Rayleigh, massive MIMO).  Every matched Gamma except
+the special-case table, which is kept verbatim, is ``moment_match`` of the
+exact mean and variance.
 
 The moments are derived for, and tested against, ZF beamformers built
 from Rayleigh uplink/downlink channels independent of the SI channel H.
@@ -93,16 +95,13 @@ def _check_spec(spec: RicianSpec) -> None:
 def gamma_siso(spec: RicianSpec) -> GammaParams:
     """Moment-matched Gamma for the SISO SI gain |h|^2, h ~ CN(mu, nu^2).
 
+    Matches the mean mu^2+nu^2 and the variance nu^2 (2 mu^2+nu^2):
     kappa = (mu^2+nu^2)^2 / ((2 mu^2+nu^2) nu^2),
-    theta = (2 mu^2+nu^2) nu^2 / (mu^2+nu^2); the mean kappa*theta equals
-    mu^2 + nu^2 by construction.
+    theta = (2 mu^2+nu^2) nu^2 / (mu^2+nu^2).
     """
     _check_spec(spec)
-    mu2 = spec.mu**2
     nu2 = spec.nu**2
-    omega = mu2 + nu2
-    t = (2.0 * mu2 + nu2) * nu2
-    return GammaParams(kappa=omega * omega / t, theta=t / omega)
+    return moment_match(spec.omega, nu2 * (2.0 * spec.mu**2 + nu2))
 
 
 def gamma_mimo(geom: SystemGeometry, spec: RicianSpec) -> GammaParams:
@@ -113,18 +112,7 @@ def gamma_mimo(geom: SystemGeometry, spec: RicianSpec) -> GammaParams:
     channels (see the module docstring for the scope).
     """
     _check_spec(spec)
-    K, M, N = geom.K, geom.M, geom.N
-    mu2 = spec.mu**2
-    nu2 = spec.nu**2
-    omega = mu2 + nu2
-    t = nu2 * (2.0 * mu2 + nu2)
-    # Shared denominator of kappa / numerator of theta; grouped so the
-    # mu^4 and nu^4 scales are combined only once.
-    a = 2.0 * N * M + K * (M - K + 2) * (N * M - N - M - 1) / (M + 1)
-    d = a * mu2 * mu2 + (N + 1) * (M + 1) * t
-    kappa = K * (N + 1) * (M - K + 2) * omega * omega / d
-    theta = d / ((N + 1) * (M - K + 2) * omega)
-    return GammaParams(kappa=kappa, theta=theta)
+    return moment_match(moment1(geom.K, spec), si_variance(geom, spec))
 
 
 def gamma_special(

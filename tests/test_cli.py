@@ -9,9 +9,9 @@ from fdsim.cli import main
 GOLDEN_SUMMARY = (
     "M,N,K,mu,nu,trials,seed,emp_m1,emp_m2,emp_var,cf_m1,cf_m2,cf_var,kappa,theta,ks\n"
     "4,4,2,0.5,1.0,200,123,2.4339646353377016,9.425359101647796,3.501175255573205,"
-    "2.5,10.27,4.02,1.5547263681592038,1.608,0.06584971328772149\n"
-    "4,4,2,0.5,1.0,200,123,2.2835662387063165,8.478914500092998,3.2642397335336844,"
-    "2.5,10.27,4.02,1.5547263681592038,1.608,0.08633245687126145\n"
+    "2.5,10.27,4.02,1.554726368159204,1.6079999999999999,0.06584971328772171\n"
+    "4,4,2,0.5,1.0,200,123,2.2835662387063165,8.478914500093,3.264239733533686,"
+    "2.5,10.27,4.02,1.554726368159204,1.6079999999999999,0.08633245687126134\n"
 )
 
 GOLDEN_EMPIRICAL = (
@@ -196,11 +196,11 @@ def test_no_partial_file_on_failure(tmp_path, monkeypatch):
 # sha256 of the raw-sample `fdsim si` files (`_si_args` without --bins), per format
 GOLDEN_SI_RAW_SHA256 = {
     ("csv", "empirical"): "00cfd8379bd196e42e91b520cf5bb0ac02f0f001e249a94b97e8000830f9ffa5",
-    ("csv", "theoretical"): "c095b08760d9d641f57424bb3be74152f368b07098f1e0d668b84b61256b7300",
-    ("csv", "summary"): "0f7293c013f18fe723f9c4039ce864d36d3cc5cb9a0e43f2d825f445a0854193",
+    ("csv", "theoretical"): "6f13ea6b0b17b081ea5d3e10efabe5495aecb721e045423735d43cbeb02f05e3",
+    ("csv", "summary"): "247bec8ad9f775d34930c06959b531699fdaca3ff32cb1eed845fc7668782173",
     ("jsonl", "empirical"): "3015aed12df2b86f7131931e73ac1868f7c5eb29151b991278f6f6bc21871b36",
-    ("jsonl", "theoretical"): "2a2824f240a4ad20e6f3b165ff7863aba31f82ee70322b755edc3ae2f27aedba",
-    ("jsonl", "summary"): "82c1a3860770828ca2795f4f87ee61397cbb4f0eb842e075b114dd1d641f919a",
+    ("jsonl", "theoretical"): "832fff9f6888e7d3364f0f2d735a9be8d359e59bc7d20086a60845ec511b9383",
+    ("jsonl", "summary"): "cd31f88eea31e904d2c578051a5442562a6a1be11203314b05fb42878ea60e1a",
 }
 
 
