@@ -1,5 +1,7 @@
-"""Smoke-run every demo script so public API changes cannot silently break them."""
+"""Smoke-run every demo script and the README library example, so public API
+changes cannot silently break them."""
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,3 +27,10 @@ def test_demo_runs(tmp_path, script, args):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_readme_library_example_runs(capsys):
+    (code,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    exec(compile(code, "README.md", "exec"), {})
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first.startswith("GammaParams(kappa=2.410")
