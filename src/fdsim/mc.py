@@ -83,6 +83,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if not (isinstance(self.trials, int) and self.trials >= 1):
             raise InvalidParameterError(f"trials must be >= 1, got {self.trials!r}")
+        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
+            raise InvalidParameterError(
+                f"seed must be an integer in [0, 2**64), got {self.seed!r}"
+            )
         if not (self.noise_power >= 0 and math.isfinite(self.noise_power)):
             raise InvalidParameterError(
                 f"noise_power must be >= 0, got {self.noise_power}"

@@ -292,6 +292,8 @@ def _exit_code(argv):
     ["--threads", "-3"],
     ["--out", "missing_dir/run.csv"],
     ["--out", "."],
+    ["--seed", "-1"],
+    ["--seed", "18446744073709551616"],
 ])
 def test_user_errors_fail_before_monte_carlo(tmp_path, monkeypatch, capsys, no_monte_carlo,
                                              extra):

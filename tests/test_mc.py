@@ -127,6 +127,9 @@ def test_config_validation():
         _cfg(trials=0)
     with pytest.raises(InvalidParameterError):
         _cfg(noise_power=-1.0)
+    for seed in (-1, 2**64, 1.0):
+        with pytest.raises(InvalidParameterError, match="seed"):
+            _cfg(seed=seed)
 
 
 # ---------------------------------------------------------------------------
