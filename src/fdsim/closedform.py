@@ -6,10 +6,19 @@ table (single-user, Rayleigh, massive MIMO).  Every matched Gamma except
 the special-case table, which is kept verbatim, is ``moment_match`` of the
 exact mean and variance.
 
-The moments are derived for, and tested against, ZF beamformers built
-from Rayleigh uplink/downlink channels independent of the SI channel H.
-They do not hold for every unit-norm linear beamformer: an orthonormal
-precoder spanning the same space as the ZF one has a smaller variance.
+Scope.  Let the decoder row w have unit norm and the precoder V unit-norm
+columns, both with unitarily invariant laws and independent of the SI
+channel H.  The mean K (mu^2 + nu^2) holds for every such pair.  The second
+moment depends on V only through the Gram statistic
+t2 = E tr((V^H V)^2):
+
+    m2 = (K^2 + t2) (2 N M mu^4 / ((N + 1)(M + 1)) + nu^2 (2 mu^2 + nu^2)).
+
+``moment2``, ``si_variance`` and ``gamma_mimo`` use t2 = K (M + 1)/(M - K + 2),
+the value for ZF beamformers built from Rayleigh channels.  Other
+precoders have other variances: an orthonormal V (t2 = K) has a smaller
+one.  The tests pin the Gram form of ``moment2`` and the Monte Carlo t2 of
+the ZF kernel.
 """
 from __future__ import annotations
 
