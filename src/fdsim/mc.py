@@ -3,12 +3,52 @@
 Trials are partitioned into fixed-size blocks; block ``b`` of a run draws
 all of its randomness from the Philox substream (seed, stream_id = b), so
 results are bitwise reproducible no matter how many workers execute the
-blocks.  Rank-deficient channel draws (vanishingly rare for Gaussian
-matrices) are regenerated from the block's retry substream
-(seed, _RETRY_BASE + b) and counted.
+blocks.  SINR runs draw channel matrices: rank-deficient draws
+(vanishingly rare for Gaussian matrices) are regenerated from the block's
+retry substream (seed, _RETRY_BASE + b) and counted.  SI runs draw no
+channel matrix and never regenerate.
 
-Stream layout 2.  A link that the engine only ever sees between fixed
-beamformers, ``A @ H @ B`` with H drawn independently of A and B, is
+Stream layout 3 (``run_si_empirical``).  The residual SI gain
+``||w_1^T H_si V||^2`` under ZF beamformers from Rayleigh H_down (K x M)
+and H_up (N x K) is drawn from a handful of invariant statistics instead
+of through the channels.  H_down factors as ``T Q`` with T lower
+triangular, ``T_ii^2 ~ Gamma(M - i + 1)`` and ``CN(0, 1)`` entries below
+the diagonal, and Q (orthonormal rows) Haar distributed and independent
+of T: the complex Bartlett decomposition (Goodman 1963; Edelman 1989).
+The ZF precoder is then ``V = Q^H T^-1 D`` with
+``D = diag(1 / ||T^-1 e_k||)``.  Write ``H_si = mu 1 1^T + nu Z``.  Then:
+
+- given (w_1, Q), ``w_1^T Z Q^H`` is ``CN(0, I_K)``, since w_1 has unit
+  norm and Q^H orthonormal columns; call it z, independent of the rest;
+- ``1^T Q^H`` is the conjugate of ``q = Q 1``, which is sqrt(M) times the
+  first K entries of a uniform unit vector of C^M:
+  ``q = sqrt(M) g / sqrt(||g||^2 + s)`` with ``g ~ CN(0, I_K)`` and
+  ``s ~ Gamma(M - K)``; q is circular, so its conjugate has the same law;
+- H_up is unitarily invariant, so the decoder row w_1 is uniform on the
+  unit sphere of C^N and independent of H_down:
+  ``|w_1^T 1|^2 = N Beta(1, N - 1)``, and the circular z absorbs the
+  phase of ``w_1^T 1``.
+
+Hence ``gain = ||(mu a q^T + nu z) T^-1 D||^2`` with
+``a = sqrt(N Beta(1, N - 1))`` has exactly the law of the full chain (up
+to the ZF kernel's rank-deficiency retry, whose trigger has probability
+of order machine epsilon).  ``T_ii > 0`` almost surely, so nothing is
+redrawn.  The degenerate shapes are cases of the formula: M = K gives
+``s = 0`` (a Gamma(0) variate is 0) and N = 1 gives ``a = 1``.  Each
+block draws, in this order, per trial:
+
+- the K(K - 1)/2 below-diagonal entries of T (one ``generate_batch``);
+- the K diagonal variates Gamma(M), Gamma(M - 1), ..., Gamma(M - K + 1);
+- g (K entries, one ``generate_batch``), then s;
+- the Beta(1, N - 1) variate of a, when N > 1;
+- z (K entries, one ``generate_batch``).
+
+That is K(K - 1) + 4K normals, K + 1 Gamma and at most one Beta variate
+per trial, and one K x K triangular inverse.  ``run_si_theoretical`` draws
+n Gamma variates per block.
+
+Stream layout 2 (SINR).  A link that the engine only ever sees between
+fixed beamformers, ``A @ H @ B`` with H drawn independently of A and B, is
 sampled from its exact law instead of through H (``_sandwich``).  The
 entries of H are i.i.d. ``CN(mu, nu^2)``: circularly symmetric about a
 real mean.  Given (A, B), ``A @ H @ B`` is then circularly-symmetric
@@ -22,9 +62,6 @@ channels the beamformers are computed from are drawn in full.  Each block
 draws, in this order (every draw is one ``generate_batch`` call: all real
 parts, then all imaginary parts; ``Z[r x c]`` is a sandwich):
 
-- ``run_si_empirical``: H_down (K x M), H_up (N x K), then Z[1 x K] for
-  the SI row ``w_1^T H_si V``;
-- ``run_si_theoretical``: n Gamma variates;
 - downlink SINR: H_own (K x M); per other cell, H_j (K x M) then
   Z[K x K] for ``H_cross V_j``; the cross-mode scalars (K x (LK - 1)), the
   SI scalars (K x 1) and, when noise_power > 0, the noise (K x 1);
@@ -33,8 +70,9 @@ parts, then all imaginary parts; ``Z[r x c]`` is a sandwich):
   cell, H_j (K x M) then Z[K x K] for ``W H_cross V_j``; when
   noise_power > 0, Z[K x 1] for ``W eta``.
 
-Layout 1 drew each sandwiched link as its full matrix, H_si first in
-``run_si_empirical``; the tests keep it as the reference chain.
+Layout 1 drew every link as its full matrix; layout 2 drew H_down and
+H_up in ``run_si_empirical`` too.  The tests keep the full chain, ZF
+kernels included, as the reference.
 """
 from __future__ import annotations
 
@@ -177,20 +215,33 @@ def _sandwich(A: np.ndarray, spec: RicianSpec, B: np.ndarray, gen: Generator) ->
     return Y
 
 
-def _si_gains_block(cfg: ExperimentConfig, block: int, n: int) -> tuple[np.ndarray, int]:
-    """Uplink-side residual SI gains ||w_1^T H_si V||^2 for one block."""
+def _sq(z: np.ndarray) -> np.ndarray:
+    return np.abs(z) ** 2
+
+
+def _si_gains_block(cfg: ExperimentConfig, block: int, n: int) -> np.ndarray:
+    """Uplink-side residual SI gains ||w_1^T H_si V||^2 for one block (layout 3)."""
     K, M, N = cfg.geom.K, cfg.geom.M, cfg.geom.N
-    gen, retry = _streams(cfg, block)
-    _, (V, W), regen = _draw_zf(
-        n, gen, retry, (K, M, zf_precoder_batch), (N, K, zf_decoder_batch)
-    )
-    w1 = W[:, 0:1, :]  # decoder row for stream k = 1
-    rows = _sandwich(w1, cfg.si_spec, V, gen)  # (n, 1, K)
-    gains = np.sum(np.abs(rows) ** 2, axis=(1, 2))
-    return gains, regen
+    gen = RngHandle(cfg.seed, block).generator()
+    T = np.zeros((n, K, K), dtype=complex)  # H_down = T Q
+    below = np.tril_indices(K, -1)
+    T[:, below[0], below[1]] = generate_batch(n, 1, below[0].size, RAYLEIGH, gen)[:, 0]
+    diag = np.arange(K)
+    T[:, diag, diag] = np.sqrt(gen.gamma(np.arange(M, M - K, -1), size=(n, K)))
+    g = generate_batch(n, 1, K, RAYLEIGH, gen)[:, 0]
+    s = gen.gamma(M - K, size=n)
+    q = math.sqrt(M) * g / np.sqrt(np.sum(_sq(g), axis=1) + s)[:, None]  # Q 1
+    # |w_1^T 1|; Beta(1, 0) is the point mass at 1, which numpy rejects
+    a = np.sqrt(N * gen.beta(1, N - 1, size=n)) if N > 1 else np.ones(n)
+    z = generate_batch(n, 1, K, RAYLEIGH, gen)[:, 0]  # w_1^T Z Q^H
+    T_inv = np.linalg.inv(T)
+    r = cfg.si_spec.mu * a[:, None] * q + cfg.si_spec.nu * z
+    y = (r[:, None, :] @ T_inv)[:, 0]
+    # D scales column k of T^-1 to unit norm
+    return np.sum(_sq(y) / np.sum(_sq(T_inv), axis=1), axis=1)
 
 
-def _report(cfg: ExperimentConfig, samples: np.ndarray, regenerated: int) -> McReport:
+def _report(cfg: ExperimentConfig, samples: np.ndarray) -> McReport:
     gp = gamma_mimo(cfg.geom, cfg.si_spec)
     emp_m1 = float(samples.mean())
     emp_m2 = float(np.mean(samples**2))
@@ -207,16 +258,17 @@ def _report(cfg: ExperimentConfig, samples: np.ndarray, regenerated: int) -> McR
         emp_m2=emp_m2,
         emp_var=emp_var,
         gof=gof,
-        regenerated_trials=regenerated,
     )
 
 
 def run_si_empirical(cfg: ExperimentConfig, threads: int = 1) -> McReport:
-    """Residual SI gains ||w_1^T H_si V||^2 with ZF beamformers from Rayleigh channels."""
+    """Residual SI gains ||w_1^T H_si V||^2 with ZF beamformers from Rayleigh channels.
+
+    Sampled from the exact law of the chain (stream layout 3, see the
+    module docstring); no trial is regenerated.
+    """
     parts = _map_blocks(lambda b, n: _si_gains_block(cfg, b, n), cfg.trials, threads)
-    samples = np.concatenate([p[0] for p in parts])
-    regenerated = sum(p[1] for p in parts)
-    return _report(cfg, samples, regenerated)
+    return _report(cfg, np.concatenate(parts))
 
 
 def run_si_theoretical(cfg: ExperimentConfig, threads: int = 1) -> McReport:
@@ -228,15 +280,11 @@ def run_si_theoretical(cfg: ExperimentConfig, threads: int = 1) -> McReport:
         return gen.gamma(gp.kappa, gp.theta, size=n)
 
     parts = _map_blocks(block, cfg.trials, threads)
-    return _report(cfg, np.concatenate(parts), 0)
+    return _report(cfg, np.concatenate(parts))
 
 
 # ---------------------------------------------------------------------------
 # SINR term sampling
-
-
-def _sq(z: np.ndarray) -> np.ndarray:
-    return np.abs(z) ** 2
 
 
 def _terms(G: np.ndarray, ici, cmi, si, noise, regen: int) -> dict:

@@ -8,19 +8,19 @@ from fdsim.cli import main
 
 GOLDEN_SUMMARY = (
     "M,N,K,mu,nu,trials,seed,emp_m1,emp_m2,emp_var,cf_m1,cf_m2,cf_var,kappa,theta,ks\n"
-    "4,4,2,0.5,1.0,200,123,2.4339646353377016,9.425359101647796,3.501175255573205,"
-    "2.5,10.27,4.02,1.554726368159204,1.6079999999999999,0.06584971328772171\n"
+    "4,4,2,0.5,1.0,200,123,2.4932983021161332,10.252168565650024,4.035632142314831,"
+    "2.5,10.27,4.02,1.554726368159204,1.6079999999999999,0.06369169096633148\n"
     "4,4,2,0.5,1.0,200,123,2.2835662387063165,8.478914500093,3.264239733533686,"
     "2.5,10.27,4.02,1.554726368159204,1.6079999999999999,0.08633245687126134\n"
 )
 
 GOLDEN_EMPIRICAL = (
     "bin_left,count\n"
-    "0.0,100\n"
-    "1.8737013844132921,63\n"
-    "3.7474027688265843,20\n"
-    "5.621104153239877,12\n"
-    "7.494805537653169,5\n"
+    "0.0,144\n"
+    "3.063406248947083,47\n"
+    "6.126812497894166,7\n"
+    "9.19021874684125,0\n"
+    "12.253624995788332,2\n"
 )
 
 
@@ -203,12 +203,12 @@ def test_no_partial_file_on_failure(tmp_path, monkeypatch):
 
 # sha256 of the raw-sample `fdsim si` files (`_si_args` without --bins), per format
 GOLDEN_SI_RAW_SHA256 = {
-    ("csv", "empirical"): "00cfd8379bd196e42e91b520cf5bb0ac02f0f001e249a94b97e8000830f9ffa5",
+    ("csv", "empirical"): "91eb4b347685bd069485b11da94bc0f3736af4373a4305840fc9558b3877e1c9",
     ("csv", "theoretical"): "6f13ea6b0b17b081ea5d3e10efabe5495aecb721e045423735d43cbeb02f05e3",
-    ("csv", "summary"): "247bec8ad9f775d34930c06959b531699fdaca3ff32cb1eed845fc7668782173",
-    ("jsonl", "empirical"): "3015aed12df2b86f7131931e73ac1868f7c5eb29151b991278f6f6bc21871b36",
+    ("csv", "summary"): "f481f8a7fb211bb2aca9f4e759aad85746c1bfceebc46ba1122125418e38e68b",
+    ("jsonl", "empirical"): "171bc29d7b8eff88ea888eb92e3b65b75e9d635560cc24e2d76dee2374c1bf8f",
     ("jsonl", "theoretical"): "832fff9f6888e7d3364f0f2d735a9be8d359e59bc7d20086a60845ec511b9383",
-    ("jsonl", "summary"): "cd31f88eea31e904d2c578051a5442562a6a1be11203314b05fb42878ea60e1a",
+    ("jsonl", "summary"): "8d6aaec48f0dc8ecfbb7cedeb337a6dd623d3ddfc9025d059107197f2dc63daf",
 }
 
 
