@@ -30,12 +30,13 @@ The ZF precoder is then ``V = Q^H T^-1 D`` with
   phase of ``w_1^T 1``.
 
 Hence ``gain = ||(mu a q^T + nu z) T^-1 D||^2`` with
-``a = sqrt(N Beta(1, N - 1))`` has exactly the law of the full chain (up
-to the ZF kernel's rank-deficiency retry, whose trigger has probability
-of order machine epsilon).  ``T_ii > 0`` almost surely, so nothing is
-redrawn.  The degenerate shapes are cases of the formula: M = K gives
-``s = 0`` (a Gamma(0) variate is 0) and N = 1 gives ``a = 1``.  Each
-block draws, in this order, per trial:
+``a = sqrt(N Beta(1, N - 1))`` has exactly the law of the full chain, up
+to the ZF kernel's retry of numerically rank-deficient draws
+(cond(H) >= 1/sqrt(max(K, M) eps)), which Gaussian draws essentially
+never trigger.  ``T_ii > 0`` almost surely, so nothing is redrawn.  The
+degenerate shapes are cases of the formula: M = K gives ``s = 0`` (a
+Gamma(0) variate is 0) and N = 1 gives ``a = 1``.  Each block draws, in
+this order, each item for all of its trials at once:
 
 - the K(K - 1)/2 below-diagonal entries of T (one ``generate_batch``);
 - the K diagonal variates Gamma(M), Gamma(M - 1), ..., Gamma(M - K + 1);

@@ -274,12 +274,13 @@ def _zf(zf_fn, H):
     return out
 
 
-def _full_chain_si(cfg, chunk=1024):
+def _full_chain_si(cfg):
     """The chain whose law run_si_empirical samples: H_si, H_down and H_up
     drawn in full, ZF beamformers from the real kernels.  Trials are drawn
-    ``chunk`` at a time so that the N x M SI stacks stay small."""
+    1024 at a time so that the N x M SI stacks stay small."""
     K, M, N = cfg.geom.K, cfg.geom.M, cfg.geom.N
     gen = RngHandle(cfg.seed).generator()
+    chunk = 1024
     out = []
     for start in range(0, cfg.trials, chunk):
         n = min(chunk, cfg.trials - start)
