@@ -129,8 +129,8 @@ def test_sinr_output(tmp_path):
 
 # sha256 of `fdsim sinr --L 2 --K 2 --M 8 --N 4 --trials 100` (seed 0)
 GOLDEN_SINR_SHA256 = {
-    "downlink": "a9bf54457b69450eee7f6bbc608cfb3f52c40b20394a4098b044cb74662b293e",
-    "uplink": "161130fb5623bcdbe5075dc37819230d77352dc1eda74c65f3b881ccdc12f30a",
+    "downlink": "589b37f0430ebb3bb746ed3bee6ac84b884d30ebd3be89872cb3b9e81ef68c67",
+    "uplink": "d0248b28a31adf91544ae78f28ab0f2fd5a576c48f1ba3a350559fc7d14f7ba7",
 }
 
 
@@ -223,8 +223,8 @@ def test_si_raw_samples_golden(tmp_path, fmt):
 
 # sha256 of `fdsim sinr --L 2 --K 2 --M 8 --N 4 --trials 100 --format jsonl` (seed 0)
 GOLDEN_SINR_JSONL_SHA256 = {
-    "downlink": "891a5c64ba45f4f86b087ce3797404c248d12c21cf08be23685b2ca5196e2697",
-    "uplink": "a9aaad4a92d67a14bc4eb9e70db107e28f323ef7d2f7f2520b5881e274370f26",
+    "downlink": "d0677cd16697f2a22f7d1ef351dab6fd09471745b36a5ef6c53c6362ef765140",
+    "uplink": "a825e81b57574a89e179f1fa4386368c9439d3249277a74617e27f1db0146497",
 }
 
 
