@@ -17,8 +17,9 @@ t2 = E tr((V^H V)^2):
 ``moment2``, ``si_variance`` and ``gamma_mimo`` use t2 = K (M + 1)/(M - K + 2),
 the value for ZF beamformers built from Rayleigh channels.  Other
 precoders have other variances: an orthonormal V (t2 = K) has a smaller
-one.  The tests pin the Gram form of ``moment2`` and the Monte Carlo t2 of
-the ZF kernel.
+one, MRT (t2 = K + K (K - 1)/M) a value in between.  The tests pin the
+Gram form of ``moment2``, the Monte Carlo t2 of the ZF kernel and the
+Monte Carlo variance under ZF, orthonormal and MRT precoders.
 """
 from __future__ import annotations
 
@@ -130,9 +131,11 @@ def gamma_special(
     """Special-case Gamma parameters (single-user / Rayleigh / massive MIMO).
 
     The Rayleigh row uses max(N, M) verbatim and ignores the Rician spec;
-    the massive-MIMO row ignores M and N.  Note the Rayleigh row differs
-    from the mu -> 0 limit of the general matching, which carries M (not
-    max(N, M)); both behaviours are exposed deliberately.
+    the massive-MIMO row ignores M and N.  At mu = 0 the general matching
+    ``gamma_mimo`` is exact: kappa = K (M - K + 2)/(M + 1), which carries M
+    only, since the decoder row drops out.  The row's max(N, M) equals it
+    only when M >= N; for N > M the row understates the variance.  Both
+    are exposed deliberately.
     """
     _check_spec(spec)
     K, M, N = geom.K, geom.M, geom.N

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdsim import (
+    ExperimentConfig,
     InvalidParameterError,
     RicianSpec,
     RngHandle,
@@ -17,6 +18,7 @@ from fdsim import (
     moment1,
     moment2,
     moment_match,
+    run_si_empirical,
     si_variance,
 )
 from fdsim.beamforming import zf_decoder_batch, zf_precoder_batch
@@ -33,6 +35,14 @@ specs = st.tuples(
 
 def _geom(M, N, K, L=1):
     return SystemGeometry(L=L, K=K, M=M, N=N)
+
+
+def _gram_m2(M, N, K, mu, nu, t2):
+    """m2 = (K^2 + t2)(E|w^T 1|^4 M mu^4/(M+1) + nu^2 (2 mu^2 + nu^2)) for any
+    unit-norm isotropic w and V with Gram statistic t2 = E tr((V^H V)^2)."""
+    return (K * K + t2) * (
+        2 * N * M * mu**4 / ((N + 1) * (M + 1)) + nu**2 * (2 * mu**2 + nu**2)
+    )
 
 
 class TestGammaSiso:
@@ -112,6 +122,18 @@ class TestGammaSpecial:
         q = gamma_mimo(_geom(4, 8, 2), RicianSpec(0.0, 1.0))
         assert p.kappa != pytest.approx(q.kappa)  # documented discrepancy
 
+    def test_general_matching_is_exact_for_rayleigh_at_n_above_m(self):
+        # at mu = 0 the exact variance K(M + 1)/(M - K + 2) carries M only;
+        # the row's max(N, M) = N gives K(N + 1)/(N - K + 2) instead
+        geom, spec = _geom(4, 8, 2), RicianSpec(0.0, 1.0)
+        cfg = ExperimentConfig(geom=geom, si_spec=spec, trials=200_000, seed=34)
+        var, se = _var_and_se(run_si_empirical(cfg).samples)
+        assert gamma_mimo(geom, spec).variance == pytest.approx(2.5, rel=1e-12)
+        assert abs(var - gamma_mimo(geom, spec).variance) < 5 * se
+        row = gamma_special(SpecialCase.RAYLEIGH_CHANNEL, geom, spec)
+        assert row.variance == pytest.approx(2.25, rel=1e-12)
+        assert abs(var - row.variance) > 5 * se
+
     def test_massive_mimo_rayleigh(self):
         p = gamma_special(
             SpecialCase.MASSIVE_MIMO, _geom(16, 8, 2), RicianSpec(0.0, 1.0)
@@ -153,14 +175,10 @@ class TestMoments:
     @settings(deadline=None, max_examples=200)
     @given(geom=geoms, spec=specs)
     def test_moment2_gram_statistic_form(self, geom, spec):
-        # m2 = (K^2 + t2)(E|w^T 1|^4 M mu^4/(M+1) + nu^2 (2 mu^2 + nu^2)) for any
-        # unit-norm isotropic w and V; ZF has t2 = E tr((V^H V)^2) = K(M+1)/(M-K+2)
+        # ZF has t2 = E tr((V^H V)^2) = K(M+1)/(M-K+2)
         M, N, K = geom
         mu, nu = spec
-        t2 = K * (M + 1) / (M - K + 2)
-        gram = (K * K + t2) * (
-            2 * N * M * mu**4 / ((N + 1) * (M + 1)) + nu**2 * (2 * mu**2 + nu**2)
-        )
+        gram = _gram_m2(M, N, K, mu, nu, K * (M + 1) / (M - K + 2))
         assert moment2(_geom(M, N, K), RicianSpec(mu, nu)) == pytest.approx(gram, rel=1e-12)
 
     def test_variance_scalar_rayleigh(self):
@@ -209,31 +227,66 @@ def _var_and_se(x):
     return var, np.sqrt((np.mean((x - m) ** 4) - var**2) / x.size)
 
 
-def test_variance_scope_is_zf_not_any_unit_norm_precoder():
-    # si_variance is the variance under ZF beamformers from independent
-    # Rayleigh channels; an orthonormal V (QR of H_down^H) spanning the same
-    # space as the ZF precoder has unit-norm columns too, but a smaller
-    # variance (about 5.21 against 5.83 here).
-    M, N, K = 16, 8, 3
-    spec = RicianSpec(0.5, 1.0)
-    zf, orth = [], []
-    for b in range(10):  # 200k trials
+SCOPE_GEOM = (16, 8, 3)  # M, N, K
+SCOPE_SPEC = RicianSpec(0.5, 1.0)
+
+
+@pytest.fixture(scope="module")
+def precoder_gains():
+    """200k SI gains ||w_1^T H_si V||^2 per precoder, all with a ZF decoder
+    row and V from the same Rayleigh H_down: ZF, orthonormal (QR of
+    H_down^H, spanning the same space) and MRT (normalised columns of
+    H_down^H).  All three have unit-norm columns and unitarily invariant
+    laws."""
+    M, N, K = SCOPE_GEOM
+    gains = {"zf": [], "orth": [], "mrt": []}
+    for b in range(10):
         g = RngHandle(30, b).generator()
         n = 20_000
-        H_si = generate_batch(n, N, M, spec, g)
+        H_si = generate_batch(n, N, M, SCOPE_SPEC, g)
         H_down = generate_batch(n, K, M, RAYLEIGH, g)
         H_up = generate_batch(n, N, K, RAYLEIGH, g)
-        V, _ = zf_precoder_batch(H_down)
         W, _ = zf_decoder_batch(H_up)
-        Q, _ = np.linalg.qr(H_down.conj().transpose(0, 2, 1))
+        H_down_h = H_down.conj().transpose(0, 2, 1)
+        precoders = {
+            "zf": zf_precoder_batch(H_down)[0],
+            "orth": np.linalg.qr(H_down_h)[0],
+            "mrt": H_down_h / np.linalg.norm(H_down_h, axis=1, keepdims=True),
+        }
         w1_H = W[:, 0:1, :] @ H_si
-        zf.append(np.sum(np.abs(w1_H @ V) ** 2, axis=(1, 2)))
-        orth.append(np.sum(np.abs(w1_H @ Q) ** 2, axis=(1, 2)))
-    cf = si_variance(_geom(M, N, K), spec)
-    var_zf, se_zf = _var_and_se(np.concatenate(zf))
-    var_orth, se_orth = _var_and_se(np.concatenate(orth))
+        for name, V in precoders.items():
+            gains[name].append(np.sum(np.abs(w1_H @ V) ** 2, axis=(1, 2)))
+    return {name: np.concatenate(x) for name, x in gains.items()}
+
+
+def _gram_variance(t2):
+    M, N, K = SCOPE_GEOM
+    mu, nu = SCOPE_SPEC.mu, SCOPE_SPEC.nu
+    return _gram_m2(M, N, K, mu, nu, t2) - moment1(K, SCOPE_SPEC) ** 2
+
+
+def test_variance_scope_is_zf_not_any_unit_norm_precoder(precoder_gains):
+    # si_variance is the variance under ZF beamformers from independent
+    # Rayleigh channels; an orthonormal V has t2 = K and a smaller variance
+    # (5.1924 against 5.8342 here)
+    M, N, K = SCOPE_GEOM
+    cf = si_variance(_geom(M, N, K), SCOPE_SPEC)
+    var_zf, se_zf = _var_and_se(precoder_gains["zf"])
+    var_orth, se_orth = _var_and_se(precoder_gains["orth"])
     assert abs(var_zf - cf) < 5 * se_zf
+    assert _gram_variance(K) == pytest.approx(5.1924, abs=1e-4)
+    assert abs(var_orth - _gram_variance(K)) < 5 * se_orth
     assert abs(var_orth - cf) > 5 * se_orth
+
+
+def test_gram_form_variance_of_mrt_precoder(precoder_gains):
+    # MRT columns are independent isotropic unit vectors, so
+    # t2 = K + K(K - 1) E|<u, v>|^2 = K + K(K - 1)/M
+    M, N, K = SCOPE_GEOM
+    expected = _gram_variance(K + K * (K - 1) / M)
+    assert expected == pytest.approx(5.7941, abs=1e-4)
+    var_mrt, se_mrt = _var_and_se(precoder_gains["mrt"])
+    assert abs(var_mrt - expected) < 5 * se_mrt
 
 
 def test_zf_gram_statistic_monte_carlo():
