@@ -4,7 +4,10 @@ ZF beamformers are the normalised columns (rows) of the Moore-Penrose
 pseudo-inverse of the downlink (uplink) channel.  One batched kernel,
 ``zf_precoder_batch``, computes them all: the decoder is the precoder of
 the transposed channel.  Rank deficiency is reported as a boolean mask
-instead of an exception so callers can regenerate the offending trials.
+instead of an exception, so a caller can drop or redraw those channels.
+The Monte Carlo engine does not use these kernels: it samples the same
+ZF chain from the channels' triangular factors, and the tests use the
+kernels as its reference.
 """
 from __future__ import annotations
 
