@@ -268,14 +268,6 @@ def _terms(useful, ici, cmi, si, noise) -> dict:
     return dict(useful=useful, mui=mui, ici=ici, cmi=cmi, si=si, noise=noise, sinr=sinr)
 
 
-def _noise(cfg: ExperimentConfig, n: int, gen: Generator) -> np.ndarray | None:
-    """K x 1 noise stack, not drawn when noise_power is 0."""
-    if cfg.noise_power == 0:
-        return None
-    spec = RicianSpec(0.0, math.sqrt(cfg.noise_power))
-    return generate_batch(n, cfg.geom.K, 1, spec, gen)
-
-
 def _sinr_block_downlink(cfg: ExperimentConfig, block: int, n: int) -> dict:
     L, K, M = cfg.geom.L, cfg.geom.K, cfg.geom.M
     gen = RngHandle(cfg.seed, block).generator()
@@ -294,8 +286,12 @@ def _sinr_block_downlink(cfg: ExperimentConfig, block: int, n: int) -> dict:
         cmi = np.zeros((n, K))
 
     si = _sq(generate_batch(n, K, 1, cfg.si_spec, gen))[:, :, 0]
-    eta = _noise(cfg, n, gen)
-    noise = np.zeros((n, K)) if eta is None else _sq(eta)[:, :, 0]
+    if cfg.noise_power > 0:
+        eta = generate_batch(n, K, 1, RicianSpec(0.0, math.sqrt(cfg.noise_power)), gen)
+        noise = _sq(eta)[:, :, 0]
+    else:
+        noise = np.zeros((n, K))
+
     return _terms(useful, ici, cmi, si, noise)
 
 
@@ -325,8 +321,12 @@ def _sinr_block_uplink(cfg: ExperimentConfig, block: int, n: int) -> dict:
         R_j, _ = _zf_factor(_bartlett(n, K, M, gen)[0])
         cmi += _sq(L_A @ generate_batch(n, K, K, RAYLEIGH, gen) @ R_j).sum(axis=2)  # W H_cross V_j
 
-    eta = _noise(cfg, n, gen)
-    noise = np.zeros((n, K)) if eta is None else _sq(L_A @ eta)[:, :, 0]  # W eta
+    if cfg.noise_power > 0:
+        eta = generate_batch(n, K, 1, RicianSpec(0.0, math.sqrt(cfg.noise_power)), gen)
+        noise = _sq(L_A @ eta)[:, :, 0]  # W eta
+    else:
+        noise = np.zeros((n, K))
+
     return _terms(useful, ici, cmi, si, noise)
 
 
