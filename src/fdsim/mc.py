@@ -176,28 +176,29 @@ def _sq(z: np.ndarray) -> np.ndarray:
     return np.abs(z) ** 2
 
 
-def _bartlett(n: int, K: int, M: int, gen: Generator, with_q: bool = False):
-    """Bartlett factor T of ``n`` Rayleigh K x M links ``T Q``, and ``q = Q 1``.
-
-    q is drawn only ``with_q``; Q itself is never formed.
-    """
+def _bartlett(n: int, K: int, M: int, gen: Generator) -> np.ndarray:
+    """Bartlett factor T of ``n`` Rayleigh K x M links ``T Q``."""
     T = np.zeros((n, K, K), dtype=complex)
     below = np.tril_indices(K, -1)
     T[:, below[0], below[1]] = generate_batch(n, 1, below[0].size, RAYLEIGH, gen)[:, 0]
     diag = np.arange(K)
     T[:, diag, diag] = np.sqrt(gen.gamma(np.arange(M, M - K, -1), size=(n, K)))
-    if not with_q:
-        return T, None
+    return T
+
+
+def _q(n: int, K: int, M: int, gen: Generator) -> np.ndarray:
+    """``q = Q 1`` of the links whose T was just drawn; Q itself is never formed."""
     g = generate_batch(n, 1, K, RAYLEIGH, gen)[:, 0]
     s = gen.gamma(M - K, size=n)
-    return T, math.sqrt(M) * g / np.sqrt(np.sum(_sq(g), axis=1) + s)[:, None]
+    return math.sqrt(M) * g / np.sqrt(np.sum(_sq(g), axis=1) + s)[:, None]
 
 
 def _si_gains_block(cfg: ExperimentConfig, block: int, n: int) -> np.ndarray:
     """Uplink-side residual SI gains ||w_1^T H_si V||^2 for one block (layout 3)."""
     K, M, N = cfg.geom.K, cfg.geom.M, cfg.geom.N
     gen = RngHandle(cfg.seed, block).generator()
-    T, q = _bartlett(n, K, M, gen, with_q=True)  # H_down = T Q
+    T = _bartlett(n, K, M, gen)  # H_down = T Q
+    q = _q(n, K, M, gen)
     # |w_1^T 1|; Beta(1, 0) is the point mass at 1, which numpy rejects
     a = np.sqrt(N * gen.beta(1, N - 1, size=n)) if N > 1 else np.ones(n)
     z = generate_batch(n, 1, K, RAYLEIGH, gen)[:, 0]  # w_1^T Z Q^H
@@ -271,11 +272,11 @@ def _terms(useful, ici, cmi, si, noise) -> dict:
 def _sinr_block_downlink(cfg: ExperimentConfig, block: int, n: int) -> dict:
     L, K, M = cfg.geom.L, cfg.geom.K, cfg.geom.M
     gen = RngHandle(cfg.seed, block).generator()
-    _, useful = _zf_factor(_bartlett(n, K, M, gen)[0])  # H_own V_own = D
+    _, useful = _zf_factor(_bartlett(n, K, M, gen))  # H_own V_own = D
 
     ici = np.zeros((n, K))
     for _ in range(L - 1):
-        R_j, _ = _zf_factor(_bartlett(n, K, M, gen)[0])  # other cell's own downlink
+        R_j, _ = _zf_factor(_bartlett(n, K, M, gen))  # other cell's own downlink
         ici += _sq(generate_batch(n, K, K, RAYLEIGH, gen) @ R_j).sum(axis=2)  # H_cross V_j
 
     # Cross-mode: one Rayleigh scalar per FD radio in every cell except self.
@@ -298,10 +299,12 @@ def _sinr_block_downlink(cfg: ExperimentConfig, block: int, n: int) -> dict:
 def _sinr_block_uplink(cfg: ExperimentConfig, block: int, n: int) -> dict:
     L, K, M, N = cfg.geom.L, cfg.geom.K, cfg.geom.M, cfg.geom.N
     gen = RngHandle(cfg.seed, block).generator()
-    T_up, q_up = _bartlett(n, K, N, gen, with_q=True)  # H_up^T = T' Q'
+    T_up = _bartlett(n, K, N, gen)  # H_up^T = T' Q'
+    q_up = _q(n, K, N, gen)
     R_up, useful = _zf_factor(T_up)  # W H_up = D'
     L_A = R_up.swapaxes(-1, -2)  # W = L_A Q'^*
-    T_own, q_own = _bartlett(n, K, M, gen, with_q=True)  # own cell's downlink, fixes V
+    T_own = _bartlett(n, K, M, gen)  # own cell's downlink, fixes V
+    q_own = _q(n, K, M, gen)
     R_own, _ = _zf_factor(T_own)
     mu, nu = cfg.si_spec.mu, cfg.si_spec.nu
     X = generate_batch(n, K, K, RicianSpec(0.0, nu), gen)
@@ -318,7 +321,7 @@ def _sinr_block_uplink(cfg: ExperimentConfig, block: int, n: int) -> dict:
 
     cmi = np.zeros((n, K))
     for _ in range(L - 1):
-        R_j, _ = _zf_factor(_bartlett(n, K, M, gen)[0])
+        R_j, _ = _zf_factor(_bartlett(n, K, M, gen))
         cmi += _sq(L_A @ generate_batch(n, K, K, RAYLEIGH, gen) @ R_j).sum(axis=2)  # W H_cross V_j
 
     if cfg.noise_power > 0:
