@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Decompose downlink and uplink SINR into its power-gain terms.
 
-Samples the full multi-cell signal model and compares the Monte Carlo
-term means against their known laws: ZF useful gain ~ Gamma(M-K+1, 1)
-(downlink) / Gamma(N-K+1, 1) (uplink), inter-cell gains ~ Gamma(K, 1)
-per interfering cell, and the residual SI mean K (mu^2 + nu^2).
+Samples every term from its exact law under ZF beamformers from Rayleigh
+channels, drawn from the channels' triangular factors instead of the
+channel matrices, and compares the Monte Carlo term means against their
+known laws: ZF useful gain ~ Gamma(M-K+1, 1) (downlink) / Gamma(N-K+1, 1)
+(uplink), inter-cell gains ~ Gamma(K, 1) per interfering cell, and the
+residual SI mean K (mu^2 + nu^2).
 
 Run (default 50k trials per direction):
     python3 demos/sinr_terms.py [trials]

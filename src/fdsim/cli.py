@@ -227,7 +227,7 @@ def _cmd_si(merged: dict, cfg: ExperimentConfig, head: list, cf: list) -> dict:
         files[_data_path(out, label)] = table
     rows = [
         head + [cfg.trials, cfg.seed, r.emp_m1, r.emp_m2, r.emp_var]
-        + cf + [r.gof.ks_statistic]
+        + cf + [r.ks]
         for r in runs.values()
     ]
     files[_data_path(out, "summary")] = _table(SUMMARY_COLUMNS, zip(*rows), fmt)

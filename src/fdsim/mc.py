@@ -84,11 +84,8 @@ of a Rayleigh r x c stack):
 
 An uplink trial thus takes (L + 1) K(K - 1) + 4K + 2K^2 (2L - 1) normals,
 plus 2K when noise_power > 0 (42 at L = K = 2), (L + 1) K + 2 Gamma
-variates and L + 1 K x K triangular inverses, whatever M and N.
-Layout 1 drew every link as its full matrix; layout 2 drew the channels
-the beamformers came from in full, ran the ZF kernels on them and drew
-only the links seen through them from their law.  The tests keep the full
-chain, ZF kernels included, as the reference.
+variates and L + 1 K x K triangular inverses, whatever M and N.  The
+tests keep the full chain, ZF kernels included, as the reference.
 """
 from __future__ import annotations
 
@@ -103,7 +100,7 @@ from numpy.random import Generator
 from .channel import RAYLEIGH, RicianSpec, RngHandle, generate_batch
 from .closedform import SystemGeometry, gamma_mimo
 from .exceptions import InvalidParameterError
-from .stats import GofReport, gamma_cdf, ks_distance
+from .stats import gamma_cdf, ks_distance
 
 __all__ = [
     "Direction",
@@ -150,7 +147,7 @@ class McReport:
     emp_m1: float
     emp_m2: float
     emp_var: float
-    gof: GofReport
+    ks: float
 
 
 def _blocks(trials: int):
@@ -162,14 +159,21 @@ def _blocks(trials: int):
     return out
 
 
-def _map_blocks(fn, trials: int, threads: int):
+def _map_blocks(cfg: ExperimentConfig, block_fn, threads: int) -> list:
+    """``block_fn(cfg, n, gen)`` per block; block b draws from substream (seed, b)."""
     if threads < 1:
         raise InvalidParameterError(f"threads must be >= 1, got {threads!r}")
-    blocks = _blocks(trials)
+    blocks = _blocks(cfg.trials)
+
+    def run(block):
+        b, n = block
+        return block_fn(cfg, n, RngHandle(cfg.seed, b).generator())
+
     if threads == 1 or len(blocks) == 1:
-        return [fn(b, n) for b, n in blocks]
+        return [run(block) for block in blocks]
+    # Executor.__exit__ drains the queue: a Ctrl-C waits for every queued block.
     with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(lambda bn: fn(*bn), blocks))
+        return list(ex.map(run, blocks))
 
 
 def _sq(z: np.ndarray) -> np.ndarray:
@@ -193,10 +197,9 @@ def _q(n: int, K: int, M: int, gen: Generator) -> np.ndarray:
     return math.sqrt(M) * g / np.sqrt(np.sum(_sq(g), axis=1) + s)[:, None]
 
 
-def _si_gains_block(cfg: ExperimentConfig, block: int, n: int) -> np.ndarray:
+def _si_gains_block(cfg: ExperimentConfig, n: int, gen: Generator) -> np.ndarray:
     """Uplink-side residual SI gains ||w_1^T H_si V||^2 for one block (layout 3)."""
     K, M, N = cfg.geom.K, cfg.geom.M, cfg.geom.N
-    gen = RngHandle(cfg.seed, block).generator()
     T = _bartlett(n, K, M, gen)  # H_down = T Q
     q = _q(n, K, M, gen)
     # |w_1^T 1|; Beta(1, 0) is the point mass at 1, which numpy rejects
@@ -209,24 +212,18 @@ def _si_gains_block(cfg: ExperimentConfig, block: int, n: int) -> np.ndarray:
     return np.sum(_sq(y) / np.sum(_sq(T_inv), axis=1), axis=1)
 
 
+def _gamma_block(cfg: ExperimentConfig, n: int, gen: Generator) -> np.ndarray:
+    """One block of gains drawn from the moment-matched Gamma law."""
+    gp = gamma_mimo(cfg.geom, cfg.si_spec)
+    return gen.gamma(gp.kappa, gp.theta, size=n)
+
+
 def _report(cfg: ExperimentConfig, samples: np.ndarray) -> McReport:
     gp = gamma_mimo(cfg.geom, cfg.si_spec)
     emp_m1 = float(samples.mean())
     emp_m2 = float(np.mean(samples**2))
-    emp_var = emp_m2 - emp_m1**2
-    gof = GofReport(
-        ks_statistic=ks_distance(samples, lambda x: gamma_cdf(x, gp)),
-        mean_rel_err=abs(emp_m1 - gp.mean) / gp.mean,
-        var_rel_err=abs(emp_var - gp.variance) / gp.variance,
-        sample_count=samples.size,
-    )
-    return McReport(
-        samples=samples,
-        emp_m1=emp_m1,
-        emp_m2=emp_m2,
-        emp_var=emp_var,
-        gof=gof,
-    )
+    ks = ks_distance(samples, lambda x: gamma_cdf(x, gp))
+    return McReport(samples, emp_m1, emp_m2, emp_m2 - emp_m1**2, ks)
 
 
 def run_si_empirical(cfg: ExperimentConfig, threads: int = 1) -> McReport:
@@ -235,20 +232,12 @@ def run_si_empirical(cfg: ExperimentConfig, threads: int = 1) -> McReport:
     Sampled from the exact law of the chain (stream layout 3, see the
     module docstring); no trial is regenerated.
     """
-    parts = _map_blocks(lambda b, n: _si_gains_block(cfg, b, n), cfg.trials, threads)
-    return _report(cfg, np.concatenate(parts))
+    return _report(cfg, np.concatenate(_map_blocks(cfg, _si_gains_block, threads)))
 
 
 def run_si_theoretical(cfg: ExperimentConfig, threads: int = 1) -> McReport:
     """Residual SI gains drawn directly from the moment-matched Gamma law."""
-    gp = gamma_mimo(cfg.geom, cfg.si_spec)
-
-    def block(b, n):
-        gen = RngHandle(cfg.seed, b).generator()
-        return gen.gamma(gp.kappa, gp.theta, size=n)
-
-    parts = _map_blocks(block, cfg.trials, threads)
-    return _report(cfg, np.concatenate(parts))
+    return _report(cfg, np.concatenate(_map_blocks(cfg, _gamma_block, threads)))
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +258,8 @@ def _terms(useful, ici, cmi, si, noise) -> dict:
     return dict(useful=useful, mui=mui, ici=ici, cmi=cmi, si=si, noise=noise, sinr=sinr)
 
 
-def _sinr_block_downlink(cfg: ExperimentConfig, block: int, n: int) -> dict:
+def _sinr_block_downlink(cfg: ExperimentConfig, n: int, gen: Generator) -> dict:
     L, K, M = cfg.geom.L, cfg.geom.K, cfg.geom.M
-    gen = RngHandle(cfg.seed, block).generator()
     _, useful = _zf_factor(_bartlett(n, K, M, gen))  # H_own V_own = D
 
     ici = np.zeros((n, K))
@@ -280,11 +268,7 @@ def _sinr_block_downlink(cfg: ExperimentConfig, block: int, n: int) -> dict:
         ici += _sq(generate_batch(n, K, K, RAYLEIGH, gen) @ R_j).sum(axis=2)  # H_cross V_j
 
     # Cross-mode: one Rayleigh scalar per FD radio in every cell except self.
-    n_cmi = L * K - 1
-    if n_cmi > 0:
-        cmi = _sq(generate_batch(n, K, n_cmi, RAYLEIGH, gen)).sum(axis=2)
-    else:
-        cmi = np.zeros((n, K))
+    cmi = _sq(generate_batch(n, K, L * K - 1, RAYLEIGH, gen)).sum(axis=2)
 
     si = _sq(generate_batch(n, K, 1, cfg.si_spec, gen))[:, :, 0]
     if cfg.noise_power > 0:
@@ -296,9 +280,8 @@ def _sinr_block_downlink(cfg: ExperimentConfig, block: int, n: int) -> dict:
     return _terms(useful, ici, cmi, si, noise)
 
 
-def _sinr_block_uplink(cfg: ExperimentConfig, block: int, n: int) -> dict:
+def _sinr_block_uplink(cfg: ExperimentConfig, n: int, gen: Generator) -> dict:
     L, K, M, N = cfg.geom.L, cfg.geom.K, cfg.geom.M, cfg.geom.N
-    gen = RngHandle(cfg.seed, block).generator()
     T_up = _bartlett(n, K, N, gen)  # H_up^T = T' Q'
     q_up = _q(n, K, N, gen)
     R_up, useful = _zf_factor(T_up)  # W H_up = D'
@@ -313,11 +296,7 @@ def _sinr_block_uplink(cfg: ExperimentConfig, block: int, n: int) -> dict:
 
     # Inter-cell: uplink transmissions of FD radios in other cells; own-cell
     # radios already enter through the multi-user term.
-    n_ici = K * (L - 1)
-    if n_ici > 0:
-        ici = _sq(L_A @ generate_batch(n, K, n_ici, RAYLEIGH, gen)).sum(axis=2)  # W H_x
-    else:
-        ici = np.zeros((n, K))
+    ici = _sq(L_A @ generate_batch(n, K, K * (L - 1), RAYLEIGH, gen)).sum(axis=2)  # W H_x
 
     cmi = np.zeros((n, K))
     for _ in range(L - 1):
@@ -342,5 +321,5 @@ def run_sinr(cfg: ExperimentConfig, threads: int = 1) -> dict:
     block_fn = (
         _sinr_block_downlink if cfg.direction is Direction.DOWNLINK else _sinr_block_uplink
     )
-    parts = _map_blocks(lambda b, n: block_fn(cfg, b, n), cfg.trials, threads)
+    parts = _map_blocks(cfg, block_fn, threads)
     return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}

@@ -18,7 +18,6 @@ from .exceptions import InvalidParameterError
 
 __all__ = [
     "Histogram",
-    "GofReport",
     "si_pdf_siso",
     "gamma_pdf",
     "gamma_cdf",
@@ -34,16 +33,6 @@ class Histogram:
     bin_edges: np.ndarray
     counts: np.ndarray
     total: int
-
-
-@dataclass(frozen=True)
-class GofReport:
-    """Goodness-of-fit summary of empirical samples against a reference Gamma."""
-
-    ks_statistic: float
-    mean_rel_err: float
-    var_rel_err: float
-    sample_count: int
 
 
 def si_pdf_siso(x, varpi: float, omega: float):
@@ -74,17 +63,14 @@ def gamma_pdf(x, p: GammaParams):
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise InvalidParameterError("x must be >= 0")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_pdf = (
-            (p.kappa - 1.0) * np.log(x)
-            - x / p.theta
-            - special.gammaln(p.kappa)
-            - p.kappa * math.log(p.theta)
-        )
+    # xlogy(0, 0) = 0 gives the kappa = 1 limit 1/theta at x = 0
+    log_pdf = (
+        special.xlogy(p.kappa - 1.0, x)
+        - x / p.theta
+        - special.gammaln(p.kappa)
+        - p.kappa * math.log(p.theta)
+    )
     out = np.exp(log_pdf)
-    # x = 0 with kappa = 1 hits 0 * -inf above; the limit is 1/theta.
-    if p.kappa == 1.0:
-        out = np.where(x == 0.0, 1.0 / p.theta, out)
     return out if out.ndim else float(out)
 
 

@@ -102,8 +102,8 @@ def test_criterion_3_monte_carlo_moments(capsys, run_k1, run_k3):
 
 
 def test_criterion_4_distribution_fit(capsys, run_k1, run_k3):
-    ks1 = run_k1.gof.ks_statistic
-    ks3 = run_k3.gof.ks_statistic
+    ks1 = run_k1.ks
+    ks3 = run_k3.ks
     ok = ks1 <= 0.01 and ks3 <= 0.03 and ks1 < ks3
     _announce(
         capsys, 4, ok,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -78,6 +80,14 @@ class TestGammaLaw:
         p = GammaParams(25 / 24, 1.2)
         mean, _ = integrate.quad(lambda t: t * gamma_pdf(t, p), 0, 100, limit=200)
         assert mean == pytest.approx(1.25, abs=1e-6)
+
+    def test_pdf_at_zero_and_against_direct_form(self):
+        for kappa, at_zero in [(0.7, np.inf), (1.0, 1 / 1.3), (2.4, 0.0)]:
+            p = GammaParams(kappa, 1.3)
+            assert gamma_pdf(0.0, p) == pytest.approx(at_zero, rel=1e-15, abs=0)
+            x = np.linspace(0.01, 30, 301)
+            direct = x ** (kappa - 1) * np.exp(-x / 1.3) / (math.gamma(kappa) * 1.3**kappa)
+            assert np.allclose(gamma_pdf(x, p), direct, rtol=1e-12, atol=0)
 
     def test_cdf_monotone_pdf_nonnegative(self):
         p = GammaParams(0.7, 1.3)
