@@ -2,9 +2,11 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
-from fdsim.cli import main
+from fdsim.cli import _table, main
+from fdsim.mc import BLOCK_SIZE
 
 GOLDEN_SUMMARY = (
     "M,N,K,mu,nu,trials,seed,emp_m1,emp_m2,emp_var,cf_m1,cf_m2,cf_var,kappa,theta,ks\n"
@@ -22,6 +24,35 @@ GOLDEN_EMPIRICAL = (
     "9.19021874684125,0\n"
     "12.253624995788332,2\n"
 )
+
+
+def _one_shot_table(header, columns, fmt):
+    """The whole-output formatter that ``_table`` must reproduce byte for byte."""
+    rows = zip(*columns)
+    if fmt == "jsonl":
+        return "".join(
+            json.dumps(dict(zip(header, row)), allow_nan=False) + "\n" for row in rows
+        )
+    return "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
+
+
+EDGE_FLOATS = [0.0, -0.0, 1e16, 1e-5, 5e-324, 1.7976931348623157e308, -2.5]
+EDGE_INTS = [0, 7, 2**53 + 1, 2**63 - 1, 2**63, 2**64 - 1]
+
+
+@pytest.mark.parametrize("width", [1, 3])
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_table_matches_one_shot_formatter(fmt, width):
+    n = 2 * BLOCK_SIZE + 123  # more than two blocks of rows
+    gen = np.random.default_rng(9)
+    header = ["edge", "i", "x"][:width]
+    columns = [
+        np.resize(np.array(EDGE_FLOATS), n),
+        np.array([EDGE_INTS[r % len(EDGE_INTS)] for r in range(n)], dtype=object),
+        gen.standard_normal(n) * 10.0 ** gen.integers(-300, 300, size=n),
+    ][:width]
+    expected = _one_shot_table(header, [c.tolist() for c in columns], fmt)
+    assert "".join(_table(header, columns, fmt)) == expected
 
 
 def _si_args(out, **over):
