@@ -7,9 +7,9 @@ Subcommands:
   sinr     run multi-cell SINR sampling and write per-term samples
 
 All numeric output is emitted with round-trip double precision.  A run
-formats all of its output before it creates any file, writes every file
-under a temporary name and then renames them all, so a failed run leaves
-none of its output set.
+streams its output, one block of rows at a time, into staged temporary
+files that are renamed together once every file is complete, so a failed
+run leaves none of its output set.
 """
 from __future__ import annotations
 
@@ -31,7 +31,14 @@ from .closedform import (
     si_variance,
 )
 from .exceptions import InvalidParameterError
-from .mc import Direction, ExperimentConfig, run_si_empirical, run_si_theoretical, run_sinr
+from .mc import (
+    BLOCK_SIZE,
+    Direction,
+    ExperimentConfig,
+    run_si_empirical,
+    run_si_theoretical,
+    run_sinr,
+)
 from .stats import histogram
 
 SUMMARY_COLUMNS = [
@@ -51,28 +58,33 @@ _DEFAULTS = dict(
 )
 
 
-def _table(header, columns, fmt: str) -> str:
-    """CSV or JSONL text of equal-length columns of Python scalars (``str`` is
-    the round-trip ``repr`` for floats)."""
-    rows = zip(*columns)
+def _table(header, columns, fmt: str):
+    """Yield the CSV or JSONL text of equal-length ndarray columns, one block
+    of ``BLOCK_SIZE`` rows at a time (``%r`` is the round-trip ``repr``)."""
     if fmt == "jsonl":
-        return "".join(
-            json.dumps(dict(zip(header, row)), allow_nan=False) + "\n" for row in rows
-        )
-    return "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
+        template = "{" + ", ".join(f"{json.dumps(h)}: %r" for h in header) + "}\n"
+    else:
+        template = ",".join(["%r"] * len(header)) + "\n"
+        yield ",".join(header) + "\n"
+    for i in range(0, len(columns[0]), BLOCK_SIZE):
+        block = [c[i:i + BLOCK_SIZE] for c in columns]
+        if fmt == "jsonl" and any(c.dtype.kind == "f" and not np.isfinite(c).all() for c in block):
+            raise ValueError("Out of range float values are not JSON compliant")
+        yield "".join(map(template.__mod__, zip(*(c.tolist() for c in block))))
 
 
 def _atomic_write(files: dict) -> None:
-    """Write ``{path: text}`` to temporary files, then rename them all; on any
-    failure remove the temporary files and the targets already renamed."""
+    """Stream ``{path: iterable of str}`` into temporary files, then rename them
+    all; on any failure remove the temporary files and the targets already
+    renamed."""
     staged, renamed = [], []
     try:
-        for path, text in files.items():
+        for path, chunks in files.items():
             d = os.path.dirname(os.path.abspath(path))
             fd, tmp = tempfile.mkstemp(dir=d, prefix=".fdsim-", suffix=".tmp")
             staged.append(tmp)
             with os.fdopen(fd, "w") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         for tmp, path in zip(staged, files):
             os.replace(tmp, path)
             renamed.append(path)
@@ -218,19 +230,18 @@ def _cmd_si(merged: dict, cfg: ExperimentConfig, head: list, cf: list) -> dict:
     files = {}
     for label, report in runs.items():
         if bins is None:
-            table = _table(["si_gain"], [report.samples.tolist()], fmt)
+            table = _table(["si_gain"], [report.samples], fmt)
         else:
             h = histogram(report.samples, bins)
-            table = _table(
-                ["bin_left", "count"], [h.bin_edges[:-1].tolist(), h.counts.tolist()], fmt
-            )
+            table = _table(["bin_left", "count"], [h.bin_edges[:-1], h.counts], fmt)
         files[_data_path(out, label)] = table
     rows = [
         head + [cfg.trials, cfg.seed, r.emp_m1, r.emp_m2, r.emp_var]
         + cf + [r.ks]
         for r in runs.values()
     ]
-    files[_data_path(out, "summary")] = _table(SUMMARY_COLUMNS, zip(*rows), fmt)
+    columns = [np.array(c) for c in zip(*rows)]
+    files[_data_path(out, "summary")] = _table(SUMMARY_COLUMNS, columns, fmt)
     return files
 
 
@@ -238,8 +249,8 @@ def _cmd_sinr(merged: dict, cfg: ExperimentConfig) -> dict:
     cfg = replace(cfg, noise_power=merged["noise"], direction=Direction(merged["direction"]))
     terms = run_sinr(cfg, threads=merged["threads"])
     T, K = cfg.trials, cfg.geom.K
-    columns = [np.repeat(np.arange(T), K).tolist(), np.tile(np.arange(K), T).tolist()]
-    columns += [terms[key].ravel().tolist() for key in SINR_COLUMNS[2:]]
+    columns = [np.repeat(np.arange(T), K), np.tile(np.arange(K), T)]
+    columns += [terms[key].ravel() for key in SINR_COLUMNS[2:]]
     return {merged["out"]: _table(SINR_COLUMNS, columns, merged["format"])}
 
 
@@ -262,7 +273,9 @@ def main(argv=None) -> int:
         head = [geom.M, geom.N, geom.K, spec.mu, spec.nu]
         if ns.command == "moments":
             row = head + _closed_form(geom, spec)
-            sys.stdout.write(_table(MOMENT_COLUMNS, [[v] for v in row], merged["format"]))
+            sys.stdout.writelines(
+                _table(MOMENT_COLUMNS, [np.array([v]) for v in row], merged["format"])
+            )
             return 0
         cfg = ExperimentConfig(
             geom=geom, si_spec=spec, trials=merged["trials"], seed=merged["seed"],
@@ -276,7 +289,7 @@ def main(argv=None) -> int:
     except InvalidParameterError as exc:
         print(f"fdsim: invalid parameters: {exc}", file=sys.stderr)
         return 2
-    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (FloatingPointError, ValueError, np.linalg.LinAlgError) as exc:
         print(f"fdsim: numerical failure: {exc}", file=sys.stderr)
         return 1
 

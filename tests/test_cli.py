@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from fdsim.cli import _table, main
+from fdsim.cli import SINR_COLUMNS, _table, main
 from fdsim.mc import BLOCK_SIZE
 
 GOLDEN_SUMMARY = (
@@ -52,7 +52,9 @@ def test_table_matches_one_shot_formatter(fmt, width):
         gen.standard_normal(n) * 10.0 ** gen.integers(-300, 300, size=n),
     ][:width]
     expected = _one_shot_table(header, [c.tolist() for c in columns], fmt)
-    assert "".join(_table(header, columns, fmt)) == expected
+    pieces = list(_table(header, columns, fmt))
+    assert "".join(pieces) == expected
+    assert max(p.count("\n") for p in pieces) <= BLOCK_SIZE
 
 
 def _si_args(out, **over):
@@ -298,6 +300,22 @@ def test_run_level_atomicity(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         main(_si_args(str(tmp_path / "x.csv"), trials="10"))
     assert len(calls) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_non_finite_jsonl_value_exits_1_with_no_output(tmp_path, monkeypatch, capsys):
+    # the NaN sits past the first block of rows, which is already staged when it is met
+    def nan_terms(cfg, threads):
+        terms = {key: np.ones((cfg.trials, cfg.geom.K)) for key in SINR_COLUMNS[2:]}
+        terms["sinr"][-1, -1] = np.nan
+        return terms
+
+    monkeypatch.setattr("fdsim.cli.run_sinr", nan_terms)
+    out = str(tmp_path / "sinr.jsonl")
+    argv = ["sinr", "--K", "2", "--trials", str(BLOCK_SIZE), "--format", "jsonl", "--out", out]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("fdsim: numerical failure")
     assert list(tmp_path.iterdir()) == []
 
 
