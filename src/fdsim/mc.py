@@ -6,6 +6,14 @@ results are bitwise reproducible no matter how many workers execute the
 blocks.  No run draws a channel matrix or runs a ZF kernel, so no trial is
 ever regenerated.
 
+Stream layout 5 (the block partition).  Block b holds trials
+``[b * BLOCK_SIZE, (b + 1) * BLOCK_SIZE)`` with ``BLOCK_SIZE = 4096``; the
+last block holds the remainder.  Within a block the draw orders are those
+of layouts 3 and 4 below.  Those layouts cut 16384-trial blocks, so runs
+of up to 4096 trials keep their bits and longer runs move.  A 4096-trial
+block bounds each block's transients and the CLI writer's buffer, and
+spreads a run of a few blocks over every worker.
+
 Stream layout 3 (``run_si_empirical``).  The residual SI gain
 ``||w_1^T H_si V||^2`` under ZF beamformers from Rayleigh H_down (K x M)
 and H_up (N x K) is drawn from a handful of invariant statistics instead
@@ -111,7 +119,7 @@ __all__ = [
     "run_sinr",
 ]
 
-BLOCK_SIZE = 1 << 14
+BLOCK_SIZE = 1 << 12
 
 
 class Direction(enum.Enum):

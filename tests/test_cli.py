@@ -96,6 +96,16 @@ def test_si_threads_do_not_change_output(tmp_path):
     assert (tmp_path / "a_summary.csv").read_bytes() == (tmp_path / "b_summary.csv").read_bytes()
 
 
+def test_sinr_threads_do_not_change_output(tmp_path):
+    outs = {}
+    for threads in ("1", "2", "8"):
+        out = tmp_path / f"t{threads}.csv"
+        assert main(["sinr", "--L", "2", "--K", "2", "--M", "8", "--N", "4", "--trials", "10000",
+                     "--threads", threads, "--out", str(out)]) == 0
+        outs[threads] = out.read_bytes()
+    assert outs["1"] == outs["2"] == outs["8"]
+
+
 def test_si_samples_output_without_bins(tmp_path):
     out = str(tmp_path / "s.csv")
     assert main(_si_args(out, bins=None, mode="empirical")) == 0

@@ -149,6 +149,11 @@ def test_sinr_thread_count_does_not_change_results(direction):
             assert np.array_equal(got[k], ref[k]), (threads, k)
 
 
+def test_block_partition_is_layout_5():
+    assert mc._blocks(20000) == [(0, 4096), (1, 4096), (2, 4096), (3, 4096), (4, 3616)]
+    assert mc._blocks(4096) == [(0, 4096)]
+
+
 @pytest.mark.parametrize("threads", [0, -3])
 def test_thread_count_below_one_rejected(threads):
     cfg = _cfg(trials=10)
