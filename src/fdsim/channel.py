@@ -41,6 +41,10 @@ class RicianSpec:
             raise InvalidParameterError(f"mu must be >= 0 and finite, got {self.mu}")
         if not (self.nu > 0 and math.isfinite(self.nu)):
             raise InvalidParameterError(f"nu must be > 0 and finite, got {self.nu}")
+        if not math.isfinite(self.mu * self.mu + self.nu * self.nu):
+            raise InvalidParameterError(
+                f"mu^2 + nu^2 must be finite, got mu = {self.mu}, nu = {self.nu}"
+            )
 
     @property
     def varpi(self) -> float:

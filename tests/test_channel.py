@@ -95,6 +95,8 @@ def test_factor_roundtrip_identity(varpi, omega):
         lambda: RngHandle(-1),
         lambda: RngHandle(2**64),
         lambda: RngHandle(0, 2**64),
+        lambda: RicianSpec(1e160, 1.0),
+        lambda: RicianSpec(0.0, 1e160),
     ],
 )
 def test_invalid_parameters_rejected(call):

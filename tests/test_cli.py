@@ -353,11 +353,19 @@ def _exit_code(argv):
     ["--out", "."],
     ["--seed", "-1"],
     ["--seed", "18446744073709551616"],
+    ["--mu", "1e160"],
+    ["--nu", "1e160"],
+    ["sinr", "--mu", "1e160"],
+    ["sinr", "--nu", "1e160"],
 ])
 def test_user_errors_fail_before_monte_carlo(tmp_path, monkeypatch, capsys, no_monte_carlo,
                                              extra):
     monkeypatch.chdir(tmp_path)
-    assert _exit_code(_si_args("run.csv") + extra) == 2
+    if extra[0] == "sinr":
+        argv = ["sinr", "--trials", "10", "--out", "run.csv", *extra[1:]]
+    else:
+        argv = _si_args("run.csv") + extra
+    assert _exit_code(argv) == 2
     assert capsys.readouterr().err.splitlines()[-1].startswith("fdsim")
     assert list(tmp_path.iterdir()) == []
 
