@@ -6,13 +6,21 @@ results are bitwise reproducible no matter how many workers execute the
 blocks.  No run draws a channel matrix or runs a ZF kernel, so no trial is
 ever regenerated.
 
+Stream layout 6 (the SINR noise).  Both SINR directions draw the noise at
+unit power, last in each block, and multiply its power gain by
+``noise_power``.  Layout 5 drew it at ``noise_power`` and skipped it at 0.
+Every output bit of a run at ``noise_power`` 1 or 0 stays (``noise`` is
+exactly 0 at 0), though at 0 each block now draws 2K more normals per
+trial at its end; other powers move the last bits of ``noise`` and ``sinr``.
+
 Stream layout 5 (the block partition).  Block b holds trials
 ``[b * BLOCK_SIZE, (b + 1) * BLOCK_SIZE)`` with ``BLOCK_SIZE = 4096``; the
 last block holds the remainder.  Within a block the draw orders are those
-of layouts 3 and 4 below.  Those layouts cut 16384-trial blocks, so runs
-of up to 4096 trials keep their bits and longer runs move.  A 4096-trial
-block bounds each block's transients and the CLI writer's buffer, and
-spreads a run of a few blocks over every worker.
+of layouts 3 and 4 below, with the noise of layout 6.  Those layouts cut
+16384-trial blocks, so runs of up to 4096 trials keep their bits and
+longer runs move.  A 4096-trial block bounds each block's transients and
+the CLI writer's buffer, and spreads a run of a few blocks over every
+worker.
 
 Stream layout 3 (``run_si_empirical``).  The residual SI gain
 ``||w_1^T H_si V||^2`` under ZF beamformers from Rayleigh H_down (K x M)
@@ -36,13 +44,12 @@ The ZF precoder is then ``V = Q^H T^-1 D`` with
   phase of ``w_1^T 1``.
 
 Hence ``gain = ||(mu a q^T + nu z) T^-1 D||^2`` with
-``a = sqrt(N Beta(1, N - 1))`` has exactly the law of the full chain, up
-to the ZF kernel's retry of numerically rank-deficient draws
-(cond(H) >= 1/sqrt(max(K, M) eps)), which Gaussian draws essentially
-never trigger.  ``T_ii > 0`` almost surely, so nothing is redrawn.  The
-degenerate shapes are cases of the formula: M = K gives ``s = 0`` (a
-Gamma(0) variate is 0) and N = 1 gives ``a = 1``.  Each block draws, in
-this order, each item for all of its trials at once:
+``a = sqrt(N Beta(1, N - 1))`` has exactly the law of the full chain: a
+Rayleigh H_down has full rank almost surely, so its ZF precoder exists
+and no draw is conditioned away; ``T_ii > 0`` almost surely, so nothing
+is redrawn.  The degenerate shapes are cases of the formula: M = K gives
+``s = 0`` (a Gamma(0) variate is 0) and N = 1 gives ``a = 1``.  Each
+block draws, in this order, each item for all of its trials at once:
 
 - the K(K - 1)/2 below-diagonal entries of T (one ``generate_batch``);
 - the K diagonal variates Gamma(M), Gamma(M - 1), ..., Gamma(M - K + 1);
@@ -69,7 +76,7 @@ Q^H, Q'^* are Haar and independent of the triangular factors, so:
   ``H Q_j^H`` is a K x K Rayleigh Z; seen as ``W H`` (N x c), it is
   ``L_A Z`` with Z = ``Q'^* H`` a K x c Rayleigh; seen as ``W H V_j``, it
   is ``L_A Z R_j`` with Z K x K Rayleigh;
-- the noise ``W eta`` is ``L_A z``, z a ``CN(0, noise_power I_K)``;
+- the noise ``W eta`` is ``sqrt(noise_power) L_A z``, z a ``CN(0, I_K)``;
 - ``W H_si V_own`` with ``H_si = mu 1 1^T + nu Z_si`` is
   ``L_A (mu conj(q') conj(q)^T + nu Z) R_own``, with ``q' = Q' 1`` and
   ``q = Q 1`` drawn as in layout 3 (s' ~ Gamma(N - K) for q'); q and q'
@@ -83,17 +90,15 @@ of a Rayleigh r x c stack):
 
 - downlink: T_own; per other cell, T_j then Z[K x K] for
   ``H_cross V_j``; the cross-mode scalars Z[K x (LK - 1)] when LK > 1, the
-  SI scalars (K x 1, Rician) and, when noise_power > 0, the noise
-  (K x 1);
+  SI scalars (K x 1, Rician) and the noise z[K x 1];
 - uplink: T' with q', T_own with q, Z[K x K] for ``W H_si V_own``
   (Rician spread nu), Z[K x K(L - 1)] for ``W H_x`` when L > 1; per other
-  cell, T_j then Z[K x K] for ``W H_cross V_j``; when noise_power > 0,
-  z[K x 1] for ``W eta``.
+  cell, T_j then Z[K x K] for ``W H_cross V_j``; z[K x 1] for ``W eta``.
 
-An uplink trial thus takes (L + 1) K(K - 1) + 4K + 2K^2 (2L - 1) normals,
-plus 2K when noise_power > 0 (42 at L = K = 2), (L + 1) K + 2 Gamma
-variates and L + 1 K x K triangular inverses, whatever M and N.  The
-tests keep the full chain, ZF kernels included, as the reference.
+An uplink trial thus takes (L + 1) K(K - 1) + 6K + 2K^2 (2L - 1) normals
+(42 at L = K = 2), (L + 1) K + 2 Gamma variates and L + 1 K x K
+triangular inverses, whatever M and N.  The tests keep the full chain, ZF
+kernels included, as the reference.
 """
 from __future__ import annotations
 
@@ -177,11 +182,12 @@ def _map_blocks(cfg: ExperimentConfig, block_fn, threads: int) -> list:
         b, n = block
         return block_fn(cfg, n, RngHandle(cfg.seed, b).generator())
 
-    if threads == 1 or len(blocks) == 1:
-        return [run(block) for block in blocks]
-    # Executor.__exit__ drains the queue: a Ctrl-C waits for every queued block.
-    with ThreadPoolExecutor(max_workers=threads) as ex:
+    ex = ThreadPoolExecutor(max_workers=min(threads, len(blocks)))
+    try:
         return list(ex.map(run, blocks))
+    finally:
+        # on a failing block or an interrupt, wait only for the blocks already running
+        ex.shutdown(cancel_futures=True)
 
 
 def _sq(z: np.ndarray) -> np.ndarray:
@@ -279,11 +285,7 @@ def _sinr_block_downlink(cfg: ExperimentConfig, n: int, gen: Generator) -> dict:
     cmi = _sq(generate_batch(n, K, L * K - 1, RAYLEIGH, gen)).sum(axis=2)
 
     si = _sq(generate_batch(n, K, 1, cfg.si_spec, gen))[:, :, 0]
-    if cfg.noise_power > 0:
-        eta = generate_batch(n, K, 1, RicianSpec(0.0, math.sqrt(cfg.noise_power)), gen)
-        noise = _sq(eta)[:, :, 0]
-    else:
-        noise = np.zeros((n, K))
+    noise = cfg.noise_power * _sq(generate_batch(n, K, 1, RAYLEIGH, gen))[:, :, 0]
 
     return _terms(useful, ici, cmi, si, noise)
 
@@ -311,11 +313,7 @@ def _sinr_block_uplink(cfg: ExperimentConfig, n: int, gen: Generator) -> dict:
         R_j, _ = _zf_factor(_bartlett(n, K, M, gen))
         cmi += _sq(L_A @ generate_batch(n, K, K, RAYLEIGH, gen) @ R_j).sum(axis=2)  # W H_cross V_j
 
-    if cfg.noise_power > 0:
-        eta = generate_batch(n, K, 1, RicianSpec(0.0, math.sqrt(cfg.noise_power)), gen)
-        noise = _sq(L_A @ eta)[:, :, 0]  # W eta
-    else:
-        noise = np.zeros((n, K))
+    noise = cfg.noise_power * _sq(L_A @ generate_batch(n, K, 1, RAYLEIGH, gen))[:, :, 0]  # W eta
 
     return _terms(useful, ici, cmi, si, noise)
 
@@ -323,8 +321,8 @@ def _sinr_block_uplink(cfg: ExperimentConfig, n: int, gen: Generator) -> dict:
 def run_sinr(cfg: ExperimentConfig, threads: int = 1) -> dict:
     """All SINR terms over cfg.trials; arrays of shape (trials, K) per term.
 
-    Sampled from the exact law of the ZF chain (stream layout 4, see the
-    module docstring); ``mui`` is exactly 0.
+    Sampled from the exact law of the ZF chain (stream layouts 4 and 6,
+    see the module docstring); ``mui`` is exactly 0.
     """
     block_fn = (
         _sinr_block_downlink if cfg.direction is Direction.DOWNLINK else _sinr_block_uplink

@@ -1,3 +1,6 @@
+import signal
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -162,6 +165,46 @@ def test_thread_count_below_one_rejected(threads):
             run(cfg, threads=threads)
 
 
+@pytest.mark.parametrize("stop", ["raise", "interrupt"])
+def test_a_stopped_run_waits_only_for_the_blocks_in_flight(monkeypatch, stop):
+    monkeypatch.setattr(mc, "BLOCK_SIZE", 1)
+    cfg = _cfg(trials=48)
+    ran, lock = [], threading.Lock()
+
+    def block_fn(cfg, n, gen):
+        with lock:
+            ran.append(n)
+            first = len(ran) == 1
+        if first and stop == "raise":
+            raise RuntimeError("first block fails")
+        if first:  # Ctrl-C reaches the main thread, which waits on the pool
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+        time.sleep(0.1)
+        return np.zeros(n)
+
+    with pytest.raises(RuntimeError if stop == "raise" else KeyboardInterrupt):
+        mc._map_blocks(cfg, block_fn, threads=2)
+    started = len(ran)
+    time.sleep(0.3)
+    # the blocks in flight on the two workers end; the queued ones never start
+    assert len(ran) == started < 10
+
+
+@pytest.mark.parametrize("threads, most", [(1, 1), (8, 3)])
+def test_every_run_goes_through_the_pool(monkeypatch, threads, most):
+    monkeypatch.setattr(mc, "BLOCK_SIZE", 4)
+    workers = set()
+
+    def block_fn(cfg, n, gen):
+        workers.add(threading.get_ident())
+        time.sleep(0.05)  # holds its worker, so a larger pool would start another
+        return np.zeros(n)
+
+    mc._map_blocks(_cfg(trials=12), block_fn, threads=threads)
+    assert 1 <= len(workers) <= most
+    assert threading.main_thread().ident not in workers
+
+
 def test_engine_reaches_traced_names_through_module_globals(monkeypatch):
     # perfbench times each layer by replacing these fdsim.mc attributes; a
     # call that bypasses the module global hides its span
@@ -225,9 +268,24 @@ def test_normals_per_trial(monkeypatch):
         drawn.clear()
         run_sinr(_cfg(L=L, K=K, M=16, N=8, trials=T, noise_power=0.0))
         # layout 4 downlink: L Bartlett factors, Z for each H_cross V_j, the
-        # cross-mode and SI scalars
-        per_trial = L * K * (K - 1) + 2 * K * K * (L - 1) + 2 * K * (L * K - 1) + 2 * K
+        # cross-mode and SI scalars; layout 6: z for the noise, even at power 0
+        per_trial = (
+            L * K * (K - 1) + 2 * K * K * (L - 1) + 2 * K * (L * K - 1) + 2 * K + 2 * K
+        )
         assert sum(drawn) == T * per_trial
+
+
+@pytest.mark.parametrize("direction", [Direction.DOWNLINK, Direction.UPLINK])
+def test_noise_is_drawn_at_unit_power_and_scaled(direction):
+    # layout 6: the noise is the last draw of each block, whatever noise_power is
+    cfg = _cfg(M=8, N=4, K=2, L=2, trials=5000, direction=direction)
+    unit = run_sinr(cfg)
+    silent = run_sinr(replace(cfg, noise_power=0.0))
+    assert np.all(silent["noise"] == 0)
+    for key in ("useful", "mui", "ici", "cmi", "si"):
+        assert np.array_equal(silent[key], unit[key]), key
+    assert np.array_equal(silent["sinr"], unit["useful"] / (unit["ici"] + unit["cmi"] + unit["si"]))
+    assert np.array_equal(run_sinr(replace(cfg, noise_power=0.5))["noise"], 0.5 * unit["noise"])
 
 
 def _zf(zf_fn, H):
