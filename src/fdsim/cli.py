@@ -9,7 +9,7 @@ Subcommands:
 All numeric output is emitted with round-trip double precision.  A run
 streams its output, one block of rows at a time, into staged temporary
 files that are renamed together once every file is complete, so a failed
-run leaves none of its output set.
+or interrupted run leaves none of its output set.
 """
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -74,16 +73,15 @@ def _table(header, columns, fmt: str):
 
 
 def _atomic_write(files: dict) -> None:
-    """Stream ``{path: iterable of str}`` into temporary files, then rename them
-    all; on any failure remove the temporary files and the targets already
-    renamed."""
+    """Stream ``{path: iterable of str}`` into temporary files beside their
+    targets, then rename them all; on any failure remove the temporary files
+    and the targets already renamed.  The files get the umask's mode."""
     staged, renamed = [], []
     try:
-        for path, chunks in files.items():
-            d = os.path.dirname(os.path.abspath(path))
-            fd, tmp = tempfile.mkstemp(dir=d, prefix=".fdsim-", suffix=".tmp")
+        for i, (path, chunks) in enumerate(files.items()):
+            tmp = os.path.join(os.path.dirname(path), f".fdsim-{os.getpid()}-{i}.tmp")
             staged.append(tmp)
-            with os.fdopen(fd, "w") as fh:
+            with open(tmp, "w") as fh:
                 fh.writelines(chunks)
         for tmp, path in zip(staged, files):
             os.replace(tmp, path)
@@ -206,9 +204,9 @@ def _resolve_spec(merged: dict) -> RicianSpec:
     return RicianSpec(mu, nu)
 
 
-def _data_path(out: str, suffix: str) -> str:
+def _data_path(out: str, suffix: str, fmt: str) -> str:
     stem, ext = os.path.splitext(out)
-    return f"{stem}_{suffix}{ext or '.csv'}"
+    return f"{stem}_{suffix}{ext or '.' + fmt}"
 
 
 def _closed_form(geom: SystemGeometry, spec: RicianSpec) -> list:
@@ -234,14 +232,14 @@ def _cmd_si(merged: dict, cfg: ExperimentConfig, head: list, cf: list) -> dict:
         else:
             h = histogram(report.samples, bins)
             table = _table(["bin_left", "count"], [h.bin_edges[:-1], h.counts], fmt)
-        files[_data_path(out, label)] = table
+        files[_data_path(out, label, fmt)] = table
     rows = [
         head + [cfg.trials, cfg.seed, r.emp_m1, r.emp_m2, r.emp_var]
         + cf + [r.ks]
         for r in runs.values()
     ]
     columns = [np.array(c) for c in zip(*rows)]
-    files[_data_path(out, "summary")] = _table(SUMMARY_COLUMNS, columns, fmt)
+    files[_data_path(out, "summary", fmt)] = _table(SUMMARY_COLUMNS, columns, fmt)
     return files
 
 
@@ -292,6 +290,9 @@ def main(argv=None) -> int:
     except (FloatingPointError, ValueError, np.linalg.LinAlgError) as exc:
         print(f"fdsim: numerical failure: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("fdsim: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -125,6 +126,13 @@ def test_si_jsonl_format(tmp_path):
     assert sum(r["count"] for r in hist) == 200
 
 
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_si_out_without_extension_takes_the_format_extension(tmp_path, fmt):
+    assert main(_si_args(str(tmp_path / "run"), mode="empirical", format=fmt)) == 0
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == [f"run_empirical.{fmt}", f"run_summary.{fmt}"]
+
+
 def test_moments_record(capsys):
     assert main(["moments", "--M", "16", "--N", "8", "--K", "1",
                  "--mu", "0.5", "--nu", "1"]) == 0
@@ -244,6 +252,18 @@ def test_no_partial_file_on_failure(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_outputs_get_the_umask_mode(tmp_path):
+    old = os.umask(0o022)
+    try:
+        assert main(_si_args(str(tmp_path / "run.csv"), trials="10")) == 0
+        assert main(["sinr", "--trials", "10", "--out", str(tmp_path / "sinr.csv")]) == 0
+    finally:
+        os.umask(old)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    names = ["run_empirical.csv", "run_theoretical.csv", "run_summary.csv", "sinr.csv"]
+    assert modes == dict.fromkeys(names, 0o644)
+
+
 # sha256 of the raw-sample `fdsim si` files (`_si_args` without --bins), per format
 GOLDEN_SI_RAW_SHA256 = {
     ("csv", "empirical"): "91eb4b347685bd069485b11da94bc0f3736af4373a4305840fc9558b3877e1c9",
@@ -326,6 +346,31 @@ def test_non_finite_jsonl_value_exits_1_with_no_output(tmp_path, monkeypatch, ca
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("fdsim: numerical failure")
+    assert list(tmp_path.iterdir()) == []
+
+
+def _interrupt(*args, **kwargs):
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("where", ["monte carlo", "second rename"])
+def test_interrupt_exits_130_with_no_output(tmp_path, monkeypatch, capsys, where):
+    if where == "monte carlo":
+        monkeypatch.setattr("fdsim.cli.run_sinr", _interrupt)
+        argv = ["sinr", "--trials", "10", "--out", str(tmp_path / "sinr.csv")]
+    else:
+        real_replace, calls = os.replace, []
+
+        def second_interrupted(src, dst):
+            calls.append(dst)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", second_interrupted)
+        argv = _si_args(str(tmp_path / "x.csv"), trials="10")
+    assert main(argv) == 130
+    assert capsys.readouterr().err.splitlines() == ["fdsim: interrupted"]
     assert list(tmp_path.iterdir()) == []
 
 
@@ -415,6 +460,7 @@ def test_flag_the_subcommand_does_not_read_exits_2(tmp_path, monkeypatch, capsys
     ({"format": "xml"}, None),
     ({"noise": "loud"}, None),
     (["M", "N"], None),
+    ({"bogus": 1}, None),
 ])
 def test_bad_config_or_env_value_exits_2(tmp_path, monkeypatch, capsys, no_monte_carlo,
                                          config, env_seed):
@@ -430,6 +476,19 @@ def test_bad_config_or_env_value_exits_2(tmp_path, monkeypatch, capsys, no_monte
     assert _exit_code(args) == 2
     assert capsys.readouterr().err.splitlines()[-1].startswith("fdsim")
     assert sorted(p.name for p in tmp_path.iterdir()) == (["cfg.json"] if config else [])
+
+
+@pytest.mark.parametrize("text", [None, '{"M": 16,'])
+def test_unreadable_config_exits_2(tmp_path, monkeypatch, capsys, no_monte_carlo, text):
+    # None: the file is missing; otherwise it holds malformed JSON
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        (tmp_path / "cfg.json").write_text(text)
+    assert _exit_code(_si_args("run.csv") + ["--config", "cfg.json"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("fdsim")] == err[-1:]
+    assert "cannot read --config cfg.json" in err[-1]
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["cfg.json"] if text else [])
 
 
 def test_config_strings_converted_by_flag_type(tmp_path, capsys):
