@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import secrets
 import sys
 from dataclasses import replace
 
@@ -73,15 +74,15 @@ def _table(header, columns, fmt: str):
 
 
 def _atomic_write(files: dict) -> None:
-    """Stream ``{path: iterable of str}`` into temporary files beside their
-    targets, then rename them all; on any failure remove the temporary files
-    and the targets already renamed.  The files get the umask's mode."""
+    """Stream ``{path: iterable of str}`` into new randomly named files beside
+    their targets, then rename them all; on any failure remove the staged
+    files and the targets already renamed.  The files get the umask's mode."""
     staged, renamed = [], []
     try:
-        for i, (path, chunks) in enumerate(files.items()):
-            tmp = os.path.join(os.path.dirname(path), f".fdsim-{os.getpid()}-{i}.tmp")
-            staged.append(tmp)
-            with open(tmp, "w") as fh:
+        for path, chunks in files.items():
+            tmp = os.path.join(os.path.dirname(path), f".fdsim-{secrets.token_hex(8)}.tmp")
+            with open(tmp, "x") as fh:  # refuses an existing file or symlink
+                staged.append(tmp)
                 fh.writelines(chunks)
         for tmp, path in zip(staged, files):
             os.replace(tmp, path)

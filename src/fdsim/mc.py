@@ -10,8 +10,9 @@ Stream layout 6 (the SINR noise).  Both SINR directions draw the noise at
 unit power, last in each block, and multiply its power gain by
 ``noise_power``.  Layout 5 drew it at ``noise_power`` and skipped it at 0.
 Every output bit of a run at ``noise_power`` 1 or 0 stays (``noise`` is
-exactly 0 at 0), though at 0 each block now draws 2K more normals per
-trial at its end; other powers move the last bits of ``noise`` and ``sinr``.
+exactly +0 at 0 and at -0.0, stored as 0.0); at 0 each block draws 2K more
+normals per trial at its end; other powers move the last bits of ``noise``
+and ``sinr``.
 
 Stream layout 5 (the block partition).  Block b holds trials
 ``[b * BLOCK_SIZE, (b + 1) * BLOCK_SIZE)`` with ``BLOCK_SIZE = 4096``; the
@@ -152,6 +153,7 @@ class ExperimentConfig:
             raise InvalidParameterError(
                 f"noise_power must be >= 0, got {self.noise_power}"
             )
+        object.__setattr__(self, "noise_power", self.noise_power + 0.0)  # -0.0 -> 0.0
 
 
 @dataclass(frozen=True)
@@ -182,12 +184,9 @@ def _map_blocks(cfg: ExperimentConfig, block_fn, threads: int) -> list:
         b, n = block
         return block_fn(cfg, n, RngHandle(cfg.seed, b).generator())
 
-    ex = ThreadPoolExecutor(max_workers=min(threads, len(blocks)))
-    try:
+    # a failing block or an interrupt cancels the queued blocks in map's iterator
+    with ThreadPoolExecutor(max_workers=threads) as ex:
         return list(ex.map(run, blocks))
-    finally:
-        # on a failing block or an interrupt, wait only for the blocks already running
-        ex.shutdown(cancel_futures=True)
 
 
 def _sq(z: np.ndarray) -> np.ndarray:

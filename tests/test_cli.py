@@ -6,6 +6,7 @@ import stat
 import numpy as np
 import pytest
 
+import fdsim.cli as cli
 from fdsim.cli import SINR_COLUMNS, _table, main
 from fdsim.mc import BLOCK_SIZE
 
@@ -262,6 +263,26 @@ def test_outputs_get_the_umask_mode(tmp_path):
     modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
     names = ["run_empirical.csv", "run_theoretical.csv", "run_summary.csv", "sinr.csv"]
     assert modes == dict.fromkeys(names, 0o644)
+
+
+@pytest.mark.parametrize("planted", ["file", "symlink"])
+def test_staging_never_opens_an_existing_path(tmp_path, monkeypatch, planted):
+    # the second file's staged name is taken: the run fails on it without
+    # truncating it, following it or deleting it, and removes its own staged file
+    names = iter(["first", "second", "third"])
+    monkeypatch.setattr(cli.secrets, "token_hex", lambda n: next(names))
+    victim = tmp_path / "victim.txt"
+    victim.write_text("keep")
+    taken = tmp_path / ".fdsim-second.tmp"
+    if planted == "file":
+        taken.write_text("keep")
+    else:
+        taken.symlink_to(victim)
+    with pytest.raises(FileExistsError):
+        main(_si_args(str(tmp_path / "run.csv"), trials="10"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == [".fdsim-second.tmp", "victim.txt"]
+    assert taken.is_symlink() == (planted == "symlink")
+    assert taken.read_text() == victim.read_text() == "keep"
 
 
 # sha256 of the raw-sample `fdsim si` files (`_si_args` without --bins), per format

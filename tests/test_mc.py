@@ -275,13 +275,14 @@ def test_normals_per_trial(monkeypatch):
         assert sum(drawn) == T * per_trial
 
 
+@pytest.mark.parametrize("zero", [0.0, -0.0])
 @pytest.mark.parametrize("direction", [Direction.DOWNLINK, Direction.UPLINK])
-def test_noise_is_drawn_at_unit_power_and_scaled(direction):
+def test_noise_is_drawn_at_unit_power_and_scaled(direction, zero):
     # layout 6: the noise is the last draw of each block, whatever noise_power is
     cfg = _cfg(M=8, N=4, K=2, L=2, trials=5000, direction=direction)
     unit = run_sinr(cfg)
-    silent = run_sinr(replace(cfg, noise_power=0.0))
-    assert np.all(silent["noise"] == 0)
+    silent = run_sinr(replace(cfg, noise_power=zero))
+    assert np.all(silent["noise"] == 0) and not np.signbit(silent["noise"]).any()
     for key in ("useful", "mui", "ici", "cmi", "si"):
         assert np.array_equal(silent[key], unit[key]), key
     assert np.array_equal(silent["sinr"], unit["useful"] / (unit["ici"] + unit["cmi"] + unit["si"]))
