@@ -6,6 +6,13 @@ results are bitwise reproducible no matter how many workers execute the
 blocks.  No run draws a channel matrix or runs a ZF kernel, so no trial is
 ever regenerated.
 
+Stream layout 7 (the triangular inverse).  Every ``T^-1`` of layouts 3
+and 4 is computed from the packed draws by forward substitution over the
+rows, and T is never formed; layout 6 formed T and called
+``np.linalg.inv``, and the engine now makes no LAPACK call.  The draws and
+their order are unchanged.  K = 1 runs keep every bit (``T^-1`` is
+``1 / T_11`` either way); K >= 2 outputs move in their last bits only.
+
 Stream layout 6 (the SINR noise).  Both SINR directions draw the noise at
 unit power, last in each block, and multiply its power gain by
 ``noise_power``.  Layout 5 drew it at ``noise_power`` and skipped it at 0.
@@ -193,14 +200,22 @@ def _sq(z: np.ndarray) -> np.ndarray:
     return np.abs(z) ** 2
 
 
-def _bartlett(n: int, K: int, M: int, gen: Generator) -> np.ndarray:
-    """Bartlett factor T of ``n`` Rayleigh K x M links ``T Q``."""
-    T = np.zeros((n, K, K), dtype=complex)
-    below = np.tril_indices(K, -1)
-    T[:, below[0], below[1]] = generate_batch(n, 1, below[0].size, RAYLEIGH, gen)[:, 0]
-    diag = np.arange(K)
-    T[:, diag, diag] = np.sqrt(gen.gamma(np.arange(M, M - K, -1), size=(n, K)))
-    return T
+def _bartlett_inv(n: int, K: int, M: int, gen: Generator) -> np.ndarray:
+    """Inverse ``T^-1`` of the Bartlett factor T of ``n`` Rayleigh K x M links
+    ``T Q``, by forward substitution over the rows; T itself is never formed.
+
+    Row i of T's below-diagonal part is the slice ``[i(i-1)/2, i(i+1)/2)`` of
+    the packed draw, and row i of ``X = T^-1`` is
+    ``X[i, :i] = -(T[i, :i] @ X[:i, :i]) / T_ii`` with ``X[i, i] = 1 / T_ii``.
+    """
+    below = generate_batch(n, 1, K * (K - 1) // 2, RAYLEIGH, gen)[:, 0]
+    diag_inv = 1.0 / np.sqrt(gen.gamma(np.arange(M, M - K, -1), size=(n, K)))
+    X = np.zeros((n, K, K), dtype=complex)
+    for i in range(K):
+        row = below[:, i * (i - 1) // 2:i * (i + 1) // 2]
+        X[:, i, :i] = (row[:, None, :] @ X[:, :i, :i])[:, 0] * -diag_inv[:, i, None]
+        X[:, i, i] = diag_inv[:, i]
+    return X
 
 
 def _q(n: int, K: int, M: int, gen: Generator) -> np.ndarray:
@@ -213,12 +228,11 @@ def _q(n: int, K: int, M: int, gen: Generator) -> np.ndarray:
 def _si_gains_block(cfg: ExperimentConfig, n: int, gen: Generator) -> np.ndarray:
     """Uplink-side residual SI gains ||w_1^T H_si V||^2 for one block (layout 3)."""
     K, M, N = cfg.geom.K, cfg.geom.M, cfg.geom.N
-    T = _bartlett(n, K, M, gen)  # H_down = T Q
+    T_inv = _bartlett_inv(n, K, M, gen)  # H_down = T Q
     q = _q(n, K, M, gen)
     # |w_1^T 1|; Beta(1, 0) is the point mass at 1, which numpy rejects
     a = np.sqrt(N * gen.beta(1, N - 1, size=n)) if N > 1 else np.ones(n)
     z = generate_batch(n, 1, K, RAYLEIGH, gen)[:, 0]  # w_1^T Z Q^H
-    T_inv = np.linalg.inv(T)
     r = cfg.si_spec.mu * a[:, None] * q + cfg.si_spec.nu * z
     y = (r[:, None, :] @ T_inv)[:, 0]
     # D scales column k of T^-1 to unit norm
@@ -257,9 +271,8 @@ def run_si_theoretical(cfg: ExperimentConfig, threads: int = 1) -> McReport:
 # SINR term sampling
 
 
-def _zf_factor(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _zf_factor(T_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``R = T^-1 D`` and ``D^2`` of the ZF precoder ``Q^H R`` of the link ``T Q``."""
-    T_inv = np.linalg.inv(T)
     d2 = 1.0 / np.sum(_sq(T_inv), axis=1)
     return T_inv * np.sqrt(d2)[:, None, :], d2
 
@@ -273,11 +286,11 @@ def _terms(useful, ici, cmi, si, noise) -> dict:
 
 def _sinr_block_downlink(cfg: ExperimentConfig, n: int, gen: Generator) -> dict:
     L, K, M = cfg.geom.L, cfg.geom.K, cfg.geom.M
-    _, useful = _zf_factor(_bartlett(n, K, M, gen))  # H_own V_own = D
+    _, useful = _zf_factor(_bartlett_inv(n, K, M, gen))  # H_own V_own = D
 
     ici = np.zeros((n, K))
     for _ in range(L - 1):
-        R_j, _ = _zf_factor(_bartlett(n, K, M, gen))  # other cell's own downlink
+        R_j, _ = _zf_factor(_bartlett_inv(n, K, M, gen))  # other cell's own downlink
         ici += _sq(generate_batch(n, K, K, RAYLEIGH, gen) @ R_j).sum(axis=2)  # H_cross V_j
 
     # Cross-mode: one Rayleigh scalar per FD radio in every cell except self.
@@ -291,13 +304,11 @@ def _sinr_block_downlink(cfg: ExperimentConfig, n: int, gen: Generator) -> dict:
 
 def _sinr_block_uplink(cfg: ExperimentConfig, n: int, gen: Generator) -> dict:
     L, K, M, N = cfg.geom.L, cfg.geom.K, cfg.geom.M, cfg.geom.N
-    T_up = _bartlett(n, K, N, gen)  # H_up^T = T' Q'
+    R_up, useful = _zf_factor(_bartlett_inv(n, K, N, gen))  # H_up^T = T' Q', W H_up = D'
     q_up = _q(n, K, N, gen)
-    R_up, useful = _zf_factor(T_up)  # W H_up = D'
     L_A = R_up.swapaxes(-1, -2)  # W = L_A Q'^*
-    T_own = _bartlett(n, K, M, gen)  # own cell's downlink, fixes V
+    R_own, _ = _zf_factor(_bartlett_inv(n, K, M, gen))  # own cell's downlink, fixes V
     q_own = _q(n, K, M, gen)
-    R_own, _ = _zf_factor(T_own)
     mu, nu = cfg.si_spec.mu, cfg.si_spec.nu
     X = generate_batch(n, K, K, RicianSpec(0.0, nu), gen)
     X += mu * q_up[:, :, None] * q_own[:, None, :]
@@ -309,7 +320,7 @@ def _sinr_block_uplink(cfg: ExperimentConfig, n: int, gen: Generator) -> dict:
 
     cmi = np.zeros((n, K))
     for _ in range(L - 1):
-        R_j, _ = _zf_factor(_bartlett(n, K, M, gen))
+        R_j, _ = _zf_factor(_bartlett_inv(n, K, M, gen))
         cmi += _sq(L_A @ generate_batch(n, K, K, RAYLEIGH, gen) @ R_j).sum(axis=2)  # W H_cross V_j
 
     noise = cfg.noise_power * _sq(L_A @ generate_batch(n, K, 1, RAYLEIGH, gen))[:, :, 0]  # W eta

@@ -179,10 +179,10 @@ def test_sinr_output(tmp_path):
     assert all(float(l.split(",")[ici_col]) == 0.0 for l in lines[1:])
 
 
-# sha256 of `fdsim sinr --L 2 --K 2 --M 8 --N 4 --trials 100` (seed 0)
+# sha256 of `fdsim sinr --L 2 --K 2 --M 8 --N 4 --trials 100` (seed 0, stream layout 7)
 GOLDEN_SINR_SHA256 = {
-    "downlink": "589b37f0430ebb3bb746ed3bee6ac84b884d30ebd3be89872cb3b9e81ef68c67",
-    "uplink": "d0248b28a31adf91544ae78f28ab0f2fd5a576c48f1ba3a350559fc7d14f7ba7",
+    "downlink": "c03c87c010826caed0d772ef04c89a131748d3e462b134268fb94c19717d6351",
+    "uplink": "8127910bd01bf8166b3dbf1e353c54947b8cf533e0c839d6b0f3b7a98f4c9446",
 }
 
 
@@ -286,11 +286,12 @@ def test_staging_never_opens_an_existing_path(tmp_path, monkeypatch, planted):
 
 
 # sha256 of the raw-sample `fdsim si` files (`_si_args` without --bins), per format
+# (stream layout 7)
 GOLDEN_SI_RAW_SHA256 = {
-    ("csv", "empirical"): "91eb4b347685bd069485b11da94bc0f3736af4373a4305840fc9558b3877e1c9",
+    ("csv", "empirical"): "8c1677c8b547da9ab666415e431309f20acae6d7b2708604a379ea09347867d3",
     ("csv", "theoretical"): "6f13ea6b0b17b081ea5d3e10efabe5495aecb721e045423735d43cbeb02f05e3",
     ("csv", "summary"): "f481f8a7fb211bb2aca9f4e759aad85746c1bfceebc46ba1122125418e38e68b",
-    ("jsonl", "empirical"): "171bc29d7b8eff88ea888eb92e3b65b75e9d635560cc24e2d76dee2374c1bf8f",
+    ("jsonl", "empirical"): "83299a460153bca3e75fbb597b48f51782cc848f89098eb0949822ab844bf9d1",
     ("jsonl", "theoretical"): "832fff9f6888e7d3364f0f2d735a9be8d359e59bc7d20086a60845ec511b9383",
     ("jsonl", "summary"): "8d6aaec48f0dc8ecfbb7cedeb337a6dd623d3ddfc9025d059107197f2dc63daf",
 }
@@ -305,10 +306,11 @@ def test_si_raw_samples_golden(tmp_path, fmt):
         assert hashlib.sha256(data).hexdigest() == GOLDEN_SI_RAW_SHA256[fmt, suffix]
 
 
-# sha256 of `fdsim sinr --L 2 --K 2 --M 8 --N 4 --trials 100 --format jsonl` (seed 0)
+# sha256 of `fdsim sinr --L 2 --K 2 --M 8 --N 4 --trials 100 --format jsonl` (seed 0,
+# stream layout 7)
 GOLDEN_SINR_JSONL_SHA256 = {
-    "downlink": "d0677cd16697f2a22f7d1ef351dab6fd09471745b36a5ef6c53c6362ef765140",
-    "uplink": "a825e81b57574a89e179f1fa4386368c9439d3249277a74617e27f1db0146497",
+    "downlink": "0c6ca348a3d600603e832faa8774f9304ab0cfb4678012559a08c8e76e49ffd1",
+    "uplink": "aa597be98c35b480a7fb91f30c084209b1648f28beeed59c53336cc5102f98a3",
 }
 
 

@@ -275,6 +275,35 @@ def test_normals_per_trial(monkeypatch):
         assert sum(drawn) == T * per_trial
 
 
+@pytest.mark.parametrize("K", range(1, 9))
+def test_bartlett_inverse_matches_lapack(K):
+    # layout 7: forward substitution on the packed draws; the reference forms
+    # T from the same substream's draws and inverts it with LAPACK
+    n = 2000
+    for M in (K, K + 3, 64):
+        X = mc._bartlett_inv(n, K, M, RngHandle(80, M).generator())
+        gen = RngHandle(80, M).generator()
+        T = np.zeros((n, K, K), dtype=complex)
+        rows, cols = np.tril_indices(K, -1)
+        T[:, rows, cols] = generate_batch(n, 1, rows.size, RAYLEIGH, gen)[:, 0]
+        T[:, range(K), range(K)] = np.sqrt(gen.gamma(np.arange(M, M - K, -1), size=(n, K)))
+        ref = np.linalg.inv(T)
+        err = np.linalg.norm(X - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
+        assert err.max() <= 1e-12, (K, M, err.max())
+
+
+def test_engine_makes_no_lapack_call(monkeypatch):
+    def lapack(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+
+    for name in ("inv", "solve", "qr", "cholesky", "eigvalsh", "svd", "det", "pinv", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, lapack)
+    assert run_si_empirical(_cfg(K=8, M=64, N=32, trials=500)).samples.size == 500
+    for direction in Direction:
+        terms = run_sinr(_cfg(L=2, K=2, M=8, N=4, trials=500, direction=direction))
+        assert np.isfinite(terms["sinr"]).all()
+
+
 @pytest.mark.parametrize("zero", [0.0, -0.0])
 @pytest.mark.parametrize("direction", [Direction.DOWNLINK, Direction.UPLINK])
 def test_noise_is_drawn_at_unit_power_and_scaled(direction, zero):
