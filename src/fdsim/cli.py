@@ -210,6 +210,24 @@ def _data_path(out: str, suffix: str, fmt: str) -> str:
     return f"{stem}_{suffix}{ext or '.' + fmt}"
 
 
+def _out_error(command: str, merged: dict) -> str | None:
+    """Why ``--out`` cannot name the output set of an ``si`` or ``sinr`` run."""
+    out = merged["out"]
+    directory = os.path.dirname(os.path.abspath(out)) if out else ""
+    if not out or out.endswith(os.sep) or os.path.isdir(out) or not os.path.isdir(directory):
+        return "--out must name a file in an existing directory"
+    if command == "sinr":
+        targets = [out]
+    else:
+        labels = ["empirical", "theoretical"] if merged["mode"] == "both" else [merged["mode"]]
+        targets = [_data_path(out, label, merged["format"]) for label in labels + ["summary"]]
+    name_max = os.pathconf(directory, "PC_NAME_MAX")
+    longest = max(len(os.fsencode(os.path.basename(t))) for t in targets)
+    if 0 < name_max < longest:
+        return f"--out gives a {longest}-byte file name, over the directory's {name_max}-byte limit"
+    return None
+
+
 def _closed_form(geom: SystemGeometry, spec: RicianSpec) -> list:
     """Closed-form m1, m2, variance and matched Gamma (kappa, theta)."""
     gp = gamma_mimo(geom, spec)
@@ -257,14 +275,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     merged = _merge_config(ns, parser)
-    out = merged.get("out")
-    out_ok = (
-        out and not out.endswith(os.sep) and not os.path.isdir(out)
-        and os.path.isdir(os.path.dirname(os.path.abspath(out)))
-    )
-    if ns.command != "moments" and not out_ok:
-        print(f"fdsim {ns.command}: --out must name a file in an existing directory",
-              file=sys.stderr)
+    error = _out_error(ns.command, merged) if ns.command != "moments" else None
+    if error:
+        print(f"fdsim {ns.command}: {error}", file=sys.stderr)
         return 2
     try:
         spec = _resolve_spec(merged)
@@ -288,8 +301,11 @@ def main(argv=None) -> int:
     except InvalidParameterError as exc:
         print(f"fdsim: invalid parameters: {exc}", file=sys.stderr)
         return 2
-    except (FloatingPointError, ValueError, np.linalg.LinAlgError) as exc:
+    except (FloatingPointError, ValueError) as exc:
         print(f"fdsim: numerical failure: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"fdsim: cannot write output: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:
         print("fdsim: interrupted", file=sys.stderr)

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -248,8 +249,7 @@ def test_no_partial_file_on_failure(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "replace", boom)
     out = str(tmp_path / "x.csv")
-    with pytest.raises(OSError):
-        main(_si_args(out, trials="10"))
+    assert main(_si_args(out, trials="10")) == 1
     assert list(tmp_path.iterdir()) == []
 
 
@@ -278,8 +278,7 @@ def test_staging_never_opens_an_existing_path(tmp_path, monkeypatch, planted):
         taken.write_text("keep")
     else:
         taken.symlink_to(victim)
-    with pytest.raises(FileExistsError):
-        main(_si_args(str(tmp_path / "run.csv"), trials="10"))
+    assert main(_si_args(str(tmp_path / "run.csv"), trials="10")) == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == [".fdsim-second.tmp", "victim.txt"]
     assert taken.is_symlink() == (planted == "symlink")
     assert taken.read_text() == victim.read_text() == "keep"
@@ -350,8 +349,7 @@ def test_run_level_atomicity(tmp_path, monkeypatch):
         real_replace(src, dst)
 
     monkeypatch.setattr(os, "replace", second_fails)
-    with pytest.raises(OSError):
-        main(_si_args(str(tmp_path / "x.csv"), trials="10"))
+    assert main(_si_args(str(tmp_path / "x.csv"), trials="10")) == 1
     assert len(calls) == 2
     assert list(tmp_path.iterdir()) == []
 
@@ -449,6 +447,78 @@ def test_out_naming_a_directory_exits_2(tmp_path, monkeypatch, capsys, no_monte_
     err = capsys.readouterr().err.splitlines()
     assert err == [f"fdsim {command}: --out must name a file in an existing directory"]
     assert [p.name for p in tmp_path.rglob("*")] == ["sub"]
+
+
+@pytest.mark.parametrize("argv, extra", [
+    # the --out name itself is one byte too long
+    pytest.param(["sinr"], 1, id="sinr"),
+    # it fits, but "_empirical" or "_theoretical" takes it over
+    pytest.param(["si", "--mode", "empirical"], 0, id="si-empirical"),
+    pytest.param(["si", "--mode", "theoretical", "--format", "jsonl"], 0, id="si-theoretical"),
+])
+def test_out_name_over_name_max_exits_2(tmp_path, monkeypatch, capsys, no_monte_carlo,
+                                        argv, extra):
+    monkeypatch.chdir(tmp_path)
+    name_max = os.pathconf(tmp_path, "PC_NAME_MAX")
+    out = "a" * (name_max + extra - 4) + ".csv"
+    assert _exit_code([*argv, "--trials", "10", "--out", out]) == 2
+    longest = name_max + extra + (len("_" + argv[2]) if argv[0] == "si" else 0)
+    assert capsys.readouterr().err.splitlines() == [
+        f"fdsim {argv[0]}: --out gives a {longest}-byte file name, over the "
+        f"directory's {name_max}-byte limit"
+    ]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_name_at_name_max_is_written(tmp_path):
+    out = tmp_path / ("a" * (os.pathconf(tmp_path, "PC_NAME_MAX") - 4) + ".csv")
+    assert main(["sinr", "--trials", "10", "--out", str(out)]) == 0
+    assert out.exists()
+
+
+class _FullDisk:
+    """A staged file whose disk fills up after its first chunk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def writelines(self, chunks):
+        self.fh.write(next(iter(chunks)))
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("where", ["staging", "rename"])
+def test_write_error_exits_1_with_no_output(tmp_path, monkeypatch, capsys, where):
+    # the disk fills up on the run's second file
+    calls = []
+    if where == "staging":
+        def second_full(path, mode):
+            calls.append(path)
+            fh = open(path, mode)
+            return _FullDisk(fh) if len(calls) == 2 else fh
+
+        monkeypatch.setattr(cli, "open", second_full, raising=False)
+    else:
+        real_replace = os.replace
+
+        def second_full(src, dst):
+            calls.append(dst)
+            if len(calls) == 2:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), dst)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", second_full)
+    assert main(_si_args(str(tmp_path / "x.csv"), trials="10")) == 1
+    assert len(calls) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("fdsim: cannot write output: [Errno 28]")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [
