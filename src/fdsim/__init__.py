@@ -1,7 +1,7 @@
 """Residual self-interference statistics for full-duplex multi-user MIMO.
 
-Rician channel generation, zero-forcing beamforming, closed-form Gamma
-moment matching for the residual SI power gain, and Monte Carlo
+Rician channel generation, closed-form Gamma moment matching for the
+residual SI power gain under zero-forcing beamforming, and Monte Carlo
 validation of the closed forms.
 """
 

@@ -1,13 +1,14 @@
-"""Batched zero-forcing precoder/decoder construction.
+"""Reference zero-forcing precoder/decoder kernels for the tests.
 
 ZF beamformers are the normalised columns (rows) of the Moore-Penrose
 pseudo-inverse of the downlink (uplink) channel.  One batched kernel,
 ``zf_precoder_batch``, computes them all: the decoder is the precoder of
 the transposed channel.  Rank deficiency is reported as a boolean mask
 instead of an exception, so a caller can drop or redraw those channels.
-The Monte Carlo engine does not use these kernels: it samples the same
-ZF chain from the channels' triangular factors, and the tests use the
-kernels as its reference.
+The Monte Carlo engine in ``fdsim.mc`` does not use these kernels: it
+samples the same ZF chain from the channels' triangular factors, and the
+tests and the acceptance criteria check its laws against the full chain
+built with these kernels.
 """
 from __future__ import annotations
 

@@ -24,10 +24,11 @@ from fdsim import (
     si_pdf_siso,
     si_variance,
 )
-from fdsim.beamforming import zf_decoder_batch, zf_precoder_batch
 from fdsim.channel import RAYLEIGH, RngHandle, generate_batch
 from fdsim.cli import main as cli_main
 from scipy import integrate
+
+from beamforming import zf_decoder_batch, zf_precoder_batch
 
 SPEC = RicianSpec(0.5, 1.0)
 TRIALS = 1_000_000

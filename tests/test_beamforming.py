@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from fdsim import GammaParams, RicianSpec, RngHandle, gamma_cdf, ks_distance
-from fdsim.beamforming import zf_decoder_batch, zf_precoder_batch
 from fdsim.channel import RAYLEIGH, generate_batch
+
+from beamforming import zf_decoder_batch, zf_precoder_batch
 
 
 def _useful_gains_precoder(M, K, trials, seed):

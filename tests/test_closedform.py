@@ -21,8 +21,9 @@ from fdsim import (
     run_si_empirical,
     si_variance,
 )
-from fdsim.beamforming import zf_decoder_batch, zf_precoder_batch
 from fdsim.channel import RAYLEIGH, generate_batch
+
+from beamforming import zf_decoder_batch, zf_precoder_batch
 
 geoms = st.tuples(
     st.integers(1, 64), st.integers(1, 64), st.integers(1, 16)

@@ -23,8 +23,9 @@ from fdsim import (
     run_si_theoretical,
     run_sinr,
 )
-from fdsim.beamforming import zf_decoder_batch, zf_precoder_batch
 from fdsim.channel import RAYLEIGH, generate_batch
+
+from beamforming import zf_decoder_batch, zf_precoder_batch
 
 SPEC = RicianSpec(0.5, 1.0)
 
