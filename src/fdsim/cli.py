@@ -210,6 +210,11 @@ def _data_path(out: str, suffix: str, fmt: str) -> str:
     return f"{stem}_{suffix}{ext or '.' + fmt}"
 
 
+def _si_labels(merged: dict) -> list:
+    """The experiments an ``si`` run makes, in output order."""
+    return ["empirical", "theoretical"] if merged["mode"] == "both" else [merged["mode"]]
+
+
 def _out_error(command: str, merged: dict) -> str | None:
     """Why ``--out`` cannot name the output set of an ``si`` or ``sinr`` run."""
     out = merged["out"]
@@ -219,8 +224,8 @@ def _out_error(command: str, merged: dict) -> str | None:
     if command == "sinr":
         targets = [out]
     else:
-        labels = ["empirical", "theoretical"] if merged["mode"] == "both" else [merged["mode"]]
-        targets = [_data_path(out, label, merged["format"]) for label in labels + ["summary"]]
+        labels = _si_labels(merged) + ["summary"]
+        targets = [_data_path(out, label, merged["format"]) for label in labels]
     name_max = os.pathconf(directory, "PC_NAME_MAX")
     longest = max(len(os.fsencode(os.path.basename(t))) for t in targets)
     if 0 < name_max < longest:
@@ -239,11 +244,8 @@ def _closed_form(geom: SystemGeometry, spec: RicianSpec) -> list:
 
 def _cmd_si(merged: dict, cfg: ExperimentConfig, head: list, cf: list) -> dict:
     out, bins, fmt = merged["out"], merged["bins"], merged["format"]
-    runs = {}
-    if merged["mode"] in ("empirical", "both"):
-        runs["empirical"] = run_si_empirical(cfg, threads=merged["threads"])
-    if merged["mode"] in ("theoretical", "both"):
-        runs["theoretical"] = run_si_theoretical(cfg, threads=merged["threads"])
+    run = {"empirical": run_si_empirical, "theoretical": run_si_theoretical}
+    runs = {label: run[label](cfg, threads=merged["threads"]) for label in _si_labels(merged)}
     files = {}
     for label, report in runs.items():
         if bins is None:
