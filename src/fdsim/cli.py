@@ -298,16 +298,17 @@ def main(argv=None) -> int:
             files = _cmd_si(merged, cfg, head, _closed_form(geom, spec))
         else:
             files = _cmd_sinr(merged, cfg)
-        _atomic_write(files)
+        try:
+            _atomic_write(files)
+        except OSError as exc:  # staging or renaming, e.g. a full disk
+            print(f"fdsim: cannot write output: {exc}", file=sys.stderr)
+            return 1
         return 0
     except InvalidParameterError as exc:
         print(f"fdsim: invalid parameters: {exc}", file=sys.stderr)
         return 2
     except (FloatingPointError, ValueError) as exc:
         print(f"fdsim: numerical failure: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"fdsim: cannot write output: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:
         print("fdsim: interrupted", file=sys.stderr)
