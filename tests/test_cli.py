@@ -285,12 +285,12 @@ def test_staging_never_opens_an_existing_path(tmp_path, monkeypatch, planted):
 
 
 # sha256 of the raw-sample `fdsim si` files (`_si_args` without --bins), per format
-# (stream layout 7)
+# (stream layout 8)
 GOLDEN_SI_RAW_SHA256 = {
-    ("csv", "empirical"): "8c1677c8b547da9ab666415e431309f20acae6d7b2708604a379ea09347867d3",
+    ("csv", "empirical"): "d8161292b302e2bff143a344458aad6c3aa682cafd9d7ea3a62124a321b53253",
     ("csv", "theoretical"): "6f13ea6b0b17b081ea5d3e10efabe5495aecb721e045423735d43cbeb02f05e3",
     ("csv", "summary"): "f481f8a7fb211bb2aca9f4e759aad85746c1bfceebc46ba1122125418e38e68b",
-    ("jsonl", "empirical"): "83299a460153bca3e75fbb597b48f51782cc848f89098eb0949822ab844bf9d1",
+    ("jsonl", "empirical"): "2bc62bfecad4eba40f8ba3d4a3182e6f281699686ca2caa855b4732e1e187c09",
     ("jsonl", "theoretical"): "832fff9f6888e7d3364f0f2d735a9be8d359e59bc7d20086a60845ec511b9383",
     ("jsonl", "summary"): "8d6aaec48f0dc8ecfbb7cedeb337a6dd623d3ddfc9025d059107197f2dc63daf",
 }

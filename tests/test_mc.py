@@ -277,20 +277,24 @@ def test_normals_per_trial(monkeypatch):
 
 
 @pytest.mark.parametrize("K", range(1, 9))
-def test_bartlett_inverse_matches_lapack(K):
-    # layout 7: forward substitution on the packed draws; the reference forms
-    # T from the same substream's draws and inverts it with LAPACK
+def test_zf_factor_matches_lapack(K):
+    # forward substitution on the packed draws; the reference forms T from the
+    # same substream's draws, inverts it with LAPACK and scales its columns
     n = 2000
     for M in (K, K + 3, 64):
-        X = mc._bartlett_inv(n, K, M, RngHandle(80, M).generator())
+        R, d2 = mc._zf(n, K, M, RngHandle(80, M).generator())
         gen = RngHandle(80, M).generator()
         T = np.zeros((n, K, K), dtype=complex)
         rows, cols = np.tril_indices(K, -1)
         T[:, rows, cols] = generate_batch(n, 1, rows.size, RAYLEIGH, gen)[:, 0]
         T[:, range(K), range(K)] = np.sqrt(gen.gamma(np.arange(M, M - K, -1), size=(n, K)))
-        ref = np.linalg.inv(T)
-        err = np.linalg.norm(X - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
+        inv = np.linalg.inv(T)
+        norms = np.linalg.norm(inv, axis=1)  # ||T^-1 e_k||
+        ref = inv / norms[:, None, :]
+        err = np.linalg.norm(R - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
         assert err.max() <= 1e-12, (K, M, err.max())
+        d2_err = np.abs(d2 * norms**2 - 1)
+        assert d2_err.max() <= 1e-12, (K, M, d2_err.max())
 
 
 def test_engine_makes_no_lapack_call(monkeypatch):
