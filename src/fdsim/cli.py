@@ -52,10 +52,33 @@ MOMENT_COLUMNS = ["M", "N", "K", "mu", "nu", "m1", "m2", "var", "kappa", "theta"
 
 SINR_COLUMNS = ["trial", "k", "useful", "mui", "ici", "cmi", "si", "noise", "sinr"]
 
-_DEFAULTS = dict(
-    M=16, N=8, K=1, L=1, trials=100000, noise=1.0, mode="empirical",
-    direction="downlink", format="csv", threads=1,
-)
+_COMMANDS = {
+    "si": "residual SI distribution experiment",
+    "moments": "closed-form moments and Gamma parameters",
+    "sinr": "multi-cell SINR term sampling",
+}
+
+# setting -> (the subcommands that take it, its add_argument keywords, its default)
+_MODEL, _RUN = ("si", "moments", "sinr"), ("si", "sinr")
+_SETTINGS = {
+    "M": (_MODEL, dict(type=int, help="transmit antennas at the FD node"), 16),
+    "N": (_MODEL, dict(type=int, help="receive antennas at the FD node"), 8),
+    "K": (_MODEL, dict(type=int, help="number of FD radios / streams"), 1),
+    "mu": (_MODEL, dict(type=float, help="SI channel complex-Gaussian mean"), None),
+    "nu": (_MODEL, dict(type=float, help="SI channel std (sqrt of total variance)"), None),
+    "varpi": (_MODEL, dict(type=float, help="Rician factor (alternative to --mu/--nu)"), None),
+    "omega": (_MODEL, dict(type=float, help="fading attenuation (with --varpi)"), None),
+    "format": (_MODEL, dict(choices=["csv", "jsonl"], help="output format (default csv)"), "csv"),
+    "trials": (_RUN, dict(type=int, help="Monte Carlo trial count"), 100000),
+    "seed": (_RUN, dict(type=int, help="RNG seed (fallback: FDSIM_SEED, then 0)"), None),
+    "out": (_RUN, dict(help="output file path"), None),
+    "threads": (_RUN, dict(type=int, help="worker thread cap, >= 1 (default 1)"), 1),
+    "bins": (("si",), dict(type=int, help="histogram bin count; omit to emit raw samples"), None),
+    "mode": (("si",), dict(choices=["empirical", "theoretical", "both"]), "empirical"),
+    "L": (("sinr",), dict(type=int, help="number of cells (default 1)"), 1),
+    "noise": (("sinr",), dict(type=float, help="noise power (default 1.0)"), 1.0),
+    "direction": (("sinr",), dict(choices=["downlink", "uplink"]), "downlink"),
+}
 
 
 def _table(header, columns, fmt: str):
@@ -94,70 +117,33 @@ def _atomic_write(files: dict) -> None:
         raise
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--M", type=int, help="transmit antennas at the FD node")
-    p.add_argument("--N", type=int, help="receive antennas at the FD node")
-    p.add_argument("--K", type=int, help="number of FD radios / streams")
-    p.add_argument("--mu", type=float, help="SI channel complex-Gaussian mean")
-    p.add_argument("--nu", type=float, help="SI channel std (sqrt of total variance)")
-    p.add_argument("--varpi", type=float, help="Rician factor (alternative to --mu/--nu)")
-    p.add_argument("--omega", type=float, help="fading attenuation (with --varpi)")
-    p.add_argument("--format", choices=["csv", "jsonl"], help="output format (default csv)")
-    p.add_argument("--config", help="JSON file with flag defaults; flags override")
-
-
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--trials", type=int, help="Monte Carlo trial count")
-    p.add_argument("--seed", type=int, help="RNG seed (fallback: FDSIM_SEED, then 0)")
-    p.add_argument("--out", help="output file path")
-    p.add_argument("--threads", type=int, help="worker thread cap, >= 1 (default 1)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="fdsim", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
-
-    p_si = sub.add_parser("si", help="residual SI distribution experiment")
-    _add_model_flags(p_si)
-    _add_run_flags(p_si)
-    p_si.add_argument("--bins", type=int, help="histogram bin count; omit to emit raw samples")
-    p_si.add_argument("--mode", choices=["empirical", "theoretical", "both"])
-
-    p_mom = sub.add_parser("moments", help="closed-form moments and Gamma parameters")
-    _add_model_flags(p_mom)
-
-    p_sinr = sub.add_parser("sinr", help="multi-cell SINR term sampling")
-    _add_model_flags(p_sinr)
-    _add_run_flags(p_sinr)
-    p_sinr.add_argument("--L", type=int, help="number of cells (default 1)")
-    p_sinr.add_argument("--noise", type=float, help="noise power (default 1.0)")
-    p_sinr.add_argument("--direction", choices=["downlink", "uplink"])
-
+    for command, help_text in _COMMANDS.items():
+        p_cmd = sub.add_parser(command, help=help_text)
+        for name, (commands, kwargs, _) in _SETTINGS.items():
+            if command in commands:
+                p_cmd.add_argument(f"--{name}", **kwargs)
+        p_cmd.add_argument("--config", help="JSON file with flag defaults; flags override")
     return p
 
 
 def _merge_config(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
     """Resolve flag > config file > default (FDSIM_SEED for the seed) per setting.
 
-    Config-file and FDSIM_SEED values go through the flag's own ``type``
-    and ``choices``; the setting names are the flags of every subcommand.
-    The result holds only the settings of the running subcommand: config
-    values for the other flags are type-checked, then dropped.
+    Config-file and FDSIM_SEED values go through the setting's ``type``
+    and ``choices``; the setting names are the keys of ``_SETTINGS``.  The
+    result holds only the settings of the running subcommand: config
+    values for the other settings are type-checked, then dropped.
     """
-    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    actions = {
-        a.dest: a for p in sub.choices.values() for a in p._actions
-        if a.option_strings and a.dest not in ("help", "config")
-    }
-    own = {a.dest for a in sub.choices[ns.command]._actions} & actions.keys()
-
     def typed(key, val, source):
-        action = actions[key]
+        kwargs = _SETTINGS[key][1]
         try:
             if isinstance(val, (bool, list, dict)):
                 raise TypeError
-            val = (action.type or str)(str(val))
-            if action.choices is not None and val not in action.choices:
+            val = kwargs.get("type", str)(str(val))
+            if "choices" in kwargs and val not in kwargs["choices"]:
                 raise ValueError
         except (TypeError, ValueError):
             parser.error(f"{source}: invalid --{key} value: {val!r}")
@@ -173,14 +159,16 @@ def _merge_config(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> di
             parser.error(f"cannot read {source}: {exc}")
         if not isinstance(file_vals, dict):
             parser.error(f"{source}: expected a JSON object")
-        unknown = set(file_vals) - set(actions)
+        unknown = set(file_vals) - set(_SETTINGS)
         if unknown:
             parser.error(f"unknown keys in --config: {sorted(unknown)}")
         file_vals = {k: typed(k, v, source) for k, v in file_vals.items() if v is not None}
 
-    flags = {k: getattr(ns, k) for k in own if getattr(ns, k) is not None}
-    vals = {**_DEFAULTS, **file_vals, **flags}
-    merged = {k: vals.get(k) for k in own}
+    merged = {}
+    for k, (commands, _, default) in _SETTINGS.items():
+        if ns.command in commands:
+            flag = getattr(ns, k)
+            merged[k] = flag if flag is not None else file_vals.get(k, default)
 
     mu_given = merged["mu"] is not None or merged["nu"] is not None
     factor_given = merged["varpi"] is not None or merged["omega"] is not None
@@ -221,6 +209,8 @@ def _out_error(command: str, merged: dict) -> str | None:
     directory = os.path.dirname(os.path.abspath(out)) if out else ""
     if not out or out.endswith(os.sep) or os.path.isdir(out) or not os.path.isdir(directory):
         return "--out must name a file in an existing directory"
+    if not os.access(directory, os.W_OK | os.X_OK):
+        return "--out must name a file in a directory this process can write to"
     if command == "sinr":
         targets = [out]
     else:

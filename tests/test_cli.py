@@ -2,6 +2,7 @@ import errno
 import hashlib
 import json
 import os
+import re
 import stat
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 import fdsim.cli as cli
 from fdsim.cli import SINR_COLUMNS, _table, main
-from fdsim.mc import BLOCK_SIZE
+from fdsim.mc import BLOCK_SIZE, Direction
 
 GOLDEN_SUMMARY = (
     "M,N,K,mu,nu,trials,seed,emp_m1,emp_m2,emp_var,cf_m1,cf_m2,cf_var,kappa,theta,ks\n"
@@ -470,6 +471,29 @@ def test_out_name_over_name_max_exits_2(tmp_path, monkeypatch, capsys, no_monte_
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["si", "sinr"])
+def test_out_in_a_directory_the_process_cannot_write_exits_2(tmp_path, monkeypatch, capsys,
+                                                            no_monte_carlo, command):
+    monkeypatch.setattr(os, "access", lambda path, mode: False)
+    assert _exit_code([command, "--trials", "10", "--out", str(tmp_path / "run.csv")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"fdsim {command}: --out must name a file in a directory this process can write to"
+    ]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root bypasses the directory's mode bits")
+def test_out_in_a_read_only_directory_exits_2(tmp_path, capsys, no_monte_carlo):
+    locked = tmp_path / "locked"
+    locked.mkdir(mode=0o500)
+    try:
+        assert _exit_code(["sinr", "--trials", "10", "--out", str(locked / "run.csv")]) == 2
+    finally:
+        locked.chmod(0o700)
+    assert "can write to" in capsys.readouterr().err
+    assert list(locked.iterdir()) == []
+
+
 def test_out_name_at_name_max_is_written(tmp_path):
     out = tmp_path / ("a" * (os.pathconf(tmp_path, "PC_NAME_MAX") - 4) + ".csv")
     assert main(["sinr", "--trials", "10", "--out", str(out)]) == 0
@@ -609,3 +633,75 @@ def test_si_ignores_the_cell_count_in_a_config(tmp_path, monkeypatch):
     out = str(tmp_path / "run.csv")
     assert main(_si_args(out) + ["--config", str(cfg)]) == 0
     assert (tmp_path / "run_summary.csv").read_text() == GOLDEN_SUMMARY
+
+
+# `fdsim moments` with no flags: every model setting at its default
+GOLDEN_MOMENTS_DEFAULTS = "M,N,K,mu,nu,m1,m2,var,kappa,theta\n16,8,1,0.0,1.0,1.0,2.0,1.0,1.0,1.0\n"
+
+
+def test_moments_defaults_golden_stdout(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["moments"]) == 0
+    assert capsys.readouterr().out == GOLDEN_MOMENTS_DEFAULTS
+
+
+class _Resolved(Exception):
+    pass
+
+
+@pytest.mark.parametrize("env_seed, seed", [(None, 0), ("7", 7)])
+@pytest.mark.parametrize("command", ["si", "sinr"])
+def test_defaults_and_ownership_of_the_resolved_settings(tmp_path, monkeypatch, command,
+                                                         env_seed, seed):
+    # with only --out given, each setting of the subcommand takes its default
+    if env_seed is None:
+        monkeypatch.delenv("FDSIM_SEED", raising=False)
+    else:
+        monkeypatch.setenv("FDSIM_SEED", env_seed)
+    resolved, runs = [], []
+    real_merge = cli._merge_config
+
+    def merge(ns, parser):
+        resolved.append(real_merge(ns, parser))
+        return resolved[-1]
+
+    def runner(name):
+        def run(cfg, threads):
+            runs.append((name, cfg, threads))
+            raise _Resolved
+        return run
+
+    monkeypatch.setattr(cli, "_merge_config", merge)
+    for name in ("run_si_empirical", "run_si_theoretical", "run_sinr"):
+        monkeypatch.setattr(cli, name, runner(name))
+    out = str(tmp_path / "run.csv")
+    with pytest.raises(_Resolved):
+        main([command, "--out", out])
+    expected = dict(M=16, N=8, K=1, mu=None, nu=None, varpi=None, omega=None,
+                    format="csv", trials=100000, seed=seed, out=out, threads=1)
+    if command == "si":
+        expected.update(bins=None, mode="empirical")
+    else:
+        expected.update(L=1, noise=1.0, direction="downlink")
+    assert resolved == [expected]
+    ((name, cfg, threads),) = runs
+    assert name == ("run_si_empirical" if command == "si" else "run_sinr")
+    assert (cfg.geom.L, cfg.geom.K, cfg.geom.M, cfg.geom.N) == (1, 1, 16, 8)
+    assert (cfg.si_spec.mu, cfg.si_spec.nu) == (0.0, 1.0)
+    assert (cfg.trials, cfg.seed, threads) == (100000, seed, 1)
+    assert (cfg.noise_power, cfg.direction) == (1.0, Direction.DOWNLINK)
+    assert list(tmp_path.iterdir()) == []
+
+
+MODEL_FLAGS = {"help", "M", "N", "K", "mu", "nu", "varpi", "omega", "format", "config"}
+RUN_FLAGS = {"trials", "seed", "out", "threads"}
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("si", MODEL_FLAGS | RUN_FLAGS | {"bins", "mode"}),
+    ("moments", MODEL_FLAGS),
+    ("sinr", MODEL_FLAGS | RUN_FLAGS | {"L", "noise", "direction"}),
+])
+def test_help_lists_exactly_the_subcommands_flags(capsys, command, flags):
+    assert _exit_code([command, "--help"]) == 0
+    assert set(re.findall(r"--(\w+)", capsys.readouterr().out)) == flags
