@@ -182,7 +182,8 @@ def _zf(n: int, K: int, M: int, gen: Generator) -> tuple[np.ndarray, np.ndarray]
         X[:, i, :i] = (row[:, None, :] @ X[:, :i, :i])[:, 0] * -diag_inv[:, i, None]
         X[:, i, i] = diag_inv[:, i]
     d2 = 1.0 / np.sum(_sq(X), axis=1)
-    return X * np.sqrt(d2)[:, None, :], d2
+    X *= np.sqrt(d2)[:, None, :]
+    return X, d2
 
 
 def _q(n: int, K: int, M: int, gen: Generator) -> np.ndarray:

@@ -277,7 +277,7 @@ def test_normals_per_trial(monkeypatch):
 
 
 @pytest.mark.parametrize("K", range(1, 9))
-def test_zf_factor_matches_lapack(K):
+def test_bartlett_inverse_matches_lapack(K):
     # forward substitution on the packed draws; the reference forms T from the
     # same substream's draws, inverts it with LAPACK and scales its columns
     n = 2000
