@@ -15,7 +15,8 @@ triangular with ``T_ii^2 ~ Gamma(M - i + 1)`` and ``CN(0, 1)`` entries
 below the diagonal, and Q (orthonormal rows) is Haar distributed and
 independent of T.  The link has full rank and ``T_ii > 0`` almost surely,
 so its ZF precoder ``V = Q^H R`` with ``R = T^-1 D`` and
-``D = diag(1 / ||T^-1 e_k||)`` always exists, and ``T Q V = D``.  ``_zf``
+``D = diag(1 / ||T^-1 e_k||)`` exists, with no draw conditioned away, and
+``T Q V = D``.  ``_zf``
 draws the K(K - 1)/2 below-diagonal entries row by row (one
 ``generate_batch``), then the K diagonal variates Gamma(M), ...,
 Gamma(M - K + 1), and returns R and D^2.  It inverts T by forward
