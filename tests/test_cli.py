@@ -639,8 +639,7 @@ def test_si_ignores_the_cell_count_in_a_config(tmp_path, monkeypatch):
 GOLDEN_MOMENTS_DEFAULTS = "M,N,K,mu,nu,m1,m2,var,kappa,theta\n16,8,1,0.0,1.0,1.0,2.0,1.0,1.0,1.0\n"
 
 
-def test_moments_defaults_golden_stdout(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
+def test_moments_defaults_golden_stdout(capsys):
     assert main(["moments"]) == 0
     assert capsys.readouterr().out == GOLDEN_MOMENTS_DEFAULTS
 
