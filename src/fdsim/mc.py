@@ -1,6 +1,6 @@
 """Monte Carlo engine: residual SI experiments and SINR term sampling.
 
-Stream layout 8, stated in full; CHANGES.md records the earlier layouts.
+Stream layout 9, stated in full; CHANGES.md records the earlier layouts.
 
 Blocks.  A run is cut into blocks of ``BLOCK_SIZE = 4096`` trials: block b
 holds trials ``[b * BLOCK_SIZE, (b + 1) * BLOCK_SIZE)`` and the last block
@@ -16,34 +16,35 @@ below the diagonal, and Q (orthonormal rows) is Haar distributed and
 independent of T.  The link has full rank and ``T_ii > 0`` almost surely,
 so its ZF precoder ``V = Q^H R`` with ``R = T^-1 D`` and
 ``D = diag(1 / ||T^-1 e_k||)`` exists, with no draw conditioned away, and
-``T Q V = D``.  ``_zf``
-draws the K(K - 1)/2 below-diagonal entries row by row (one
-``generate_batch``), then the K diagonal variates Gamma(M), ...,
+``T Q V = D``.  ``_zf`` draws the K(K - 1)/2 below-diagonal entries row by
+row (one ``generate_batch``), then the K diagonal variates Gamma(M), ...,
 Gamma(M - K + 1), and returns R and D^2.  It inverts T by forward
 substitution over the rows, with no LAPACK call and without forming T:
 row i of ``X = T^-1`` is ``X[i, :i] = -(T[i, :i] @ X[:i, :i]) / T_ii`` and
 ``X[i, i] = 1 / T_ii``, where ``T[i, :i]`` is the packed slice
-``[i(i-1)/2, i(i+1)/2)``.  ``q = Q 1`` of the link whose T was just drawn
-(``_q``) is ``sqrt(M) g / sqrt(||g||^2 + s)``, sqrt(M) times the first K
-entries of a uniform unit vector of C^M, with ``g ~ CN(0, I_K)`` (one
-``generate_batch``) and then ``s ~ Gamma(M - K)`` (0 at M = K).
+``[i(i-1)/2, i(i+1)/2)``.
 
-SI (``run_si_empirical``).  The gain ``||w_1^T H_si V||^2`` under ZF
-beamformers from Rayleigh H_down (K x M) and H_up (N x K), with
-``H_si = mu 1 1^T + nu Z``, has exactly the law of
-``||(mu a q + nu z) R||^2``:
+Unit vectors (``_q``).  ``_q(K, M)`` is sqrt(M) times the first K entries
+of a uniform unit vector of C^M, ``sqrt(M) g / sqrt(||g||^2 + s)``, with
+``g ~ CN(0, I_K)`` (one ``generate_batch``) and then ``s ~ Gamma(M - K)``
+(0 at M = K).  Q is Haar, so ``q = Q 1`` of a K x M link is ``_q(K, M)``;
+a ZF decoder row w_1 of a Rayleigh N x K H_up is uniform on the unit
+sphere of C^N, so ``w_1^T 1`` is ``_q(1, N)``, phase included.  Both are
+circular, so their conjugates stand in for them.
 
-- given (w_1, Q), ``w_1^T Z Q^H`` is a ``CN(0, I_K)`` z, since w_1 has
-  unit norm and Q^H orthonormal columns;
-- ``1^T Q^H`` is the conjugate of q, which is circular, so q stands in;
-- H_up is unitarily invariant, so the decoder row w_1 is uniform on the
-  unit sphere of C^N and independent of H_down:
-  ``a^2 = |w_1^T 1|^2 = N Beta(1, N - 1)`` (a = 1 at N = 1), and the
-  circular z absorbs the phase of ``w_1^T 1``.
+SI links (``_si_link``).  Each SI term sees ``H_si = mu 1 1^T + nu Z``
+between a receive-side factor with orthonormal rows and a transmit-side
+one with orthonormal columns, both independent of Z; their products with
+1 are q_rx and q_tx, and Z between them is again ``CN(0, 1)`` entrywise.
+So the term's link is ``mu q_rx q_tx^T + nu Z``: ``_si_link`` draws Z
+(one ``generate_batch``, spread nu), then adds the mean in place.
 
-Each block draws ``_zf`` of H_down (K, M), then q (g, s), then the
-Beta(1, N - 1) variate of a when N > 1, then z (one ``generate_batch``).
-``run_si_theoretical`` draws one Gamma(kappa, theta) variate per trial.
+- ``si`` (``run_si_empirical``): ``||w_1^T H_si V||^2`` under ZF
+  beamformers from Rayleigh H_down (K x M) and H_up (N x K) is
+  ``||X R||^2``, X the 1 x K link of q_rx = ``w_1^T 1`` and q_tx = q; a
+  block draws ``_zf`` of H_down (K, M), q, ``w_1^T 1``, then Z;
+- uplink: ``W H_si V_own`` is ``L_A X R_own``, X the K x K link of q', q;
+- downlink: each radio's own SI is a 1 x 1 link of ones, no beamformer.
 
 SINR (``run_sinr``).  Every beamformer comes from the Bartlett factors of
 the Rayleigh channel it is computed from: a cell's downlink ``T Q`` gives
@@ -52,33 +53,30 @@ the Rayleigh channel it is computed from: a cell's downlink ``T Q`` gives
 ``L_A = R'^T``.  So ``useful`` is exactly D^2 (downlink) or D'^2 (uplink)
 and ``mui`` is 0.  Every other link is independent of the beamformers
 around it, and Q^H, Q'^* are Haar and independent of the triangular
-factors, so, with ``Z[r x c]`` one ``generate_batch`` of a Rayleigh stack:
-
-- a Rayleigh H seen as ``H V_j`` is ``Z[K x K] R_j``; as ``W H`` (N x c)
-  it is ``L_A Z[K x c]``; as ``W H V_j`` it is ``L_A Z[K x K] R_j``;
-- ``W H_si V_own`` is ``L_A (mu q' q^T + nu Z[K x K]) R_own``, with q' and
-  q the ``_q`` of T' and T_own (circular, so the conjugates drop);
-- the noise ``W eta`` is ``sqrt(noise_power) L_A z[K x 1]``.
-
-Each block draws, in this order:
+factors, so, with ``Z[r x c]`` one ``generate_batch`` of a Rayleigh stack,
+a Rayleigh H seen as ``H V_j`` is ``Z[K x K] R_j``; as ``W H`` (N x c) it
+is ``L_A Z[K x c]``; as ``W H V_j`` it is ``L_A Z[K x K] R_j``; and the
+noise ``W eta`` is ``sqrt(noise_power) L_A z[K x 1]``.  Each block draws,
+in this order:
 
 - downlink: ``_zf`` of T_own; per other cell, ``_zf`` of T_j then
-  Z[K x K]; the cross-mode scalars Z[K x (LK - 1)]; the SI scalars
-  (K x 1, Rician); the noise z[K x 1];
-- uplink: ``_zf`` of T' (K, N) and q'; ``_zf`` of T_own and q; Z[K x K]
-  of W H_si V_own (spread nu); Z[K x K(L - 1)] of W H_x; per other cell,
-  ``_zf`` of T_j then Z[K x K]; the noise z[K x 1].
+  Z[K x K]; the cross-mode scalars Z[K x (LK - 1)]; the SI link (K x 1);
+  the noise z[K x 1];
+- uplink: ``_zf`` of T' (K, N) and q'; ``_zf`` of T_own and q; the SI
+  link (K x K); Z[K x K(L - 1)] of W H_x; per other cell, ``_zf`` of T_j
+  then Z[K x K]; the noise z[K x 1].
 
 Both directions draw the noise at unit power, also at ``noise_power`` 0,
 and multiply its power gain by ``noise_power``.
 
 Counts per trial (real normals; each ``CN`` entry is two).  ``si``:
-K(K - 1) + 4K normals, K + 1 Gamma and at most one Beta variate, one
-K x K substitution.  Downlink: L K(K - 1) + 2K^2 (L - 1) + 2K (LK - 1)
-+ 4K normals, L K Gamma variates, L substitutions.  Uplink:
-(L + 1) K(K - 1) + 6K + 2K^2 (2L - 1) normals (42 at L = K = 2),
-(L + 1) K + 2 Gamma variates, L + 1 substitutions.  None depends on M or
-N.  The tests keep the full chain, ZF kernels included, as the reference.
+K(K - 1) + 4K + 2 normals, K + 2 Gamma variates and no Beta variate, one
+K x K substitution; ``run_si_theoretical``: one Gamma(kappa, theta)
+variate and no normal.  Downlink: L K(K - 1) + 2K^2 (L - 1) + 2K (LK - 1)
++ 4K normals, L K Gamma variates, L substitutions.  Uplink: (L + 1)
+K(K - 1) + 6K + 2K^2 (2L - 1) normals (42 at L = K = 2), (L + 1) K + 2
+Gamma variates, L + 1 substitutions.  None depends on M or N.  The tests
+keep the full chain, ZF kernels included, as the reference.
 """
 from __future__ import annotations
 
@@ -188,10 +186,18 @@ def _zf(n: int, K: int, M: int, gen: Generator) -> tuple[np.ndarray, np.ndarray]
 
 
 def _q(n: int, K: int, M: int, gen: Generator) -> np.ndarray:
-    """``q = Q 1`` of the links whose T was just drawn; Q itself is never formed."""
+    """sqrt(M) times the first K entries of ``n`` uniform unit vectors of C^M."""
     g = generate_batch(n, 1, K, RAYLEIGH, gen)[:, 0]
     s = gen.gamma(M - K, size=n)
     return math.sqrt(M) * g / np.sqrt(np.sum(_sq(g), axis=1) + s)[:, None]
+
+
+def _si_link(n: int, q_rx: np.ndarray, q_tx: np.ndarray, spec: RicianSpec,
+             gen: Generator) -> np.ndarray:
+    """``n`` SI links ``mu q_rx q_tx^T + nu Z`` seen through the beamformers."""
+    X = generate_batch(n, q_rx.shape[1], q_tx.shape[1], RicianSpec(0.0, spec.nu), gen)
+    X += spec.mu * q_rx[:, :, None] * q_tx[:, None, :]
+    return X
 
 
 def _si_gains_block(cfg: ExperimentConfig, n: int, gen: Generator) -> np.ndarray:
@@ -199,11 +205,8 @@ def _si_gains_block(cfg: ExperimentConfig, n: int, gen: Generator) -> np.ndarray
     K, M, N = cfg.geom.K, cfg.geom.M, cfg.geom.N
     R, _ = _zf(n, K, M, gen)  # H_down = T Q, V = Q^H R
     q = _q(n, K, M, gen)
-    # |w_1^T 1|; Beta(1, 0) is the point mass at 1, which numpy rejects
-    a = np.sqrt(N * gen.beta(1, N - 1, size=n)) if N > 1 else np.ones(n)
-    z = generate_batch(n, 1, K, RAYLEIGH, gen)[:, 0]  # w_1^T Z Q^H
-    r = cfg.si_spec.mu * a[:, None] * q + cfg.si_spec.nu * z
-    return np.sum(_sq((r[:, None, :] @ R)[:, 0]), axis=1)
+    X = _si_link(n, _q(n, 1, N, gen), q, cfg.si_spec, gen)  # w_1^T H_si Q^H
+    return np.sum(_sq(X @ R), axis=(1, 2))
 
 
 def _gamma_block(cfg: ExperimentConfig, n: int, gen: Generator) -> np.ndarray:
@@ -257,7 +260,7 @@ def _sinr_block_downlink(cfg: ExperimentConfig, n: int, gen: Generator) -> dict:
     # Cross-mode: one Rayleigh scalar per FD radio in every cell except self.
     cmi = _sq(generate_batch(n, K, L * K - 1, RAYLEIGH, gen)).sum(axis=2)
 
-    si = _sq(generate_batch(n, K, 1, cfg.si_spec, gen))[:, :, 0]
+    si = _sq(_si_link(n, np.ones((n, K)), np.ones((n, 1)), cfg.si_spec, gen))[:, :, 0]
     noise = cfg.noise_power * _sq(generate_batch(n, K, 1, RAYLEIGH, gen))[:, :, 0]
 
     return _terms(useful, ici, cmi, si, noise)
@@ -270,10 +273,7 @@ def _sinr_block_uplink(cfg: ExperimentConfig, n: int, gen: Generator) -> dict:
     L_A = R_up.swapaxes(-1, -2)  # W = L_A Q'^*
     R_own, _ = _zf(n, K, M, gen)  # own cell's downlink, fixes V
     q_own = _q(n, K, M, gen)
-    mu, nu = cfg.si_spec.mu, cfg.si_spec.nu
-    X = generate_batch(n, K, K, RicianSpec(0.0, nu), gen)
-    X += mu * q_up[:, :, None] * q_own[:, None, :]
-    si = _sq(L_A @ X @ R_own).sum(axis=2)  # W H_si V_own
+    si = _sq(L_A @ _si_link(n, q_up, q_own, cfg.si_spec, gen) @ R_own).sum(axis=2)  # W H_si V_own
 
     # Inter-cell: uplink transmissions of FD radios in other cells; own-cell
     # radios already enter through the multi-user term.

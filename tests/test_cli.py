@@ -14,19 +14,19 @@ from fdsim.mc import BLOCK_SIZE, Direction
 
 GOLDEN_SUMMARY = (
     "M,N,K,mu,nu,trials,seed,emp_m1,emp_m2,emp_var,cf_m1,cf_m2,cf_var,kappa,theta,ks\n"
-    "4,4,2,0.5,1.0,200,123,2.4932983021161332,10.252168565650024,4.035632142314831,"
-    "2.5,10.27,4.02,1.554726368159204,1.6079999999999999,0.06369169096633148\n"
+    "4,4,2,0.5,1.0,200,123,2.4513811906969694,10.213614406248603,4.204344664145712,"
+    "2.5,10.27,4.02,1.554726368159204,1.6079999999999999,0.06234333620264709\n"
     "4,4,2,0.5,1.0,200,123,2.2835662387063165,8.478914500093,3.264239733533686,"
     "2.5,10.27,4.02,1.554726368159204,1.6079999999999999,0.08633245687126134\n"
 )
 
 GOLDEN_EMPIRICAL = (
     "bin_left,count\n"
-    "0.0,144\n"
-    "3.063406248947083,47\n"
-    "6.126812497894166,7\n"
-    "9.19021874684125,0\n"
-    "12.253624995788332,2\n"
+    "0.0,112\n"
+    "2.200240110177345,61\n"
+    "4.40048022035469,16\n"
+    "6.6007203305320346,6\n"
+    "8.80096044070938,5\n"
 )
 
 
@@ -286,14 +286,14 @@ def test_staging_never_opens_an_existing_path(tmp_path, monkeypatch, planted):
 
 
 # sha256 of the raw-sample `fdsim si` files (`_si_args` without --bins), per format
-# (stream layout 8)
+# (stream layout 9)
 GOLDEN_SI_RAW_SHA256 = {
-    ("csv", "empirical"): "d8161292b302e2bff143a344458aad6c3aa682cafd9d7ea3a62124a321b53253",
+    ("csv", "empirical"): "859858233141171291720a6b8d5c473c1974a06fba60d684cfde1ed77f5478b5",
     ("csv", "theoretical"): "6f13ea6b0b17b081ea5d3e10efabe5495aecb721e045423735d43cbeb02f05e3",
-    ("csv", "summary"): "f481f8a7fb211bb2aca9f4e759aad85746c1bfceebc46ba1122125418e38e68b",
-    ("jsonl", "empirical"): "2bc62bfecad4eba40f8ba3d4a3182e6f281699686ca2caa855b4732e1e187c09",
+    ("csv", "summary"): "254759770c357df9915c44fa3fe21416427f5014e79f48968dc0d074f9ce57fd",
+    ("jsonl", "empirical"): "35319e8a4dff8a5456bbec2854f6106d6fc75e9875c1d4044e66318a6ad44006",
     ("jsonl", "theoretical"): "832fff9f6888e7d3364f0f2d735a9be8d359e59bc7d20086a60845ec511b9383",
-    ("jsonl", "summary"): "8d6aaec48f0dc8ecfbb7cedeb337a6dd623d3ddfc9025d059107197f2dc63daf",
+    ("jsonl", "summary"): "c873bfc1f2e43787ef843d697065cb64a6f558be9b0485432b4f50650afdff9f",
 }
 
 

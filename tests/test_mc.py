@@ -245,35 +245,52 @@ def test_engine_reaches_traced_names_through_module_globals(monkeypatch):
 
 
 def test_normals_per_trial(monkeypatch):
-    # a return to drawing channel matrices in run_si_empirical or run_sinr
-    # shows here
-    drawn = []
+    # every variate the engine draws, by kind: a return to drawing channel
+    # matrices shows here, and a Beta or any other new kind of variate fails
+    # on the proxy, which draws only normals and Gamma variates
+    drawn = {"normal": 0, "gamma": 0}
 
-    def counting(*args):
-        out = real(*args)
-        drawn.append(2 * out.size)
-        return out
+    def counted(kind, draw):
+        def call(*args, **kwargs):
+            out = draw(*args, **kwargs)
+            drawn[kind] += out.size
+            return out
+        return call
 
-    real = mc.generate_batch
-    monkeypatch.setattr(mc, "generate_batch", counting)
+    class Counting:
+        def __init__(self, gen):
+            self.normal = counted("normal", gen.normal)
+            self.gamma = counted("gamma", gen.gamma)
+
+    class CountingHandle(RngHandle):
+        def generator(self):
+            return Counting(super().generator())
+
+    def count(run, cfg):
+        drawn.update(normal=0, gamma=0)
+        run(cfg)
+        return drawn["normal"], drawn["gamma"]
+
+    monkeypatch.setattr(mc, "RngHandle", CountingHandle)
     K, M, N, T = 3, 16, 8, 1000
-    run_si_empirical(_cfg(K=K, M=M, N=N, trials=T))
-    assert sum(drawn) == T * (K * (K - 1) + 4 * K)  # layout 3: T, g and z
+    # layout 9: T, g and z, and g of w_1^T 1; the diagonal of T, s of q and of w_1^T 1
+    assert count(run_si_empirical, _cfg(K=K, M=M, N=N, trials=T)) == (
+        T * (K * (K - 1) + 4 * K + 2), T * (K + 2)
+    )
+    assert count(run_si_theoretical, _cfg(K=K, M=M, N=N, trials=T)) == (0, T)
     for L, K in [(2, 2), (3, 3), (1, 2)]:
-        drawn.clear()
-        run_sinr(_cfg(L=L, K=K, M=16, N=8, trials=T, direction=Direction.UPLINK))
         # layout 4 uplink: L + 1 Bartlett factors, g and g', Z for W H_si V_own,
-        # W H_x and each W H_cross V_j, z for W eta
+        # W H_x and each W H_cross V_j, z for W eta; the L + 1 diagonals, s and s'
         per_trial = (L + 1) * K * (K - 1) + 4 * K + 2 * K * K * (2 * L - 1) + 2 * K
-        assert sum(drawn) == T * per_trial
-        drawn.clear()
-        run_sinr(_cfg(L=L, K=K, M=16, N=8, trials=T, noise_power=0.0))
+        cfg = _cfg(L=L, K=K, M=16, N=8, trials=T, direction=Direction.UPLINK)
+        assert count(run_sinr, cfg) == (T * per_trial, T * ((L + 1) * K + 2))
         # layout 4 downlink: L Bartlett factors, Z for each H_cross V_j, the
         # cross-mode and SI scalars; layout 6: z for the noise, even at power 0
         per_trial = (
             L * K * (K - 1) + 2 * K * K * (L - 1) + 2 * K * (L * K - 1) + 2 * K + 2 * K
         )
-        assert sum(drawn) == T * per_trial
+        cfg = _cfg(L=L, K=K, M=16, N=8, trials=T, noise_power=0.0)
+        assert count(run_sinr, cfg) == (T * per_trial, T * L * K)
 
 
 @pytest.mark.parametrize("K", range(1, 9))
