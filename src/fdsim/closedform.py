@@ -81,7 +81,7 @@ class SystemGeometry:
     def __post_init__(self):
         for name in ("L", "K", "M", "N"):
             v = getattr(self, name)
-            if not (isinstance(v, int) and v >= 1):
+            if not (type(v) is int and v >= 1):  # a bool is no count
                 raise InvalidParameterError(f"{name} must be an integer >= 1, got {v!r}")
         if self.K > min(self.N, self.M):
             raise InvalidParameterError(

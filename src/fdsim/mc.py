@@ -120,9 +120,9 @@ class ExperimentConfig:
     direction: Direction = Direction.DOWNLINK
 
     def __post_init__(self):
-        if not (isinstance(self.trials, int) and self.trials >= 1):
-            raise InvalidParameterError(f"trials must be >= 1, got {self.trials!r}")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
+        if not (type(self.trials) is int and self.trials >= 1):  # a bool is no count
+            raise InvalidParameterError(f"trials must be an integer >= 1, got {self.trials!r}")
+        if not (type(self.seed) is int and 0 <= self.seed < 2**64):
             raise InvalidParameterError(
                 f"seed must be an integer in [0, 2**64), got {self.seed!r}"
             )

@@ -220,6 +220,12 @@ def test_geometry_validation():
         SystemGeometry(L=0, K=1, M=1, N=1)
     with pytest.raises(InvalidParameterError):
         SystemGeometry(L=1, K=2, M=1, N=4)
+    for name in ("L", "K", "M", "N"):
+        dims = dict(L=1, K=1, M=16, N=8)
+        for bad in (True, np.int64(2), 2.0):
+            dims[name] = bad
+            with pytest.raises(InvalidParameterError, match=f"{name} must be an integer"):
+                SystemGeometry(**dims)
 
 
 def _var_and_se(x):

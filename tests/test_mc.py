@@ -137,9 +137,12 @@ def test_config_validation():
         _cfg(trials=0)
     with pytest.raises(InvalidParameterError):
         _cfg(noise_power=-1.0)
-    for seed in (-1, 2**64, 1.0):
+    for seed in (-1, 2**64, 1.0, False, True):
         with pytest.raises(InvalidParameterError, match="seed"):
             _cfg(seed=seed)
+    for trials in (True, np.int64(1000), 10.0):
+        with pytest.raises(InvalidParameterError, match="trials must be an integer"):
+            _cfg(trials=trials)
 
 
 @pytest.mark.parametrize("direction", [Direction.DOWNLINK, Direction.UPLINK])
