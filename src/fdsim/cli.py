@@ -216,6 +216,9 @@ def _out_error(command: str, merged: dict) -> str | None:
     else:
         labels = _si_labels(merged) + ["summary"]
         targets = [_data_path(out, label, merged["format"]) for label in labels]
+    clash = next((t for t in targets if os.path.isdir(t)), None)
+    if clash:
+        return f"--out would write {clash}, which is a directory"
     name_max = os.pathconf(directory, "PC_NAME_MAX")
     longest = max(len(os.fsencode(os.path.basename(t))) for t in targets)
     if 0 < name_max < longest:

@@ -450,6 +450,23 @@ def test_out_naming_a_directory_exits_2(tmp_path, monkeypatch, capsys, no_monte_
     assert [p.name for p in tmp_path.rglob("*")] == ["sub"]
 
 
+@pytest.mark.parametrize("mode, target", [
+    ("empirical", "run_summary.csv"),
+    ("both", "run_theoretical.csv"),
+    ("theoretical", "run_theoretical.csv"),
+])
+def test_si_output_named_by_a_directory_exits_2(tmp_path, monkeypatch, capsys, no_monte_carlo,
+                                                mode, target):
+    # --out is a free name, but a file fdsim si derives from it is a directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / target).mkdir()
+    assert _exit_code(["si", "--mode", mode, "--trials", "10", "--out", "run.csv"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"fdsim si: --out would write {target}, which is a directory"
+    ]
+    assert [p.name for p in tmp_path.rglob("*")] == [target]
+
+
 @pytest.mark.parametrize("argv, extra", [
     # the --out name itself is one byte too long
     pytest.param(["sinr"], 1, id="sinr"),
