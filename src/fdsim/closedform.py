@@ -161,7 +161,7 @@ def gamma_special(
 
 def moment1(K: int, spec: RicianSpec) -> float:
     """Exact first moment of ||w^T H V||^2: K (mu^2 + nu^2)."""
-    if not (isinstance(K, int) and K >= 1):
+    if not (type(K) is int and K >= 1):  # a bool is no count
         raise InvalidParameterError(f"K must be an integer >= 1, got {K!r}")
     return K * (spec.mu**2 + spec.nu**2)
 

@@ -9,20 +9,20 @@ substream (seed, stream_id = b), each item below for all of its trials at
 once, so results are bitwise reproducible whatever the number of workers.
 No run draws a channel matrix or runs a ZF kernel, and nothing is redrawn.
 
-ZF factors (``_zf``).  A Rayleigh K x M link factors as ``T Q`` (the
-complex Bartlett decomposition; Goodman 1963; Edelman 1989): T is lower
-triangular with ``T_ii^2 ~ Gamma(M - i + 1)`` and ``CN(0, 1)`` entries
-below the diagonal, and Q (orthonormal rows) is Haar distributed and
-independent of T.  The link has full rank and ``T_ii > 0`` almost surely,
-so its ZF precoder ``V = Q^H R`` with ``R = T^-1 D`` and
-``D = diag(1 / ||T^-1 e_k||)`` exists, with no draw conditioned away, and
-``T Q V = D``.  ``_zf`` draws the K(K - 1)/2 below-diagonal entries row by
-row (one ``generate_batch``), then the K diagonal variates Gamma(M), ...,
-Gamma(M - K + 1), and returns R and D^2.  It inverts T by forward
-substitution over the rows, with no LAPACK call and without forming T:
-row i of ``X = T^-1`` is ``X[i, :i] = -(T[i, :i] @ X[:i, :i]) / T_ii`` and
-``X[i, i] = 1 / T_ii``, where ``T[i, :i]`` is the packed slice
-``[i(i-1)/2, i(i+1)/2)``.
+ZF factors (``_zf_draw``, ``_zf_solve``).  A Rayleigh K x M link factors
+as ``T Q`` (the complex Bartlett decomposition; Goodman 1963; Edelman
+1989): T is lower triangular with ``T_ii^2 ~ Gamma(M - i + 1)`` and
+``CN(0, 1)`` entries below the diagonal, and Q (orthonormal rows) is Haar
+distributed and independent of T.  The link has full rank and
+``T_ii > 0`` almost surely, so its ZF precoder ``V = Q^H R`` with
+``R = T^-1 D`` and ``D = diag(1 / ||T^-1 e_k||)`` exists, with no draw
+conditioned away, and ``T Q V = D``.  ``_zf_draw`` draws the K(K - 1)/2
+below-diagonal entries row by row (one ``generate_batch``), then the K
+diagonal variates Gamma(M), ..., Gamma(M - K + 1); ``_zf_solve`` returns
+R and D^2 from them.  It inverts T by forward substitution over the rows,
+with no LAPACK call and without forming T: row i of ``X = T^-1`` is
+``X[i, :i] = -(T[i, :i] @ X[:i, :i]) / T_ii`` and ``X[i, i] = 1 / T_ii``,
+where ``T[i, :i]`` is the packed slice ``[i(i-1)/2, i(i+1)/2)``.
 
 Unit vectors (``_q``).  ``_q(K, M)`` is sqrt(M) times the first K entries
 of a uniform unit vector of C^M, ``sqrt(M) g / sqrt(||g||^2 + s)``, with
@@ -42,7 +42,12 @@ So the term's link is ``mu q_rx q_tx^T + nu Z``: ``_si_link`` draws Z
 - ``si`` (``run_si_empirical``): ``||w_1^T H_si V||^2`` under ZF
   beamformers from Rayleigh H_down (K x M) and H_up (N x K) is
   ``||X R||^2``, X the 1 x K link of q_rx = ``w_1^T 1`` and q_tx = q; a
-  block draws ``_zf`` of H_down (K, M), q, ``w_1^T 1``, then Z;
+  block draws ``_zf_draw`` of H_down (K, M), q, ``w_1^T 1``, then Z, each
+  for the whole block, then runs ``_zf_solve`` and ``||X R||^2`` over
+  consecutive chunks of ``max(1, CHUNK_BYTES // (16 K^2))`` trials, so a
+  chunk's complex K x K R takes at most ``CHUNK_BYTES`` or one trial (a
+  block is one chunk at K <= 3).  Every trial's arithmetic is its own, so
+  no draw and no bit depends on the chunking;
 - uplink: ``W H_si V_own`` is ``L_A X R_own``, X the K x K link of q', q;
 - downlink: each radio's own SI is a 1 x 1 link of ones, no beamformer.
 
@@ -59,12 +64,12 @@ is ``L_A Z[K x c]``; as ``W H V_j`` it is ``L_A Z[K x K] R_j``; and the
 noise ``W eta`` is ``sqrt(noise_power) L_A z[K x 1]``.  Each block draws,
 in this order:
 
-- downlink: ``_zf`` of T_own; per other cell, ``_zf`` of T_j then
-  Z[K x K]; the cross-mode scalars Z[K x (LK - 1)]; the SI link (K x 1);
-  the noise z[K x 1];
-- uplink: ``_zf`` of T' (K, N) and q'; ``_zf`` of T_own and q; the SI
-  link (K x K); Z[K x K(L - 1)] of W H_x; per other cell, ``_zf`` of T_j
-  then Z[K x K]; the noise z[K x 1].
+- downlink: ``_zf_draw`` of T_own; per other cell, ``_zf_draw`` of T_j
+  then Z[K x K]; the cross-mode scalars Z[K x (LK - 1)]; the SI link
+  (K x 1); the noise z[K x 1];
+- uplink: ``_zf_draw`` of T' (K, N) and q'; ``_zf_draw`` of T_own and q;
+  the SI link (K x K); Z[K x K(L - 1)] of W H_x; per other cell,
+  ``_zf_draw`` of T_j then Z[K x K]; the noise z[K x 1].
 
 Both directions draw the noise at unit power, also at ``noise_power`` 0,
 and multiply its power gain by ``noise_power``.
@@ -103,6 +108,9 @@ __all__ = [
 ]
 
 BLOCK_SIZE = 1 << 12
+# the bytes of an `si` chunk's complex R (measured, ROADMAP); at least
+# BLOCK_SIZE * 16 * 3^2, so that a block is one chunk at K <= 3
+CHUNK_BYTES = 640 << 10
 
 
 class Direction(enum.Enum):
@@ -170,11 +178,18 @@ def _sq(z: np.ndarray) -> np.ndarray:
     return np.abs(z) ** 2
 
 
-def _zf(n: int, K: int, M: int, gen: Generator) -> tuple[np.ndarray, np.ndarray]:
-    """``R = T^-1 D`` and ``D^2`` of the ZF precoder ``Q^H R`` of ``n`` Rayleigh
-    K x M links ``T Q``; T^-1 by forward substitution, T never formed."""
+def _zf_draw(n: int, K: int, M: int, gen: Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The packed below-diagonal entries and ``1 / T_ii`` of the Bartlett factors T
+    of ``n`` Rayleigh K x M links ``T Q``."""
     below = generate_batch(n, 1, K * (K - 1) // 2, RAYLEIGH, gen)[:, 0]
     diag_inv = 1.0 / np.sqrt(gen.gamma(np.arange(M, M - K, -1), size=(n, K)))
+    return below, diag_inv
+
+
+def _zf_solve(below: np.ndarray, diag_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``R = T^-1 D`` and ``D^2`` of the ZF precoder ``Q^H R`` of ``_zf_draw``'s
+    links; T^-1 by forward substitution, T never formed."""
+    n, K = diag_inv.shape
     X = np.zeros((n, K, K), dtype=complex)
     for i in range(K):
         row = below[:, i * (i - 1) // 2:i * (i + 1) // 2]
@@ -203,10 +218,15 @@ def _si_link(n: int, q_rx: np.ndarray, q_tx: np.ndarray, spec: RicianSpec,
 def _si_gains_block(cfg: ExperimentConfig, n: int, gen: Generator) -> np.ndarray:
     """Uplink-side residual SI gains ||w_1^T H_si V||^2 for one block."""
     K, M, N = cfg.geom.K, cfg.geom.M, cfg.geom.N
-    R, _ = _zf(n, K, M, gen)  # H_down = T Q, V = Q^H R
+    below, diag_inv = _zf_draw(n, K, M, gen)  # H_down = T Q, V = Q^H R
     q = _q(n, K, M, gen)
     X = _si_link(n, _q(n, 1, N, gen), q, cfg.si_spec, gen)  # w_1^T H_si Q^H
-    return np.sum(_sq(X @ R), axis=(1, 2))
+    gains = np.empty(n)
+    step = max(1, CHUNK_BYTES // (16 * K * K))  # trials whose complex K x K R fit
+    for c in range(0, n, step):
+        t = slice(c, c + step)  # R dies with the statement: one chunk's R at a time
+        gains[t] = np.sum(_sq(X[t] @ _zf_solve(below[t], diag_inv[t])[0]), axis=(1, 2))
+    return gains
 
 
 def _gamma_block(cfg: ExperimentConfig, n: int, gen: Generator) -> np.ndarray:
@@ -250,11 +270,11 @@ def _terms(useful, ici, cmi, si, noise) -> dict:
 
 def _sinr_block_downlink(cfg: ExperimentConfig, n: int, gen: Generator) -> dict:
     L, K, M = cfg.geom.L, cfg.geom.K, cfg.geom.M
-    _, useful = _zf(n, K, M, gen)  # H_own V_own = D
+    _, useful = _zf_solve(*_zf_draw(n, K, M, gen))  # H_own V_own = D
 
     ici = np.zeros((n, K))
     for _ in range(L - 1):
-        R_j, _ = _zf(n, K, M, gen)  # other cell's own downlink
+        R_j, _ = _zf_solve(*_zf_draw(n, K, M, gen))  # other cell's own downlink
         ici += _sq(generate_batch(n, K, K, RAYLEIGH, gen) @ R_j).sum(axis=2)  # H_cross V_j
 
     # Cross-mode: one Rayleigh scalar per FD radio in every cell except self.
@@ -268,10 +288,10 @@ def _sinr_block_downlink(cfg: ExperimentConfig, n: int, gen: Generator) -> dict:
 
 def _sinr_block_uplink(cfg: ExperimentConfig, n: int, gen: Generator) -> dict:
     L, K, M, N = cfg.geom.L, cfg.geom.K, cfg.geom.M, cfg.geom.N
-    R_up, useful = _zf(n, K, N, gen)  # H_up^T = T' Q', W H_up = D'
+    R_up, useful = _zf_solve(*_zf_draw(n, K, N, gen))  # H_up^T = T' Q', W H_up = D'
     q_up = _q(n, K, N, gen)
     L_A = R_up.swapaxes(-1, -2)  # W = L_A Q'^*
-    R_own, _ = _zf(n, K, M, gen)  # own cell's downlink, fixes V
+    R_own, _ = _zf_solve(*_zf_draw(n, K, M, gen))  # own cell's downlink, fixes V
     q_own = _q(n, K, M, gen)
     si = _sq(L_A @ _si_link(n, q_up, q_own, cfg.si_spec, gen) @ R_own).sum(axis=2)  # W H_si V_own
 
@@ -281,7 +301,7 @@ def _sinr_block_uplink(cfg: ExperimentConfig, n: int, gen: Generator) -> dict:
 
     cmi = np.zeros((n, K))
     for _ in range(L - 1):
-        R_j, _ = _zf(n, K, M, gen)
+        R_j, _ = _zf_solve(*_zf_draw(n, K, M, gen))
         cmi += _sq(L_A @ generate_batch(n, K, K, RAYLEIGH, gen) @ R_j).sum(axis=2)  # W H_cross V_j
 
     noise = cfg.noise_power * _sq(L_A @ generate_batch(n, K, 1, RAYLEIGH, gen))[:, :, 0]  # W eta

@@ -99,8 +99,9 @@ def histogram(samples, bin_count: int) -> Histogram:
     s = np.asarray(samples, dtype=float)
     if s.size == 0:
         raise InvalidParameterError("need at least one sample")
-    if not (isinstance(bin_count, (int, np.integer)) and bin_count >= 1):
-        raise InvalidParameterError(f"bin_count must be >= 1, got {bin_count!r}")
+    is_count = isinstance(bin_count, (int, np.integer)) and not isinstance(bin_count, bool)
+    if not (is_count and bin_count >= 1):
+        raise InvalidParameterError(f"bin_count must be an integer >= 1, got {bin_count!r}")
     hi = float(s.max())
     if hi <= 0:
         hi = 1.0  # all-zero samples: still produce a valid, if degenerate, grid

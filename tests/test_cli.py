@@ -306,6 +306,23 @@ def test_si_raw_samples_golden(tmp_path, fmt):
         assert hashlib.sha256(data).hexdigest() == GOLDEN_SI_RAW_SHA256[fmt, suffix]
 
 
+# sha256 of `fdsim si --M 64 --N 32 --K 8 --mode empirical --trials 5000` (seed 0,
+# stream layout 9): two blocks, the second partial, each cut into several chunks
+GOLDEN_SI_K8_SHA256 = {
+    "empirical": "f96d5d5939e92fed4eb56b4c33a07381ece8a522bb52181b4363fecad5c034d9",
+    "summary": "85c4d590d507aa2cdeef90293ad05ec3e483325979acd8e3be4713227a30d9b6",
+}
+
+
+def test_si_k8_raw_samples_golden(tmp_path):
+    out = str(tmp_path / "k8.csv")
+    args = ["si", "--M", "64", "--N", "32", "--K", "8", "--mode", "empirical",
+            "--trials", "5000", "--out", out]
+    assert main(args) == 0
+    for suffix, digest in GOLDEN_SI_K8_SHA256.items():
+        assert hashlib.sha256((tmp_path / f"k8_{suffix}.csv").read_bytes()).hexdigest() == digest
+
+
 # sha256 of `fdsim sinr --L 2 --K 2 --M 8 --N 4 --trials 100 --format jsonl` (seed 0,
 # stream layout 7)
 GOLDEN_SINR_JSONL_SHA256 = {

@@ -157,6 +157,11 @@ class TestMoments:
         assert moment1(3, RicianSpec(0.5, 1.0)) == pytest.approx(3.75)
         assert moment1(1, RicianSpec(0.5, 1.0)) == pytest.approx(1.25)
 
+    def test_moment1_rejects_non_counts(self):
+        for K in (True, False, 0, 2.0, np.int64(2)):
+            with pytest.raises(InvalidParameterError, match="K must be an integer >= 1"):
+                moment1(K, RicianSpec(0.5, 1.0))
+
     def test_moment2_scalar_rayleigh(self):
         assert moment2(_geom(1, 1, 1), RicianSpec(0.0, 1.0)) == pytest.approx(2.0)
 

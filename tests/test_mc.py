@@ -1,6 +1,7 @@
 import signal
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -302,7 +303,7 @@ def test_bartlett_inverse_matches_lapack(K):
     # same substream's draws, inverts it with LAPACK and scales its columns
     n = 2000
     for M in (K, K + 3, 64):
-        R, d2 = mc._zf(n, K, M, RngHandle(80, M).generator())
+        R, d2 = mc._zf_solve(*mc._zf_draw(n, K, M, RngHandle(80, M).generator()))
         gen = RngHandle(80, M).generator()
         T = np.zeros((n, K, K), dtype=complex)
         rows, cols = np.tril_indices(K, -1)
@@ -315,6 +316,61 @@ def test_bartlett_inverse_matches_lapack(K):
         assert err.max() <= 1e-12, (K, M, err.max())
         d2_err = np.abs(d2 * norms**2 - 1)
         assert d2_err.max() <= 1e-12, (K, M, d2_err.max())
+
+
+def _si_gains_one_pass(cfg, n, gen):
+    """An `si` block in one pass: every draw, then the whole-block forward
+    substitution, column scaling and ``sum |X R|^2``."""
+    K, M, N = cfg.geom.K, cfg.geom.M, cfg.geom.N
+    below = generate_batch(n, 1, K * (K - 1) // 2, RAYLEIGH, gen)[:, 0]
+    diag_inv = 1.0 / np.sqrt(gen.gamma(np.arange(M, M - K, -1), size=(n, K)))
+    R = np.zeros((n, K, K), dtype=complex)
+    for i in range(K):
+        row = below[:, i * (i - 1) // 2:i * (i + 1) // 2]
+        R[:, i, :i] = (row[:, None, :] @ R[:, :i, :i])[:, 0] * -diag_inv[:, i, None]
+        R[:, i, i] = diag_inv[:, i]
+    R *= np.sqrt(1.0 / np.sum(np.abs(R) ** 2, axis=1))[:, None, :]
+    q = mc._q(n, K, M, gen)
+    X = mc._si_link(n, mc._q(n, 1, N, gen), q, cfg.si_spec, gen)
+    return np.sum(np.abs(X @ R) ** 2, axis=(1, 2))
+
+
+@pytest.mark.parametrize("n", [mc.BLOCK_SIZE, 3616])
+@pytest.mark.parametrize("K", [1, 3, 8, 16])
+def test_chunked_si_block_matches_one_pass(K, n):
+    # K = 8 and 16 cut a block into several chunks, the last one partial
+    cfg = _cfg(K=K, M=64, N=32)
+    chunked = mc._si_gains_block(cfg, n, RngHandle(81, K).generator())
+    one_pass = _si_gains_one_pass(cfg, n, RngHandle(81, K).generator())
+    assert chunked.tobytes() == one_pass.tobytes()
+
+
+@pytest.mark.parametrize("K, chunks", [(1, 1), (3, 1), (8, 7)])
+def test_si_block_chunks(monkeypatch, K, chunks):
+    # one chunk at K <= 3 (si-k3); 640 trials a chunk at K = 8
+    sizes = []
+    solve = mc._zf_solve
+
+    def counting(below, diag_inv):
+        sizes.append(len(diag_inv))
+        return solve(below, diag_inv)
+
+    monkeypatch.setattr(mc, "_zf_solve", counting)
+    mc._si_gains_block(_cfg(K=K, M=64, N=32), mc.BLOCK_SIZE, RngHandle(83, 0).generator())
+    assert len(sizes) == chunks and sum(sizes) == mc.BLOCK_SIZE
+
+
+def test_si_block_memory_is_bounded():
+    # one K = 8 block peaked at 8.65 MB with its whole-block T^-1 (16 K^2 B a trial)
+    cfg = _cfg(K=8, M=64, N=32)
+    gen = RngHandle(82, 0).generator()
+    tracemalloc.start()
+    try:
+        mc._si_gains_block(cfg, mc.BLOCK_SIZE, gen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5e6, peak
 
 
 def test_engine_makes_no_lapack_call(monkeypatch):

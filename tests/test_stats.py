@@ -174,3 +174,10 @@ class TestHistogram:
             histogram([], 4)
         with pytest.raises(InvalidParameterError):
             histogram([1.0], 0)
+
+    def test_bin_count_must_be_an_integer(self):
+        for bad in (True, False, 2.0, np.float64(3.0)):
+            with pytest.raises(InvalidParameterError, match="bin_count must be an integer >= 1"):
+                histogram([1.0, 2.0], bad)
+        for good in (3, np.int64(3), np.int32(3)):
+            assert histogram([1.0, 2.0], good).counts.size == 3
