@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import SFC64, Generator, SeedSequence
 
 from .exceptions import InvalidParameterError
 
@@ -77,11 +77,12 @@ def rician_from_factor(varpi: float, omega: float) -> RicianSpec:
 
 @dataclass(frozen=True)
 class RngHandle:
-    """Counter-based RNG handle: (seed, stream_id) fully determines the stream.
+    """RNG handle: (seed, stream_id) fully determines the stream.
 
-    Each (seed, stream_id) pair owns an independent Philox substream, so
-    Monte Carlo trials can be assigned disjoint streams and reproduced
-    bitwise regardless of how work is split across threads.
+    Each (seed, stream_id) pair owns an independent SFC64 substream, seeded
+    by ``SeedSequence(seed, spawn_key=(stream_id,))``, so Monte Carlo
+    trials can be assigned disjoint streams and reproduced bitwise
+    regardless of how work is split across threads.
     """
 
     seed: int
@@ -95,7 +96,7 @@ class RngHandle:
 
     def generator(self) -> Generator:
         """Fresh Generator positioned at the start of this substream."""
-        return Generator(Philox(key=(self.seed << 64) | self.stream_id))
+        return Generator(SFC64(SeedSequence(self.seed, spawn_key=(self.stream_id,))))
 
 
 def generate_batch(
@@ -103,10 +104,13 @@ def generate_batch(
 ) -> np.ndarray:
     """Stack of ``batch`` i.i.d. matrices, shape (batch, rows, cols).
 
-    This is the only place normals are drawn.  All real parts come before
-    all imaginary parts; the RNG stream layout relies on this order.
+    This is the only place normals are drawn: one ``standard_normal`` fills
+    the output's float view, so each entry's real part is followed by its
+    imaginary part; the RNG stream layout relies on this order.
     """
-    sigma = spec.nu / math.sqrt(2.0)
-    re = gen.normal(spec.mu, sigma, size=(batch, rows, cols))
-    im = gen.normal(0.0, sigma, size=(batch, rows, cols))
-    return re + 1j * im
+    out = np.empty((batch, rows, cols), dtype=complex)
+    flat = gen.standard_normal(out=out.view(float))
+    flat *= spec.nu / math.sqrt(2.0)
+    if spec.mu:  # the engine's draws are all centred
+        out.real += spec.mu
+    return out

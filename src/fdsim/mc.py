@@ -1,13 +1,16 @@
 """Monte Carlo engine: residual SI experiments and SINR term sampling.
 
-Stream layout 9, stated in full; CHANGES.md records the earlier layouts.
+Stream layout 10, stated in full; CHANGES.md records the earlier layouts.
 
 Blocks.  A run is cut into blocks of ``BLOCK_SIZE = 4096`` trials: block b
 holds trials ``[b * BLOCK_SIZE, (b + 1) * BLOCK_SIZE)`` and the last block
-the remainder.  Block b draws all of its randomness from the Philox
-substream (seed, stream_id = b), each item below for all of its trials at
-once, so results are bitwise reproducible whatever the number of workers.
-No run draws a channel matrix or runs a ZF kernel, and nothing is redrawn.
+the remainder.  Block b draws all of its randomness from the SFC64
+substream ``SeedSequence(seed, spawn_key=(b,))``, each item below for all
+of its trials at once, so results are bitwise reproducible whatever the
+number of workers.  Every normal comes from ``generate_batch`` (one
+``standard_normal`` in C order, each entry's real part, then its imaginary
+part); "trials last" puts the trial index on a draw's last axis.  No run
+draws a channel matrix or runs a ZF kernel, and nothing is redrawn.
 
 ZF factors (``_zf_draw``, ``_zf_solve``).  A Rayleigh K x M link factors
 as ``T Q`` (the complex Bartlett decomposition; Goodman 1963; Edelman
@@ -16,38 +19,39 @@ as ``T Q`` (the complex Bartlett decomposition; Goodman 1963; Edelman
 distributed and independent of T.  The link has full rank and
 ``T_ii > 0`` almost surely, so its ZF precoder ``V = Q^H R`` with
 ``R = T^-1 D`` and ``D = diag(1 / ||T^-1 e_k||)`` exists, with no draw
-conditioned away, and ``T Q V = D``.  ``_zf_draw`` draws the K(K - 1)/2
-below-diagonal entries row by row (one ``generate_batch``), then the K
-diagonal variates Gamma(M), ..., Gamma(M - K + 1); ``_zf_solve`` returns
-R and D^2 from them.  It inverts T by forward substitution over the rows,
-with no LAPACK call and without forming T: row i of ``X = T^-1`` is
-``X[i, :i] = -(T[i, :i] @ X[:i, :i]) / T_ii`` and ``X[i, i] = 1 / T_ii``,
-where ``T[i, :i]`` is the packed slice ``[i(i-1)/2, i(i+1)/2)``.
+conditioned away, and ``T Q V = D``.  ``_zf_draw`` draws, trials last,
+T's K(K - 1)/2 below-diagonal entries column by column (one
+``generate_batch``), then the diagonal's Gamma(M), ..., Gamma(M - K + 1).
+``_zf_solve`` forward-substitutes, trials last, the K(K + 1)/2 nonzero
+entries of ``X = T^-1`` (no matrix product or LAPACK call, T never
+formed): ``X[l, l] = 1 / T_ll`` and ``X[l, :l] = -(sum over m < l of
+T[l, m] X[m, :l]) / T_ll``, each term added once row m is final.  It
+returns R and D^2 or, given 1 x K links x, ``||x R||^2 = sum_k D_kk^2
+|(x X)_k|^2``, x folded in row by row.  Each trial's arithmetic is its own.
 
-Unit vectors (``_q``).  ``_q(K, M)`` is sqrt(M) times the first K entries
-of a uniform unit vector of C^M, ``sqrt(M) g / sqrt(||g||^2 + s)``, with
-``g ~ CN(0, I_K)`` (one ``generate_batch``) and then ``s ~ Gamma(M - K)``
-(0 at M = K).  Q is Haar, so ``q = Q 1`` of a K x M link is ``_q(K, M)``;
-a ZF decoder row w_1 of a Rayleigh N x K H_up is uniform on the unit
-sphere of C^N, so ``w_1^T 1`` is ``_q(1, N)``, phase included.  Both are
-circular, so their conjugates stand in for them.
+Unit vectors (``_q``, trials last).  ``_q(K, M)`` is sqrt(M) times the
+first K entries of a uniform unit vector of C^M, ``sqrt(M) g /
+sqrt(||g||^2 + s)``, with ``g ~ CN(0, I_K)`` (one ``generate_batch``) and
+then ``s ~ Gamma(M - K)`` (0 at M = K).  Q is Haar, so ``q = Q 1`` of a
+K x M link is ``_q(K, M)``; a ZF decoder row w_1 of a Rayleigh N x K H_up
+is uniform on the unit sphere of C^N, so ``w_1^T 1`` is ``_q(1, N)``,
+phase included.  Both are circular, so their conjugates stand in for them.
 
 SI links (``_si_link``).  Each SI term sees ``H_si = mu 1 1^T + nu Z``
 between a receive-side factor with orthonormal rows and a transmit-side
 one with orthonormal columns, both independent of Z; their products with
 1 are q_rx and q_tx, and Z between them is again ``CN(0, 1)`` entrywise.
 So the term's link is ``mu q_rx q_tx^T + nu Z``: ``_si_link`` draws Z
-(one ``generate_batch``, spread nu), then adds the mean in place.
+(one ``generate_batch``, spread nu, trials last), then adds the mean.
 
 - ``si`` (``run_si_empirical``): ``||w_1^T H_si V||^2`` under ZF
   beamformers from Rayleigh H_down (K x M) and H_up (N x K) is
-  ``||X R||^2``, X the 1 x K link of q_rx = ``w_1^T 1`` and q_tx = q; a
+  ``||x R||^2``, x the 1 x K link of q_rx = ``w_1^T 1`` and q_tx = q; a
   block draws ``_zf_draw`` of H_down (K, M), q, ``w_1^T 1``, then Z, each
-  for the whole block, then runs ``_zf_solve`` and ``||X R||^2`` over
-  consecutive chunks of ``max(1, CHUNK_BYTES // (16 K^2))`` trials, so a
-  chunk's complex K x K R takes at most ``CHUNK_BYTES`` or one trial (a
-  block is one chunk at K <= 3).  Every trial's arithmetic is its own, so
-  no draw and no bit depends on the chunking;
+  for the whole block, then runs ``_zf_solve`` on consecutive chunks of
+  ``max(MIN_CHUNK, CHUNK_BYTES // (16 K^2))`` trials, so a chunk's complex
+  K x K T^-1 takes at most ``CHUNK_BYTES`` or ``MIN_CHUNK = 256`` trials
+  (a block is one chunk at K <= 3).  No draw and no bit depends on chunks;
 - uplink: ``W H_si V_own`` is ``L_A X R_own``, X the K x K link of q', q;
 - downlink: each radio's own SI is a 1 x 1 link of ones, no beamformer.
 
@@ -58,30 +62,28 @@ the Rayleigh channel it is computed from: a cell's downlink ``T Q`` gives
 ``L_A = R'^T``.  So ``useful`` is exactly D^2 (downlink) or D'^2 (uplink)
 and ``mui`` is 0.  Every other link is independent of the beamformers
 around it, and Q^H, Q'^* are Haar and independent of the triangular
-factors, so, with ``Z[r x c]`` one ``generate_batch`` of a Rayleigh stack,
-a Rayleigh H seen as ``H V_j`` is ``Z[K x K] R_j``; as ``W H`` (N x c) it
-is ``L_A Z[K x c]``; as ``W H V_j`` it is ``L_A Z[K x K] R_j``; and the
-noise ``W eta`` is ``sqrt(noise_power) L_A z[K x 1]``.  Each block draws,
-in this order:
+factors, so, with ``Z[r x c]`` one ``generate_batch`` of a Rayleigh stack
+(trials first), a Rayleigh H seen as ``H V_j`` is ``Z[K x K] R_j``; as
+``W H`` (N x c) it is ``L_A Z[K x c]``; as ``W H V_j`` it is
+``L_A Z[K x K] R_j``; and the noise ``W eta`` is ``sqrt(noise_power) L_A
+z[K x 1]``.  Each block draws, in this order:
 
 - downlink: ``_zf_draw`` of T_own; per other cell, ``_zf_draw`` of T_j
   then Z[K x K]; the cross-mode scalars Z[K x (LK - 1)]; the SI link
   (K x 1); the noise z[K x 1];
 - uplink: ``_zf_draw`` of T' (K, N) and q'; ``_zf_draw`` of T_own and q;
   the SI link (K x K); Z[K x K(L - 1)] of W H_x; per other cell,
-  ``_zf_draw`` of T_j then Z[K x K]; the noise z[K x 1].
-
-Both directions draw the noise at unit power, also at ``noise_power`` 0,
-and multiply its power gain by ``noise_power``.
+  ``_zf_draw`` of T_j then Z[K x K]; the noise z[K x 1].  Both draw the
+  noise at unit power, also at ``noise_power`` 0, and scale its gain.
 
 Counts per trial (real normals; each ``CN`` entry is two).  ``si``:
-K(K - 1) + 4K + 2 normals, K + 2 Gamma variates and no Beta variate, one
-K x K substitution; ``run_si_theoretical``: one Gamma(kappa, theta)
-variate and no normal.  Downlink: L K(K - 1) + 2K^2 (L - 1) + 2K (LK - 1)
-+ 4K normals, L K Gamma variates, L substitutions.  Uplink: (L + 1)
-K(K - 1) + 6K + 2K^2 (2L - 1) normals (42 at L = K = 2), (L + 1) K + 2
-Gamma variates, L + 1 substitutions.  None depends on M or N.  The tests
-keep the full chain, ZF kernels included, as the reference.
+K(K - 1) + 4K + 2 normals, K + 2 Gamma variates, one K x K substitution;
+``run_si_theoretical``: one Gamma(kappa, theta) variate and no normal.
+Downlink: L K(K - 1) + 2K^2 (L - 1) + 2K (LK - 1) + 4K normals, L K Gamma
+variates, L substitutions.  Uplink: (L + 1) K(K - 1) + 6K + 2K^2 (2L - 1)
+normals (42 at L = K = 2), (L + 1) K + 2 Gamma variates, L + 1
+substitutions.  None depends on M or N.  The tests keep the full chain,
+ZF kernels included, as the reference.
 """
 from __future__ import annotations
 
@@ -108,9 +110,10 @@ __all__ = [
 ]
 
 BLOCK_SIZE = 1 << 12
-# the bytes of an `si` chunk's complex R (measured, ROADMAP); at least
-# BLOCK_SIZE * 16 * 3^2, so that a block is one chunk at K <= 3
-CHUNK_BYTES = 640 << 10
+# the bytes of an `si` chunk's complex K x K T^-1 (measured, ROADMAP), at least
+# BLOCK_SIZE * 16 * 3^2 so that a block is one chunk at K <= 3; and the fewest
+# trials of a chunk, below which per-call overhead dominates at large K
+CHUNK_BYTES, MIN_CHUNK = 640 << 10, 256
 
 
 class Direction(enum.Enum):
@@ -175,43 +178,50 @@ def _map_blocks(cfg: ExperimentConfig, block_fn, threads: int) -> list:
 
 
 def _sq(z: np.ndarray) -> np.ndarray:
-    return np.abs(z) ** 2
+    return z.real**2 + z.imag**2
 
 
 def _zf_draw(n: int, K: int, M: int, gen: Generator) -> tuple[np.ndarray, np.ndarray]:
-    """The packed below-diagonal entries and ``1 / T_ii`` of the Bartlett factors T
-    of ``n`` Rayleigh K x M links ``T Q``."""
-    below = generate_batch(n, 1, K * (K - 1) // 2, RAYLEIGH, gen)[:, 0]
-    diag_inv = 1.0 / np.sqrt(gen.gamma(np.arange(M, M - K, -1), size=(n, K)))
+    """The below-diagonal entries, packed column by column, and ``1 / T_ii`` of
+    the Bartlett factors T of ``n`` Rayleigh K x M links ``T Q``; trials last."""
+    below = generate_batch(1, K * (K - 1) // 2, n, RAYLEIGH, gen)[0]
+    diag_inv = 1.0 / np.sqrt([gen.gamma(M - i, size=n) for i in range(K)])
     return below, diag_inv
 
 
-def _zf_solve(below: np.ndarray, diag_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``R = T^-1 D`` and ``D^2`` of the ZF precoder ``Q^H R`` of ``_zf_draw``'s
-    links; T^-1 by forward substitution, T never formed."""
-    n, K = diag_inv.shape
-    X = np.zeros((n, K, K), dtype=complex)
-    for i in range(K):
-        row = below[:, i * (i - 1) // 2:i * (i + 1) // 2]
-        X[:, i, :i] = (row[:, None, :] @ X[:, :i, :i])[:, 0] * -diag_inv[:, i, None]
-        X[:, i, i] = diag_inv[:, i]
-    d2 = 1.0 / np.sum(_sq(X), axis=1)
-    X *= np.sqrt(d2)[:, None, :]
-    return X, d2
+def _zf_solve(below: np.ndarray, diag_inv: np.ndarray, x: np.ndarray | None = None):
+    """``R = T^-1 D`` (trials first) and ``D^2`` of the ZF precoders ``Q^H R`` of
+    ``_zf_draw``'s links or, given their 1 x K links ``x``, only ``||x R||^2``."""
+    K, n = diag_inv.shape
+    X = np.zeros((K, K, n), dtype=complex)  # T^-1
+    norm2, xX = np.zeros((K, n)), np.zeros((K, n), dtype=complex)  # ||X e_k||^2, x X
+    for l in range(K):
+        top = l * (2 * K - l - 1) // 2  # T[l + 1:, l] is below[top:top + K - l - 1]
+        row = X[l, :l + 1]  # the earlier rows have added their terms
+        row *= -diag_inv[l]
+        row[l] = diag_inv[l]
+        X[l + 1:, :l + 1] += below[top:top + K - l - 1, None] * row
+        norm2[:l + 1] += _sq(row)
+        if x is not None:
+            xX[:l + 1] += x[l] * row
+    if x is not None:
+        return sum(_sq(xX) / norm2)  # over k, in order
+    X /= np.sqrt(norm2)
+    return np.ascontiguousarray(X.transpose(2, 0, 1)), 1.0 / norm2.T
 
 
 def _q(n: int, K: int, M: int, gen: Generator) -> np.ndarray:
-    """sqrt(M) times the first K entries of ``n`` uniform unit vectors of C^M."""
-    g = generate_batch(n, 1, K, RAYLEIGH, gen)[:, 0]
+    """sqrt(M) times the first K entries of ``n`` uniform unit vectors of C^M, trials last."""
+    g = generate_batch(1, K, n, RAYLEIGH, gen)[0]
     s = gen.gamma(M - K, size=n)
-    return math.sqrt(M) * g / np.sqrt(np.sum(_sq(g), axis=1) + s)[:, None]
+    g *= math.sqrt(M) / np.sqrt(np.sum(_sq(g), axis=0) + s)
+    return g
 
 
-def _si_link(n: int, q_rx: np.ndarray, q_tx: np.ndarray, spec: RicianSpec,
-             gen: Generator) -> np.ndarray:
-    """``n`` SI links ``mu q_rx q_tx^T + nu Z`` seen through the beamformers."""
-    X = generate_batch(n, q_rx.shape[1], q_tx.shape[1], RicianSpec(0.0, spec.nu), gen)
-    X += spec.mu * q_rx[:, :, None] * q_tx[:, None, :]
+def _si_link(q_rx: np.ndarray, q_tx: np.ndarray, spec: RicianSpec, gen: Generator) -> np.ndarray:
+    """SI links ``mu q_rx q_tx^T + nu Z`` seen through the beamformers; trials last."""
+    X = generate_batch(len(q_rx), len(q_tx), q_rx.shape[1], RicianSpec(0.0, spec.nu), gen)
+    X += spec.mu * q_rx[:, None] * q_tx
     return X
 
 
@@ -220,13 +230,10 @@ def _si_gains_block(cfg: ExperimentConfig, n: int, gen: Generator) -> np.ndarray
     K, M, N = cfg.geom.K, cfg.geom.M, cfg.geom.N
     below, diag_inv = _zf_draw(n, K, M, gen)  # H_down = T Q, V = Q^H R
     q = _q(n, K, M, gen)
-    X = _si_link(n, _q(n, 1, N, gen), q, cfg.si_spec, gen)  # w_1^T H_si Q^H
-    gains = np.empty(n)
-    step = max(1, CHUNK_BYTES // (16 * K * K))  # trials whose complex K x K R fit
-    for c in range(0, n, step):
-        t = slice(c, c + step)  # R dies with the statement: one chunk's R at a time
-        gains[t] = np.sum(_sq(X[t] @ _zf_solve(below[t], diag_inv[t])[0]), axis=(1, 2))
-    return gains
+    x = _si_link(_q(n, 1, N, gen), q, cfg.si_spec, gen)[0]  # w_1^T H_si Q^H
+    step = max(MIN_CHUNK, CHUNK_BYTES // (16 * K * K))
+    chunks = [slice(c, c + step) for c in range(0, n, step)]
+    return np.concatenate([_zf_solve(below[:, t], diag_inv[:, t], x[:, t]) for t in chunks])
 
 
 def _gamma_block(cfg: ExperimentConfig, n: int, gen: Generator) -> np.ndarray:
@@ -280,7 +287,7 @@ def _sinr_block_downlink(cfg: ExperimentConfig, n: int, gen: Generator) -> dict:
     # Cross-mode: one Rayleigh scalar per FD radio in every cell except self.
     cmi = _sq(generate_batch(n, K, L * K - 1, RAYLEIGH, gen)).sum(axis=2)
 
-    si = _sq(_si_link(n, np.ones((n, K)), np.ones((n, 1)), cfg.si_spec, gen))[:, :, 0]
+    si = _sq(_si_link(np.ones((K, n)), np.ones((1, n)), cfg.si_spec, gen))[:, 0].T
     noise = cfg.noise_power * _sq(generate_batch(n, K, 1, RAYLEIGH, gen))[:, :, 0]
 
     return _terms(useful, ici, cmi, si, noise)
@@ -293,7 +300,8 @@ def _sinr_block_uplink(cfg: ExperimentConfig, n: int, gen: Generator) -> dict:
     L_A = R_up.swapaxes(-1, -2)  # W = L_A Q'^*
     R_own, _ = _zf_solve(*_zf_draw(n, K, M, gen))  # own cell's downlink, fixes V
     q_own = _q(n, K, M, gen)
-    si = _sq(L_A @ _si_link(n, q_up, q_own, cfg.si_spec, gen) @ R_own).sum(axis=2)  # W H_si V_own
+    link = np.moveaxis(_si_link(q_up, q_own, cfg.si_spec, gen), -1, 0)
+    si = _sq(L_A @ link @ R_own).sum(axis=2)  # W H_si V_own
 
     # Inter-cell: uplink transmissions of FD radios in other cells; own-cell
     # radios already enter through the multi-user term.

@@ -47,6 +47,17 @@ def test_generate_matrix_deterministic():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("stream_id", [0, 2**64 - 1])
+def test_rng_handle_edge_values(seed, stream_id):
+    # both ends of the 64-bit range are accepted; the pair alone fixes the
+    # stream, and the neighbouring stream id starts elsewhere
+    first = RngHandle(seed, stream_id).generator().standard_normal(8)
+    assert np.array_equal(RngHandle(seed, stream_id).generator().standard_normal(8), first)
+    other = stream_id ^ 1
+    assert RngHandle(seed, other).generator().standard_normal() != first[0]
+
+
 def test_generate_matrix_entry_power():
     g = RngHandle(5, 0).generator()
     mats = generate_batch(100_000, 8, 16, RicianSpec(0.5, 1.0), g)

@@ -14,19 +14,19 @@ from fdsim.mc import BLOCK_SIZE, Direction
 
 GOLDEN_SUMMARY = (
     "M,N,K,mu,nu,trials,seed,emp_m1,emp_m2,emp_var,cf_m1,cf_m2,cf_var,kappa,theta,ks\n"
-    "4,4,2,0.5,1.0,200,123,2.4513811906969694,10.213614406248603,4.204344664145712,"
-    "2.5,10.27,4.02,1.554726368159204,1.6079999999999999,0.06234333620264709\n"
-    "4,4,2,0.5,1.0,200,123,2.2835662387063165,8.478914500093,3.264239733533686,"
-    "2.5,10.27,4.02,1.554726368159204,1.6079999999999999,0.08633245687126134\n"
+    "4,4,2,0.5,1.0,200,123,2.557618535211814,10.979703460030061,4.438290888371035,"
+    "2.5,10.27,4.02,1.554726368159204,1.6079999999999999,0.03636877370709644\n"
+    "4,4,2,0.5,1.0,200,123,2.5334947989090746,10.347269436072333,3.9286735399730004,"
+    "2.5,10.27,4.02,1.554726368159204,1.6079999999999999,0.045568854539488834\n"
 )
 
 GOLDEN_EMPIRICAL = (
     "bin_left,count\n"
-    "0.0,112\n"
-    "2.200240110177345,61\n"
-    "4.40048022035469,16\n"
-    "6.6007203305320346,6\n"
-    "8.80096044070938,5\n"
+    "0.0,142\n"
+    "3.1810983425697317,47\n"
+    "6.362196685139463,10\n"
+    "9.543295027709195,0\n"
+    "12.724393370278927,1\n"
 )
 
 
@@ -181,10 +181,10 @@ def test_sinr_output(tmp_path):
     assert all(float(l.split(",")[ici_col]) == 0.0 for l in lines[1:])
 
 
-# sha256 of `fdsim sinr --L 2 --K 2 --M 8 --N 4 --trials 100` (seed 0, stream layout 7)
+# sha256 of `fdsim sinr --L 2 --K 2 --M 8 --N 4 --trials 100` (seed 0, stream layout 10)
 GOLDEN_SINR_SHA256 = {
-    "downlink": "c03c87c010826caed0d772ef04c89a131748d3e462b134268fb94c19717d6351",
-    "uplink": "8127910bd01bf8166b3dbf1e353c54947b8cf533e0c839d6b0f3b7a98f4c9446",
+    "downlink": "b639d1c243bce6e65caae5bca5c19abe13b3f575e453bdf8c12859135c2370d0",
+    "uplink": "2256c1b3d9c22afba79c688ec587f1ec1df5e2f449d9b38ed7dcf9abb8241a08",
 }
 
 
@@ -286,14 +286,14 @@ def test_staging_never_opens_an_existing_path(tmp_path, monkeypatch, planted):
 
 
 # sha256 of the raw-sample `fdsim si` files (`_si_args` without --bins), per format
-# (stream layout 9)
+# (stream layout 10)
 GOLDEN_SI_RAW_SHA256 = {
-    ("csv", "empirical"): "859858233141171291720a6b8d5c473c1974a06fba60d684cfde1ed77f5478b5",
-    ("csv", "theoretical"): "6f13ea6b0b17b081ea5d3e10efabe5495aecb721e045423735d43cbeb02f05e3",
-    ("csv", "summary"): "254759770c357df9915c44fa3fe21416427f5014e79f48968dc0d074f9ce57fd",
-    ("jsonl", "empirical"): "35319e8a4dff8a5456bbec2854f6106d6fc75e9875c1d4044e66318a6ad44006",
-    ("jsonl", "theoretical"): "832fff9f6888e7d3364f0f2d735a9be8d359e59bc7d20086a60845ec511b9383",
-    ("jsonl", "summary"): "c873bfc1f2e43787ef843d697065cb64a6f558be9b0485432b4f50650afdff9f",
+    ("csv", "empirical"): "487d773d1ec0fe1537379bdb4270763ef2b83efaa7f85c2b2135d1f7bf0ed080",
+    ("csv", "theoretical"): "ffb739b11fd22dd60608c74d618279a260b72cccb4978815929f3ee52185d5ba",
+    ("csv", "summary"): "ae9d08c5988c5fabcc00583cd782cf32c7ee616c35ef903202766a802a080ac3",
+    ("jsonl", "empirical"): "a39d59656aa5bf56cd5687eb9dd433344870000068b9bf87b39e2d03429040da",
+    ("jsonl", "theoretical"): "e6ab34285f5cc58a8b8dd8a4653e6ed46b845754eefc8e8a52ea356231d07382",
+    ("jsonl", "summary"): "378386c9a21b2778f9baac569e0f533a0340f2a727e93367a5040f6fe96b2549",
 }
 
 
@@ -307,10 +307,10 @@ def test_si_raw_samples_golden(tmp_path, fmt):
 
 
 # sha256 of `fdsim si --M 64 --N 32 --K 8 --mode empirical --trials 5000` (seed 0,
-# stream layout 9): two blocks, the second partial, each cut into several chunks
+# stream layout 10): two blocks, the second partial, each cut into several chunks
 GOLDEN_SI_K8_SHA256 = {
-    "empirical": "f96d5d5939e92fed4eb56b4c33a07381ece8a522bb52181b4363fecad5c034d9",
-    "summary": "85c4d590d507aa2cdeef90293ad05ec3e483325979acd8e3be4713227a30d9b6",
+    "empirical": "5ea6e3950676e4b5ed0fbaf46180511231f30032fafa1e3bb8ce90500658f88c",
+    "summary": "0e678f6eb770a92cc8795fabd27b3fe01bd0eacd414dd9fab0f66d9623a92f42",
 }
 
 
@@ -324,10 +324,10 @@ def test_si_k8_raw_samples_golden(tmp_path):
 
 
 # sha256 of `fdsim sinr --L 2 --K 2 --M 8 --N 4 --trials 100 --format jsonl` (seed 0,
-# stream layout 7)
+# stream layout 10)
 GOLDEN_SINR_JSONL_SHA256 = {
-    "downlink": "0c6ca348a3d600603e832faa8774f9304ab0cfb4678012559a08c8e76e49ffd1",
-    "uplink": "aa597be98c35b480a7fb91f30c084209b1648f28beeed59c53336cc5102f98a3",
+    "downlink": "f63eb5635fd5b8816fb6c33bd050a97f80a41b455dd3b6d340163d380f345010",
+    "uplink": "148ac7affc6938be0b8266fcda4f4cb264bbdcc6195ee5503b3fa515e11dd645",
 }
 
 
@@ -385,6 +385,19 @@ def test_non_finite_jsonl_value_exits_1_with_no_output(tmp_path, monkeypatch, ca
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("fdsim: numerical failure")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_of_memory_exits_1_with_no_output(tmp_path, monkeypatch, capsys):
+    # e.g. `fdsim si --bins 500000000` under a memory limit: the histogram is
+    # allocated after the Monte Carlo work, before anything is staged
+    def no_memory(samples, bins):
+        raise MemoryError("Unable to allocate 3.73 GiB")
+
+    monkeypatch.setattr(cli, "histogram", no_memory)
+    assert main(_si_args(str(tmp_path / "run.csv"), trials="10")) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["fdsim: out of memory: Unable to allocate 3.73 GiB"]
     assert list(tmp_path.iterdir()) == []
 
 

@@ -262,9 +262,13 @@ def test_normals_per_trial(monkeypatch):
         return call
 
     class Counting:
+        # layout 10: every normal comes from standard_normal(out=...), sized by its out=
         def __init__(self, gen):
-            self.normal = counted("normal", gen.normal)
+            self.standard_normal = counted("normal", gen.standard_normal)
             self.gamma = counted("gamma", gen.gamma)
+
+        def normal(self, *args, **kwargs):
+            raise AssertionError("the engine draws no normal outside generate_batch")
 
     class CountingHandle(RngHandle):
         def generator(self):
@@ -306,9 +310,11 @@ def test_bartlett_inverse_matches_lapack(K):
         R, d2 = mc._zf_solve(*mc._zf_draw(n, K, M, RngHandle(80, M).generator()))
         gen = RngHandle(80, M).generator()
         T = np.zeros((n, K, K), dtype=complex)
-        rows, cols = np.tril_indices(K, -1)
-        T[:, rows, cols] = generate_batch(n, 1, rows.size, RAYLEIGH, gen)[:, 0]
-        T[:, range(K), range(K)] = np.sqrt(gen.gamma(np.arange(M, M - K, -1), size=(n, K)))
+        cols, rows = np.triu_indices(K, 1)  # below the diagonal, column by column
+        T[:, rows, cols] = generate_batch(1, rows.size, n, RAYLEIGH, gen)[0].T
+        T[:, range(K), range(K)] = np.sqrt(
+            gen.gamma(np.arange(M, M - K, -1)[:, None], size=(K, n))
+        ).T
         inv = np.linalg.inv(T)
         norms = np.linalg.norm(inv, axis=1)  # ||T^-1 e_k||
         ref = inv / norms[:, None, :]
@@ -318,31 +324,28 @@ def test_bartlett_inverse_matches_lapack(K):
         assert d2_err.max() <= 1e-12, (K, M, d2_err.max())
 
 
-def _si_gains_one_pass(cfg, n, gen):
-    """An `si` block in one pass: every draw, then the whole-block forward
-    substitution, column scaling and ``sum |X R|^2``."""
+def _si_gains_dense(cfg, n, gen):
+    """An `si` block through the dense R of ``_zf_solve``: every draw, then
+    ``sum |x R|^2`` with one stacked product over the whole block."""
     K, M, N = cfg.geom.K, cfg.geom.M, cfg.geom.N
-    below = generate_batch(n, 1, K * (K - 1) // 2, RAYLEIGH, gen)[:, 0]
-    diag_inv = 1.0 / np.sqrt(gen.gamma(np.arange(M, M - K, -1), size=(n, K)))
-    R = np.zeros((n, K, K), dtype=complex)
-    for i in range(K):
-        row = below[:, i * (i - 1) // 2:i * (i + 1) // 2]
-        R[:, i, :i] = (row[:, None, :] @ R[:, :i, :i])[:, 0] * -diag_inv[:, i, None]
-        R[:, i, i] = diag_inv[:, i]
-    R *= np.sqrt(1.0 / np.sum(np.abs(R) ** 2, axis=1))[:, None, :]
+    R, _ = mc._zf_solve(*mc._zf_draw(n, K, M, gen))
     q = mc._q(n, K, M, gen)
-    X = mc._si_link(n, mc._q(n, 1, N, gen), q, cfg.si_spec, gen)
-    return np.sum(np.abs(X @ R) ** 2, axis=(1, 2))
+    x = mc._si_link(mc._q(n, 1, N, gen), q, cfg.si_spec, gen)[0]
+    return np.sum(np.abs(x.T[:, None, :] @ R) ** 2, axis=(1, 2))
 
 
 @pytest.mark.parametrize("n", [mc.BLOCK_SIZE, 3616])
 @pytest.mark.parametrize("K", [1, 3, 8, 16])
-def test_chunked_si_block_matches_one_pass(K, n):
-    # K = 8 and 16 cut a block into several chunks, the last one partial
+def test_chunked_si_block_matches_one_pass(monkeypatch, K, n):
+    # K = 8 and 16 cut a block into several chunks, the last one partial; the
+    # one pass is the same block under a budget that makes it one chunk
     cfg = _cfg(K=K, M=64, N=32)
     chunked = mc._si_gains_block(cfg, n, RngHandle(81, K).generator())
-    one_pass = _si_gains_one_pass(cfg, n, RngHandle(81, K).generator())
+    dense = _si_gains_dense(cfg, n, RngHandle(81, K).generator())
+    monkeypatch.setattr(mc, "CHUNK_BYTES", 16 * K * K * n)
+    one_pass = mc._si_gains_block(cfg, n, RngHandle(81, K).generator())
     assert chunked.tobytes() == one_pass.tobytes()
+    assert np.allclose(chunked, dense, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("K, chunks", [(1, 1), (3, 1), (8, 7)])
@@ -351,9 +354,9 @@ def test_si_block_chunks(monkeypatch, K, chunks):
     sizes = []
     solve = mc._zf_solve
 
-    def counting(below, diag_inv):
-        sizes.append(len(diag_inv))
-        return solve(below, diag_inv)
+    def counting(below, diag_inv, x):
+        sizes.append(diag_inv.shape[1])
+        return solve(below, diag_inv, x)
 
     monkeypatch.setattr(mc, "_zf_solve", counting)
     mc._si_gains_block(_cfg(K=K, M=64, N=32), mc.BLOCK_SIZE, RngHandle(83, 0).generator())
@@ -371,6 +374,30 @@ def test_si_block_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 5e6, peak
+
+
+@pytest.mark.parametrize("K, bound", [(16, 14e6), (32, 50e6)])
+def test_si_block_memory_grows_less_than_layout_9(K, bound):
+    # layout 9 held the below-diagonal draw as real half, imaginary half and
+    # complex sum at once, and peaked at 15.9 MB (K = 16) and 65.1 MB (K = 32);
+    # layout 10 draws it in place
+    cfg = _cfg(K=K, M=64, N=32)
+    gen = RngHandle(82, 0).generator()
+    tracemalloc.start()
+    try:
+        mc._si_gains_block(cfg, mc.BLOCK_SIZE, gen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, peak
+
+
+@pytest.mark.parametrize("K", [8, 16])
+def test_si_thread_count_does_not_change_results(K):
+    # several chunks a block and a partial last block
+    cfg = _cfg(K=K, M=64, N=32, trials=2 * mc.BLOCK_SIZE + 1000, seed=63)
+    one = run_si_empirical(cfg, threads=1).samples
+    assert one.tobytes() == run_si_empirical(cfg, threads=2).samples.tobytes()
 
 
 def test_engine_makes_no_lapack_call(monkeypatch):
