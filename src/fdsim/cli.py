@@ -6,10 +6,10 @@ Subcommands:
   moments  print the closed-form moments and Gamma parameters
   sinr     run multi-cell SINR sampling and write per-term samples
 
-All numeric output is emitted with round-trip double precision.  A run
-streams its output, one block of rows at a time, into staged temporary
-files that are renamed together once every file is complete, so a failed
-or interrupted run leaves none of its output set.
+Numbers are written as round-trip ``repr`` text, by orjson for float64s in
+``1e-4 <= |x| < 1e16`` or 0.  A run streams its output, one block of rows at a
+time, into staged temporary files that are renamed together once every file is
+complete, so a failed or interrupted run leaves none of its output set.
 """
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ import sys
 from dataclasses import replace
 
 import numpy as np
+import orjson
 
 from .channel import RicianSpec, rician_from_factor
 from .closedform import (
@@ -81,19 +82,31 @@ _SETTINGS = {
 }
 
 
+def _text(column: np.ndarray) -> list:
+    """``repr`` of each entry of a contiguous 1-D column; orjson writes the same text
+    for a float64 in ``1e-4 <= |x| < 1e16`` or 0 (``0.00003``, ``1e16``, ``null`` outside)."""
+    if column.dtype != np.float64:
+        return list(map(repr, column.tolist()))
+    text = orjson.dumps(column, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    a = np.abs(column)
+    for i in np.flatnonzero(~((a >= 1e-4) & (a < 1e16)) & (column != 0)):
+        text[i] = repr(float(column[i]))
+    return text
+
+
 def _table(header, columns, fmt: str):
     """Yield the CSV or JSONL text of equal-length ndarray columns, one block
-    of ``BLOCK_SIZE`` rows at a time (``%r`` is the round-trip ``repr``)."""
+    of ``BLOCK_SIZE`` rows at a time, each value as its ``_text``."""
     if fmt == "jsonl":
-        template = "{" + ", ".join(f"{json.dumps(h)}: %r" for h in header) + "}\n"
+        template = "{" + ", ".join(f"{json.dumps(h)}: %s" for h in header) + "}\n"
     else:
-        template = ",".join(["%r"] * len(header)) + "\n"
+        template = ",".join(["%s"] * len(header)) + "\n"
         yield ",".join(header) + "\n"
     for i in range(0, len(columns[0]), BLOCK_SIZE):
-        block = [c[i:i + BLOCK_SIZE] for c in columns]
+        block = [np.ascontiguousarray(c[i:i + BLOCK_SIZE]) for c in columns]
         if fmt == "jsonl" and any(c.dtype.kind == "f" and not np.isfinite(c).all() for c in block):
             raise ValueError("Out of range float values are not JSON compliant")
-        yield "".join(map(template.__mod__, zip(*(c.tolist() for c in block))))
+        yield "".join(map(template.__mod__, zip(*map(_text, block))))
 
 
 def _atomic_write(files: dict) -> None:
@@ -237,6 +250,11 @@ def _closed_form(geom: SystemGeometry, spec: RicianSpec) -> list:
 
 def _cmd_si(merged: dict, cfg: ExperimentConfig, head: list, cf: list) -> dict:
     out, bins, fmt = merged["out"], merged["bins"], merged["format"]
+    if bins is not None:  # try the histogram's allocations before any block runs
+        try:
+            np.empty(bins + 1), np.empty(bins, np.intp)
+        except ValueError as exc:  # a count numpy cannot size; a MemoryError exits 1
+            raise InvalidParameterError(f"--bins {bins} is too large: {exc}") from None
     run = {"empirical": run_si_empirical, "theoretical": run_si_theoretical}
     runs = {label: run[label](cfg, threads=merged["threads"]) for label in _si_labels(merged)}
     files = {}

@@ -89,6 +89,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -172,8 +173,9 @@ def _map_blocks(cfg: ExperimentConfig, block_fn, threads: int) -> list:
         b, n = block
         return block_fn(cfg, n, RngHandle(cfg.seed, b).generator())
 
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     # a failing block or an interrupt cancels the queued blocks in map's iterator
-    with ThreadPoolExecutor(max_workers=threads) as ex:
+    with ThreadPoolExecutor(max_workers=min(threads, len(blocks), cpus or 1)) as ex:
         return list(ex.map(run, blocks))
 
 

@@ -61,6 +61,96 @@ def test_table_matches_one_shot_formatter(fmt, width):
     assert max(p.count("\n") for p in pieces) <= BLOCK_SIZE
 
 
+def _lines(text: str) -> list:
+    """Lines to compare, so that a mismatch reports its first line, not a text diff."""
+    return text.splitlines(keepends=True)
+
+
+def _bit_patterns(n):
+    """Doubles from random 64-bit patterns, every eighth one subnormal or a zero."""
+    bits = np.random.default_rng(16).integers(0, 2**64, size=n, dtype=np.uint64)
+    bits[::8] &= np.uint64(0x800F_FFFF_FFFF_FFFF)  # exponent field 0
+    return bits.view(np.float64)
+
+
+def _notation_switches():
+    """1e-4, 1e16, the powers of 2 between them and three nextafter steps each way."""
+    edges = np.array([1e-4, 1e16] + [2.0**e for e in range(-13, 54)])
+    values, down, up = [edges], edges, edges
+    for _ in range(3):
+        down, up = np.nextafter(down, 0), np.nextafter(up, np.inf)
+        values += [down, up]
+    values = np.concatenate(values)
+    return np.concatenate([values, -values])
+
+
+WRITER_CASES = {
+    "bit patterns": [_bit_patterns(2 * BLOCK_SIZE + 5)],
+    "notation switches": [_notation_switches()],
+    "signed zeros": [np.array([0.0, -0.0, 1.0, -0.0])],
+    "integers": [
+        np.array([0, 7, 2**53 + 1, 2**63, 2**64 - 1], dtype=np.uint64),
+        np.array([-1, 0, 2**70, -(2**64), 3], dtype=object),
+    ],
+    "float32": [np.array([0.1, 1e-5, 3.4e38, -1e20, 1.5], dtype=np.float32)],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("case", WRITER_CASES)
+def test_table_text_is_repr(fmt, case):
+    columns = WRITER_CASES[case]
+    if fmt == "jsonl":  # JSON has no text for a non-finite value
+        columns = [c[np.isfinite(c)] if c.dtype.kind == "f" else c for c in columns]
+    header = [f"c{j}" for j in range(len(columns))]
+    expected = _one_shot_table(header, [c.tolist() for c in columns], fmt)
+    assert _lines("".join(_table(header, columns, fmt))) == _lines(expected)
+
+
+def test_non_finite_csv_text_is_repr():
+    column = np.array([np.inf, -np.inf, np.nan, 2.5, -np.nan])
+    assert "".join(_table(["x"], [column], "csv")) == "x\ninf\n-inf\nnan\n2.5\nnan\n"
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_non_finite_jsonl_value_raises(value):
+    column = np.ones(BLOCK_SIZE + 1)
+    column[-1] = value
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        list(_table(["x"], [column], "jsonl"))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_in_range_floats_make_no_float_repr_call(monkeypatch, fmt):
+    # a sinr-shaped table: two int index columns and seven float terms, mui all
+    # zeros and the others across [1e-4, 1e16); then three values outside it
+    gen = np.random.default_rng(3)
+    n, K = BLOCK_SIZE + 7, 2
+    columns = [np.repeat(np.arange(n // K + 1), K)[:n], np.tile(np.arange(K), n)[:n]]
+    columns += [10.0 ** gen.uniform(-4, 16, size=n) for _ in range(6)]
+    columns.insert(3, np.zeros(n))  # mui
+    outside = np.array([3.276159679062199e-05, 1e16, -1e-300])
+    reprs = []
+
+    def one_shot():
+        return _lines(_one_shot_table(SINR_COLUMNS, [c.tolist() for c in columns], fmt))
+
+    def counting_repr(x):
+        reprs.append(type(x))
+        return repr(x)
+
+    monkeypatch.setattr(cli, "repr", counting_repr, raising=False)
+    text = "".join(_table(SINR_COLUMNS, columns, fmt))
+    assert reprs.count(int) == 2 * n and float not in reprs
+    assert _lines(text) == one_shot()
+
+    reprs.clear()
+    columns[-1][[5, BLOCK_SIZE, n - 1]] = outside
+    text = "".join(_table(SINR_COLUMNS, columns, fmt))
+    assert reprs.count(float) == len(outside)
+    assert _lines(text) == one_shot()
+
+
 def _si_args(out, **over):
     base = dict(M="4", N="4", K="2", mu="0.5", nu="1", trials="200", seed="123",
                 mode="both", bins="5")
@@ -398,6 +488,18 @@ def test_out_of_memory_exits_1_with_no_output(tmp_path, monkeypatch, capsys):
     assert main(_si_args(str(tmp_path / "run.csv"), trials="10")) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == ["fdsim: out of memory: Unable to allocate 3.73 GiB"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("bins, code, message", [
+    (2**44, 1, "fdsim: out of memory: "),  # 128 TiB of edges: no allocator has them
+    (2**60, 2, "fdsim: invalid parameters: --bins 1152921504606846976 is too large"),
+])
+def test_bins_that_cannot_be_allocated_fail_before_monte_carlo(
+        tmp_path, capsys, no_monte_carlo, bins, code, message):
+    assert main(_si_args(str(tmp_path / "run.csv"), bins=str(bins))) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(message)
     assert list(tmp_path.iterdir()) == []
 
 

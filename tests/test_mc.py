@@ -210,6 +210,35 @@ def test_every_run_goes_through_the_pool(monkeypatch, threads, most):
     assert threading.main_thread().ident not in workers
 
 
+@pytest.mark.parametrize("threads, cpus, workers", [
+    (5000, 2, 2),    # the usable CPUs bound a large --threads
+    (5000, 64, 10),  # then the blocks
+    (3, 64, 3),      # then the thread count itself
+])
+def test_pool_workers_are_clamped(monkeypatch, threads, cpus, workers):
+    monkeypatch.setattr(mc, "BLOCK_SIZE", 4)  # 40 trials are 10 blocks
+    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    pools = []
+
+    class Recorder:  # stands in for the pool and starts no thread
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, blocks):
+            return map(fn, blocks)
+
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", Recorder)
+    parts = mc._map_blocks(_cfg(trials=40), lambda cfg, n, gen: n, threads=threads)
+    assert pools == [workers]
+    assert parts == [4] * 10
+
+
 def test_engine_reaches_traced_names_through_module_globals(monkeypatch):
     # perfbench times each layer by replacing these fdsim.mc attributes; a
     # call that bypasses the module global hides its span
