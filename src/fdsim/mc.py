@@ -23,11 +23,12 @@ conditioned away, and ``T Q V = D``.  ``_zf_draw`` draws, trials last,
 T's K(K - 1)/2 below-diagonal entries column by column (one
 ``generate_batch``), then the diagonal's Gamma(M), ..., Gamma(M - K + 1).
 ``_zf_solve`` forward-substitutes, trials last, the K(K + 1)/2 nonzero
-entries of ``X = T^-1`` (no matrix product or LAPACK call, T never
-formed): ``X[l, l] = 1 / T_ll`` and ``X[l, :l] = -(sum over m < l of
-T[l, m] X[m, :l]) / T_ll``, each term added once row m is final.  It
-returns R and D^2 or, given 1 x K links x, ``||x R||^2 = sum_k D_kk^2
-|(x X)_k|^2``, x folded in row by row.  Each trial's arithmetic is its own.
+entries of ``X = T^-1`` column by column (no matrix product or LAPACK
+call, T never formed): ``X[k, k] = 1 / T_kk`` and, for l > k,
+``X[l, k] = -(sum over k <= m < l of T[l, m] X[m, k]) / T_ll``, so, R
+aside, it holds O(K) vectors of trials at any K.  It returns R and D^2
+or, given 1 x K links x, ``||x R||^2 = sum_k |(x X)_k|^2 / ||X e_k||^2``;
+every sum runs in increasing index; each trial's arithmetic is its own.
 
 Unit vectors (``_q``, trials last).  ``_q(K, M)`` is sqrt(M) times the
 first K entries of a uniform unit vector of C^M, ``sqrt(M) g /
@@ -48,10 +49,7 @@ So the term's link is ``mu q_rx q_tx^T + nu Z``: ``_si_link`` draws Z
   beamformers from Rayleigh H_down (K x M) and H_up (N x K) is
   ``||x R||^2``, x the 1 x K link of q_rx = ``w_1^T 1`` and q_tx = q; a
   block draws ``_zf_draw`` of H_down (K, M), q, ``w_1^T 1``, then Z, each
-  for the whole block, then runs ``_zf_solve`` on consecutive chunks of
-  ``max(MIN_CHUNK, CHUNK_BYTES // (16 K^2))`` trials, so a chunk's complex
-  K x K T^-1 takes at most ``CHUNK_BYTES`` or ``MIN_CHUNK = 256`` trials
-  (a block is one chunk at K <= 3).  No draw and no bit depends on chunks;
+  for the whole block, then runs one ``_zf_solve`` in O(K n) memory;
 - uplink: ``W H_si V_own`` is ``L_A X R_own``, X the K x K link of q', q;
 - downlink: each radio's own SI is a 1 x 1 link of ones, no beamformer.
 
@@ -111,10 +109,6 @@ __all__ = [
 ]
 
 BLOCK_SIZE = 1 << 12
-# the bytes of an `si` chunk's complex K x K T^-1 (measured, ROADMAP), at least
-# BLOCK_SIZE * 16 * 3^2 so that a block is one chunk at K <= 3; and the fewest
-# trials of a chunk, below which per-call overhead dominates at large K
-CHUNK_BYTES, MIN_CHUNK = 640 << 10, 256
 
 
 class Direction(enum.Enum):
@@ -193,23 +187,24 @@ def _zf_draw(n: int, K: int, M: int, gen: Generator) -> tuple[np.ndarray, np.nda
 
 def _zf_solve(below: np.ndarray, diag_inv: np.ndarray, x: np.ndarray | None = None):
     """``R = T^-1 D`` (trials first) and ``D^2`` of the ZF precoders ``Q^H R`` of
-    ``_zf_draw``'s links or, given their 1 x K links ``x``, only ``||x R||^2``."""
+    ``_zf_draw``'s links or, given their 1 x K links ``x``, only ``||x R||^2``;
+    ``X = T^-1`` one column at a time."""
     K, n = diag_inv.shape
-    X = np.zeros((K, K, n), dtype=complex)  # T^-1
-    norm2, xX = np.zeros((K, n)), np.zeros((K, n), dtype=complex)  # ||X e_k||^2, x X
-    for l in range(K):
-        top = l * (2 * K - l - 1) // 2  # T[l + 1:, l] is below[top:top + K - l - 1]
-        row = X[l, :l + 1]  # the earlier rows have added their terms
-        row *= -diag_inv[l]
-        row[l] = diag_inv[l]
-        X[l + 1:, :l + 1] += below[top:top + K - l - 1, None] * row
-        norm2[:l + 1] += _sq(row)
-        if x is not None:
-            xX[:l + 1] += x[l] * row
-    if x is not None:
-        return sum(_sq(xX) / norm2)  # over k, in order
-    X /= np.sqrt(norm2)
-    return np.ascontiguousarray(X.transpose(2, 0, 1)), 1.0 / norm2.T
+    if x is None:
+        R, d2 = np.zeros((n, K, K), dtype=complex), np.empty((K, n))
+    gain = 0
+    for k in range(K):
+        col = [diag_inv[k] + 0j]  # X[k:, k], complex so that R divides it as complex
+        for l in range(k + 1, K):  # X[l, k]; `below` holds T's columns one after another
+            terms = (below[m * (2 * K - m - 1) // 2 + l - m - 1] * col[m - k] for m in range(k, l))
+            col.append(sum(terms) * -diag_inv[l])
+        norm2 = sum(_sq(v) for v in col)  # ||X e_k||^2
+        if x is None:
+            R[:, k:, k] = (np.array(col) / np.sqrt(norm2)).T
+            d2[k] = 1.0 / norm2
+        else:
+            gain += _sq(sum(x[l] * v for l, v in enumerate(col, k))) / norm2
+    return gain if x is not None else (R, d2.T)
 
 
 def _q(n: int, K: int, M: int, gen: Generator) -> np.ndarray:
@@ -233,9 +228,7 @@ def _si_gains_block(cfg: ExperimentConfig, n: int, gen: Generator) -> np.ndarray
     below, diag_inv = _zf_draw(n, K, M, gen)  # H_down = T Q, V = Q^H R
     q = _q(n, K, M, gen)
     x = _si_link(_q(n, 1, N, gen), q, cfg.si_spec, gen)[0]  # w_1^T H_si Q^H
-    step = max(MIN_CHUNK, CHUNK_BYTES // (16 * K * K))
-    chunks = [slice(c, c + step) for c in range(0, n, step)]
-    return np.concatenate([_zf_solve(below[:, t], diag_inv[:, t], x[:, t]) for t in chunks])
+    return _zf_solve(below, diag_inv, x)
 
 
 def _gamma_block(cfg: ExperimentConfig, n: int, gen: Generator) -> np.ndarray:
@@ -244,7 +237,13 @@ def _gamma_block(cfg: ExperimentConfig, n: int, gen: Generator) -> np.ndarray:
     return gen.gamma(gp.kappa, gp.theta, size=n)
 
 
-def _report(cfg: ExperimentConfig, samples: np.ndarray) -> McReport:
+def _report(cfg: ExperimentConfig, block_fn, threads: int) -> McReport:
+    """The blocks' gains, in one array allocated before the first block runs, and their fit."""
+    try:
+        samples = np.empty(cfg.trials)
+    except ValueError as exc:  # a count numpy cannot size; a MemoryError propagates
+        raise InvalidParameterError(f"trials {cfg.trials} is too large: {exc}") from None
+    np.concatenate(_map_blocks(cfg, block_fn, threads), out=samples)
     gp = gamma_mimo(cfg.geom, cfg.si_spec)
     emp_m1 = float(samples.mean())
     emp_m2 = float(np.mean(samples**2))
@@ -258,12 +257,12 @@ def run_si_empirical(cfg: ExperimentConfig, threads: int = 1) -> McReport:
     Sampled from the exact law of the chain, as the module docstring's
     stream-layout statement gives it; no trial is regenerated.
     """
-    return _report(cfg, np.concatenate(_map_blocks(cfg, _si_gains_block, threads)))
+    return _report(cfg, _si_gains_block, threads)
 
 
 def run_si_theoretical(cfg: ExperimentConfig, threads: int = 1) -> McReport:
     """Residual SI gains drawn directly from the moment-matched Gamma law."""
-    return _report(cfg, np.concatenate(_map_blocks(cfg, _gamma_block, threads)))
+    return _report(cfg, _gamma_block, threads)
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ def test_table_matches_one_shot_formatter(fmt, width):
     ][:width]
     expected = _one_shot_table(header, [c.tolist() for c in columns], fmt)
     pieces = list(_table(header, columns, fmt))
-    assert "".join(pieces) == expected
+    assert _lines("".join(pieces)) == _lines(expected)
     assert max(p.count("\n") for p in pieces) <= BLOCK_SIZE
 
 
@@ -397,7 +397,7 @@ def test_si_raw_samples_golden(tmp_path, fmt):
 
 
 # sha256 of `fdsim si --M 64 --N 32 --K 8 --mode empirical --trials 5000` (seed 0,
-# stream layout 10): two blocks, the second partial, each cut into several chunks
+# stream layout 10): two blocks, the second partial
 GOLDEN_SI_K8_SHA256 = {
     "empirical": "5ea6e3950676e4b5ed0fbaf46180511231f30032fafa1e3bb8ce90500658f88c",
     "summary": "0e678f6eb770a92cc8795fabd27b3fe01bd0eacd414dd9fab0f66d9623a92f42",
@@ -498,6 +498,24 @@ def test_out_of_memory_exits_1_with_no_output(tmp_path, monkeypatch, capsys):
 def test_bins_that_cannot_be_allocated_fail_before_monte_carlo(
         tmp_path, capsys, no_monte_carlo, bins, code, message):
     assert main(_si_args(str(tmp_path / "run.csv"), bins=str(bins))) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(message)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("mode", ["empirical", "theoretical"])
+@pytest.mark.parametrize("trials, code, message", [
+    (10**15, 1, "fdsim: out of memory: Unable to allocate 7.11 PiB"),
+    (2**61, 2, "fdsim: invalid parameters: trials 2305843009213693952 is too large"),
+])
+def test_trials_that_cannot_be_allocated_fail_before_monte_carlo(
+        tmp_path, monkeypatch, capsys, mode, trials, code, message):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Monte Carlo work started before the samples were allocated")
+
+    for name in ("_blocks", "_si_gains_block", "_gamma_block"):
+        monkeypatch.setattr(f"fdsim.mc.{name}", forbidden)
+    assert main(_si_args(str(tmp_path / "run.csv"), trials=str(trials), mode=mode)) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(message)
     assert list(tmp_path.iterdir()) == []

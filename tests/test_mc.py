@@ -365,43 +365,35 @@ def _si_gains_dense(cfg, n, gen):
 
 @pytest.mark.parametrize("n", [mc.BLOCK_SIZE, 3616])
 @pytest.mark.parametrize("K", [1, 3, 8, 16])
-def test_chunked_si_block_matches_one_pass(monkeypatch, K, n):
-    # K = 8 and 16 cut a block into several chunks, the last one partial; the
-    # one pass is the same block under a budget that makes it one chunk
+def test_chunked_si_block_matches_one_pass(K, n):
+    # a whole block, full or partial, in one column-by-column `_zf_solve` pass
+    # against one stacked product with the dense R (named for the chunked block)
     cfg = _cfg(K=K, M=64, N=32)
-    chunked = mc._si_gains_block(cfg, n, RngHandle(81, K).generator())
+    block = mc._si_gains_block(cfg, n, RngHandle(81, K).generator())
     dense = _si_gains_dense(cfg, n, RngHandle(81, K).generator())
-    monkeypatch.setattr(mc, "CHUNK_BYTES", 16 * K * K * n)
-    one_pass = mc._si_gains_block(cfg, n, RngHandle(81, K).generator())
-    assert chunked.tobytes() == one_pass.tobytes()
-    assert np.allclose(chunked, dense, rtol=1e-12, atol=0)
+    assert np.allclose(block, dense, rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("K, chunks", [(1, 1), (3, 1), (8, 7)])
-def test_si_block_chunks(monkeypatch, K, chunks):
-    # one chunk at K <= 3 (si-k3); 640 trials a chunk at K = 8
-    sizes = []
-    solve = mc._zf_solve
+def _si_block_peak(K, M=64, N=32):
+    """tracemalloc peak of one full `si` block."""
+    cfg, gen = _cfg(K=K, M=M, N=N), RngHandle(82, 0).generator()
+    tracemalloc.start()
+    try:
+        mc._si_gains_block(cfg, mc.BLOCK_SIZE, gen)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
-    def counting(below, diag_inv, x):
-        sizes.append(diag_inv.shape[1])
-        return solve(below, diag_inv, x)
 
-    monkeypatch.setattr(mc, "_zf_solve", counting)
-    mc._si_gains_block(_cfg(K=K, M=64, N=32), mc.BLOCK_SIZE, RngHandle(83, 0).generator())
-    assert len(sizes) == chunks and sum(sizes) == mc.BLOCK_SIZE
+def test_si_k3_block_memory_is_bounded():
+    # the si-k3 block; holding the whole K x K x n T^-1, it peaked at 1.90 MB
+    peak = _si_block_peak(3, M=16, N=8)
+    assert peak <= 1.5e6, peak
 
 
 def test_si_block_memory_is_bounded():
     # one K = 8 block peaked at 8.65 MB with its whole-block T^-1 (16 K^2 B a trial)
-    cfg = _cfg(K=8, M=64, N=32)
-    gen = RngHandle(82, 0).generator()
-    tracemalloc.start()
-    try:
-        mc._si_gains_block(cfg, mc.BLOCK_SIZE, gen)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _si_block_peak(8)
     assert peak <= 5e6, peak
 
 
@@ -410,20 +402,13 @@ def test_si_block_memory_grows_less_than_layout_9(K, bound):
     # layout 9 held the below-diagonal draw as real half, imaginary half and
     # complex sum at once, and peaked at 15.9 MB (K = 16) and 65.1 MB (K = 32);
     # layout 10 draws it in place
-    cfg = _cfg(K=K, M=64, N=32)
-    gen = RngHandle(82, 0).generator()
-    tracemalloc.start()
-    try:
-        mc._si_gains_block(cfg, mc.BLOCK_SIZE, gen)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _si_block_peak(K)
     assert peak <= bound, peak
 
 
 @pytest.mark.parametrize("K", [8, 16])
 def test_si_thread_count_does_not_change_results(K):
-    # several chunks a block and a partial last block
+    # several blocks, the last one partial
     cfg = _cfg(K=K, M=64, N=32, trials=2 * mc.BLOCK_SIZE + 1000, seed=63)
     one = run_si_empirical(cfg, threads=1).samples
     assert one.tobytes() == run_si_empirical(cfg, threads=2).samples.tobytes()
