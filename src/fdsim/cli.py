@@ -322,7 +322,7 @@ def main(argv=None) -> int:
         print(f"fdsim: numerical failure: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # e.g. a --bins too large to allocate
-        print(f"fdsim: out of memory: {exc or 'allocation failed'}", file=sys.stderr)
+        print(f"fdsim: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:
         print("fdsim: interrupted", file=sys.stderr)

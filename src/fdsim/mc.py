@@ -1,6 +1,6 @@
 """Monte Carlo engine: residual SI experiments and SINR term sampling.
 
-Stream layout 10, stated in full; CHANGES.md records the earlier layouts.
+Stream layout 11, stated in full; CHANGES.md records the earlier layouts.
 
 Blocks.  A run is cut into blocks of ``BLOCK_SIZE = 4096`` trials: block b
 holds trials ``[b * BLOCK_SIZE, (b + 1) * BLOCK_SIZE)`` and the last block
@@ -9,7 +9,7 @@ substream ``SeedSequence(seed, spawn_key=(b,))``, each item below for all
 of its trials at once, so results are bitwise reproducible whatever the
 number of workers.  Every normal comes from ``generate_batch`` (one
 ``standard_normal`` in C order, each entry's real part, then its imaginary
-part); "trials last" puts the trial index on a draw's last axis.  No run
+part), and every draw holds the trial index on its last axis.  No run
 draws a channel matrix or runs a ZF kernel, and nothing is redrawn.
 
 ZF factors (``_zf_draw``, ``_zf_solve``).  A Rayleigh K x M link factors
@@ -19,16 +19,17 @@ as ``T Q`` (the complex Bartlett decomposition; Goodman 1963; Edelman
 distributed and independent of T.  The link has full rank and
 ``T_ii > 0`` almost surely, so its ZF precoder ``V = Q^H R`` with
 ``R = T^-1 D`` and ``D = diag(1 / ||T^-1 e_k||)`` exists, with no draw
-conditioned away, and ``T Q V = D``.  ``_zf_draw`` draws, trials last,
-T's K(K - 1)/2 below-diagonal entries column by column (one
-``generate_batch``), then the diagonal's Gamma(M), ..., Gamma(M - K + 1).
-``_zf_solve`` forward-substitutes, trials last, the K(K + 1)/2 nonzero
-entries of ``X = T^-1`` column by column (no matrix product or LAPACK
-call, T never formed): ``X[k, k] = 1 / T_kk`` and, for l > k,
-``X[l, k] = -(sum over k <= m < l of T[l, m] X[m, k]) / T_ll``, so, R
-aside, it holds O(K) vectors of trials at any K.  It returns R and D^2
-or, given 1 x K links x, ``||x R||^2 = sum_k |(x X)_k|^2 / ||X e_k||^2``;
-every sum runs in increasing index; each trial's arithmetic is its own.
+conditioned away, and ``T Q V = D``.  ``_zf_draw`` draws T's K(K - 1)/2
+below-diagonal entries column by column (one ``generate_batch``), then the
+diagonal's Gamma(M), ..., Gamma(M - K + 1).  ``_zf_solve`` overwrites a
+stack of 1 x K rows ``x[K, ..., n]`` with ``x X``, ``X = T^-1``, and
+returns ``||X e_k||^2 = 1 / D_k^2``, so ``(x R)_k = (x X)_k / ||X e_k||``.
+It forward-substitutes X one column at a time (no matrix product or LAPACK
+call, T never formed): ``X[k, k] = 1 / T_kk`` and, for l > k, ``X[l, k] =
+-(sum over k <= m < l of T[l, m] X[m, k]) / T_ll``; column k's write ``(x
+X)_k = sum over l >= k of x_l X[l, k]`` reads only ``x[k:]``, so besides x
+the walk holds O(K) vectors of trials.  Every sum runs in increasing
+index; each trial's arithmetic is its own.
 
 Unit vectors (``_q``, trials last).  ``_q(K, M)`` is sqrt(M) times the
 first K entries of a uniform unit vector of C^M, ``sqrt(M) g /
@@ -42,46 +43,46 @@ SI links (``_si_link``).  Each SI term sees ``H_si = mu 1 1^T + nu Z``
 between a receive-side factor with orthonormal rows and a transmit-side
 one with orthonormal columns, both independent of Z; their products with
 1 are q_rx and q_tx, and Z between them is again ``CN(0, 1)`` entrywise.
-So the term's link is ``mu q_rx q_tx^T + nu Z``: ``_si_link`` draws Z
-(one ``generate_batch``, spread nu, trials last), then adds the mean.
+So the term's link is ``mu q_rx q_tx^T + nu Z``: ``_si_link(q_rx, q_tx)``
+draws Z (one ``generate_batch``, spread nu), then adds the mean.
 
 - ``si`` (``run_si_empirical``): ``||w_1^T H_si V||^2`` under ZF
   beamformers from Rayleigh H_down (K x M) and H_up (N x K) is
   ``||x R||^2``, x the 1 x K link of q_rx = ``w_1^T 1`` and q_tx = q; a
   block draws ``_zf_draw`` of H_down (K, M), q, ``w_1^T 1``, then Z, each
-  for the whole block, then runs one ``_zf_solve`` in O(K n) memory;
-- uplink: ``W H_si V_own`` is ``L_A X R_own``, X the K x K link of q', q;
+  for the whole block, then walks x once;
+- uplink: ``W H_si V_own`` is ``R'^T X R_own``, X the K x K link of q', q;
 - downlink: each radio's own SI is a 1 x 1 link of ones, no beamformer.
 
 SINR (``run_sinr``).  Every beamformer comes from the Bartlett factors of
 the Rayleigh channel it is computed from: a cell's downlink ``T Q`` gives
 ``V = Q^H R``; the uplink H_up (N x K) is drawn through its transpose
-``H_up^T = T' Q'``, whose ZF decoder is ``W = L_A Q'^*`` with
-``L_A = R'^T``.  So ``useful`` is exactly D^2 (downlink) or D'^2 (uplink)
-and ``mui`` is 0.  Every other link is independent of the beamformers
-around it, and Q^H, Q'^* are Haar and independent of the triangular
-factors, so, with ``Z[r x c]`` one ``generate_batch`` of a Rayleigh stack
-(trials first), a Rayleigh H seen as ``H V_j`` is ``Z[K x K] R_j``; as
-``W H`` (N x c) it is ``L_A Z[K x c]``; as ``W H V_j`` it is
-``L_A Z[K x K] R_j``; and the noise ``W eta`` is ``sqrt(noise_power) L_A
-z[K x 1]``.  Each block draws, in this order:
+``H_up^T = T' Q'``, whose ZF decoder is ``W = R'^T Q'^*``.  So ``useful``
+is exactly D^2 (downlink) or D'^2 (uplink) and ``mui`` is 0.  Every other
+link is independent of the beamformers around it, and Q^H, Q'^* are Haar
+and independent of the triangular factors, so a Rayleigh H seen as ``H
+V_j``, ``W H`` or ``W H V_j`` is ``Z R_j``, ``R'^T Z`` or ``R'^T Z R_j``,
+Z of ``CN(0, 1)`` entries, and the noise ``W eta`` is ``sqrt(noise_power)
+R'^T z``.  Each link is drawn as its transpose Z^T, the stack of Z's rows:
+they go through T_j; then, as ``R'^T Y = (Y^T R')^T``, the rows of Y^T,
+``y.swapaxes(0, 1)``, go through T'.  Each block draws, in this order:
 
 - downlink: ``_zf_draw`` of T_own; per other cell, ``_zf_draw`` of T_j
-  then Z[K x K]; the cross-mode scalars Z[K x (LK - 1)]; the SI link
-  (K x 1); the noise z[K x 1];
+  then Z^T[K x K]; the cross-mode scalars Z^T[(LK - 1) x K]; the SI link
+  ``_si_link(1, 1_K)`` (1 x K); the noise z^T[1 x K];
 - uplink: ``_zf_draw`` of T' (K, N) and q'; ``_zf_draw`` of T_own and q;
-  the SI link (K x K); Z[K x K(L - 1)] of W H_x; per other cell,
-  ``_zf_draw`` of T_j then Z[K x K]; the noise z[K x 1].  Both draw the
-  noise at unit power, also at ``noise_power`` 0, and scale its gain.
+  the SI link ``_si_link(q, q')``; Z^T[K(L - 1) x K] of W H_x; per other
+  cell, ``_zf_draw`` of T_j then Z^T[K x K]; the noise z^T[1 x K].  Both
+  draw the noise at unit power, also at ``noise_power`` 0, and scale it.
 
 Counts per trial (real normals; each ``CN`` entry is two).  ``si``:
-K(K - 1) + 4K + 2 normals, K + 2 Gamma variates, one K x K substitution;
+K(K - 1) + 4K + 2 normals, K + 2 Gamma variates, one walk of one row;
 ``run_si_theoretical``: one Gamma(kappa, theta) variate and no normal.
 Downlink: L K(K - 1) + 2K^2 (L - 1) + 2K (LK - 1) + 4K normals, L K Gamma
-variates, L substitutions.  Uplink: (L + 1) K(K - 1) + 6K + 2K^2 (2L - 1)
-normals (42 at L = K = 2), (L + 1) K + 2 Gamma variates, L + 1
-substitutions.  None depends on M or N.  The tests keep the full chain,
-ZF kernels included, as the reference.
+variates, L walks.  Uplink: (L + 1) K(K - 1) + 6K + 2K^2 (2L - 1) normals
+(42 at L = K = 2), (L + 1) K + 2 Gamma variates, 2L + 2 walks (L + 2 of
+T').  None depends on M or N.  The tests keep the full chain, ZF kernels
+included, as the reference.
 """
 from __future__ import annotations
 
@@ -178,33 +179,25 @@ def _sq(z: np.ndarray) -> np.ndarray:
 
 
 def _zf_draw(n: int, K: int, M: int, gen: Generator) -> tuple[np.ndarray, np.ndarray]:
-    """The below-diagonal entries, packed column by column, and ``1 / T_ii`` of
-    the Bartlett factors T of ``n`` Rayleigh K x M links ``T Q``; trials last."""
+    """T's below-diagonal entries, column by column, and ``1 / T_ii`` of n K x M links T Q."""
     below = generate_batch(1, K * (K - 1) // 2, n, RAYLEIGH, gen)[0]
     diag_inv = 1.0 / np.sqrt([gen.gamma(M - i, size=n) for i in range(K)])
     return below, diag_inv
 
 
-def _zf_solve(below: np.ndarray, diag_inv: np.ndarray, x: np.ndarray | None = None):
-    """``R = T^-1 D`` (trials first) and ``D^2`` of the ZF precoders ``Q^H R`` of
-    ``_zf_draw``'s links or, given their 1 x K links ``x``, only ``||x R||^2``;
-    ``X = T^-1`` one column at a time."""
+def _zf_solve(below: np.ndarray, diag_inv: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``||T^-1 e_k||^2`` of ``_zf_draw``'s factors T; overwrites the stack of
+    1 x K rows ``x[K, ..., n]`` with ``x T^-1``, one column of ``X = T^-1`` at a time."""
     K, n = diag_inv.shape
-    if x is None:
-        R, d2 = np.zeros((n, K, K), dtype=complex), np.empty((K, n))
-    gain = 0
+    norm2 = np.empty((K, n))
     for k in range(K):
-        col = [diag_inv[k] + 0j]  # X[k:, k], complex so that R divides it as complex
+        col = [diag_inv[k]]  # X[k:, k]
         for l in range(k + 1, K):  # X[l, k]; `below` holds T's columns one after another
             terms = (below[m * (2 * K - m - 1) // 2 + l - m - 1] * col[m - k] for m in range(k, l))
             col.append(sum(terms) * -diag_inv[l])
-        norm2 = sum(_sq(v) for v in col)  # ||X e_k||^2
-        if x is None:
-            R[:, k:, k] = (np.array(col) / np.sqrt(norm2)).T
-            d2[k] = 1.0 / norm2
-        else:
-            gain += _sq(sum(x[l] * v for l, v in enumerate(col, k))) / norm2
-    return gain if x is not None else (R, d2.T)
+        norm2[k] = sum(_sq(v) for v in col)  # ||X e_k||^2
+        x[k] = sum(x[l] * v for l, v in enumerate(col, k))  # reads only x[k:]
+    return norm2
 
 
 def _q(n: int, K: int, M: int, gen: Generator) -> np.ndarray:
@@ -228,7 +221,8 @@ def _si_gains_block(cfg: ExperimentConfig, n: int, gen: Generator) -> np.ndarray
     below, diag_inv = _zf_draw(n, K, M, gen)  # H_down = T Q, V = Q^H R
     q = _q(n, K, M, gen)
     x = _si_link(_q(n, 1, N, gen), q, cfg.si_spec, gen)[0]  # w_1^T H_si Q^H
-    return _zf_solve(below, diag_inv, x)
+    norm2 = _zf_solve(below, diag_inv, x)
+    return (_sq(x) / norm2).sum(axis=0)
 
 
 def _gamma_block(cfg: ExperimentConfig, n: int, gen: Generator) -> np.ndarray:
@@ -237,12 +231,17 @@ def _gamma_block(cfg: ExperimentConfig, n: int, gen: Generator) -> np.ndarray:
     return gen.gamma(gp.kappa, gp.theta, size=n)
 
 
-def _report(cfg: ExperimentConfig, block_fn, threads: int) -> McReport:
-    """The blocks' gains, in one array allocated before the first block runs, and their fit."""
+def _empty(cfg: ExperimentConfig, *shape: int) -> np.ndarray:
+    """An array of ``cfg.trials`` rows, allocated before the first block runs."""
     try:
-        samples = np.empty(cfg.trials)
+        return np.empty((cfg.trials, *shape))
     except ValueError as exc:  # a count numpy cannot size; a MemoryError propagates
         raise InvalidParameterError(f"trials {cfg.trials} is too large: {exc}") from None
+
+
+def _report(cfg: ExperimentConfig, block_fn, threads: int) -> McReport:
+    """The blocks' gains, in one array allocated before the first block runs, and their fit."""
+    samples = _empty(cfg)
     np.concatenate(_map_blocks(cfg, block_fn, threads), out=samples)
     gp = gamma_mimo(cfg.geom, cfg.si_spec)
     emp_m1 = float(samples.mean())
@@ -269,57 +268,70 @@ def run_si_theoretical(cfg: ExperimentConfig, threads: int = 1) -> McReport:
 # SINR term sampling
 
 
+TERMS = ("useful", "mui", "ici", "cmi", "si", "noise", "sinr")
+
+
 def _terms(useful, ici, cmi, si, noise) -> dict:
-    """Assemble a block's SINR terms; ZF nulls the multi-user term exactly."""
+    """Assemble a block's SINR terms, (K, n) each; ZF nulls the multi-user term exactly."""
     mui = np.zeros_like(useful)
     sinr = useful / (mui + ici + cmi + si + noise)
-    return dict(useful=useful, mui=mui, ici=ici, cmi=cmi, si=si, noise=noise, sinr=sinr)
+    return dict(zip(TERMS, (useful, mui, ici, cmi, si, noise, sinr)))
 
 
 def _sinr_block_downlink(cfg: ExperimentConfig, n: int, gen: Generator) -> dict:
     L, K, M = cfg.geom.L, cfg.geom.K, cfg.geom.M
-    _, useful = _zf_solve(*_zf_draw(n, K, M, gen))  # H_own V_own = D
+    useful = 1 / _zf_solve(*_zf_draw(n, K, M, gen), np.empty((K, 0, n), complex))  # no row: D^2
 
-    ici = np.zeros((n, K))
+    ici = np.zeros((K, n))
     for _ in range(L - 1):
-        R_j, _ = _zf_solve(*_zf_draw(n, K, M, gen))  # other cell's own downlink
-        ici += _sq(generate_batch(n, K, K, RAYLEIGH, gen) @ R_j).sum(axis=2)  # H_cross V_j
+        T_j = _zf_draw(n, K, M, gen)  # other cell's own downlink
+        Z = generate_batch(K, K, n, RAYLEIGH, gen)  # H_cross^T
+        cross = _zf_solve(*T_j, Z)
+        ici += (_sq(Z) / cross[:, None]).sum(axis=0)  # H_cross V_j
 
     # Cross-mode: one Rayleigh scalar per FD radio in every cell except self.
-    cmi = _sq(generate_batch(n, K, L * K - 1, RAYLEIGH, gen)).sum(axis=2)
+    cmi = _sq(generate_batch(L * K - 1, K, n, RAYLEIGH, gen)).sum(axis=0)
 
-    si = _sq(_si_link(np.ones((K, n)), np.ones((1, n)), cfg.si_spec, gen))[:, 0].T
-    noise = cfg.noise_power * _sq(generate_batch(n, K, 1, RAYLEIGH, gen))[:, :, 0]
+    si = _sq(_si_link(np.ones((1, n)), np.ones((K, n)), cfg.si_spec, gen)[0])
+    noise = cfg.noise_power * _sq(generate_batch(1, K, n, RAYLEIGH, gen)[0])
 
     return _terms(useful, ici, cmi, si, noise)
 
 
 def _sinr_block_uplink(cfg: ExperimentConfig, n: int, gen: Generator) -> dict:
     L, K, M, N = cfg.geom.L, cfg.geom.K, cfg.geom.M, cfg.geom.N
-    R_up, useful = _zf_solve(*_zf_draw(n, K, N, gen))  # H_up^T = T' Q', W H_up = D'
+    T_up = _zf_draw(n, K, N, gen)  # H_up^T = T' Q', W = R'^T Q'^*
     q_up = _q(n, K, N, gen)
-    L_A = R_up.swapaxes(-1, -2)  # W = L_A Q'^*
-    R_own, _ = _zf_solve(*_zf_draw(n, K, M, gen))  # own cell's downlink, fixes V
+    T_own = _zf_draw(n, K, M, gen)  # own cell's downlink, fixes V
     q_own = _q(n, K, M, gen)
-    link = np.moveaxis(_si_link(q_up, q_own, cfg.si_spec, gen), -1, 0)
-    si = _sq(L_A @ link @ R_own).sum(axis=2)  # W H_si V_own
+    link = _si_link(q_own, q_up, cfg.si_spec, gen)  # H_si^T
+    own = _zf_solve(*T_own, link)
+    up = _zf_solve(*T_up, link.swapaxes(0, 1))  # 1 / D'^2, which scales every W row
+    si = (_sq(link) / own[:, None]).sum(axis=0)  # W H_si V_own
 
     # Inter-cell: uplink transmissions of FD radios in other cells; own-cell
     # radios already enter through the multi-user term.
-    ici = _sq(L_A @ generate_batch(n, K, K * (L - 1), RAYLEIGH, gen)).sum(axis=2)  # W H_x
+    Z = generate_batch(K * (L - 1), K, n, RAYLEIGH, gen)  # H_x^T
+    _zf_solve(*T_up, Z.swapaxes(0, 1))
+    ici = _sq(Z).sum(axis=0)  # W H_x
 
-    cmi = np.zeros((n, K))
+    cmi = np.zeros((K, n))
     for _ in range(L - 1):
-        R_j, _ = _zf_solve(*_zf_draw(n, K, M, gen))
-        cmi += _sq(L_A @ generate_batch(n, K, K, RAYLEIGH, gen) @ R_j).sum(axis=2)  # W H_cross V_j
+        T_j = _zf_draw(n, K, M, gen)
+        Z = generate_batch(K, K, n, RAYLEIGH, gen)  # H_cross^T
+        cross = _zf_solve(*T_j, Z)
+        _zf_solve(*T_up, Z.swapaxes(0, 1))
+        cmi += (_sq(Z) / cross[:, None]).sum(axis=0)  # W H_cross V_j
 
-    noise = cfg.noise_power * _sq(L_A @ generate_batch(n, K, 1, RAYLEIGH, gen))[:, :, 0]  # W eta
+    z = generate_batch(1, K, n, RAYLEIGH, gen)  # eta^T
+    _zf_solve(*T_up, z.swapaxes(0, 1))
+    noise = cfg.noise_power * _sq(z[0])  # W eta
 
-    return _terms(useful, ici, cmi, si, noise)
+    return _terms(1 / up, ici / up, cmi / up, si / up, noise / up)
 
 
 def run_sinr(cfg: ExperimentConfig, threads: int = 1) -> dict:
-    """All SINR terms over cfg.trials; arrays of shape (trials, K) per term.
+    """All SINR terms over cfg.trials, (trials, K) arrays allocated before any block runs.
 
     Sampled from the exact law of the ZF chain, as the module docstring's
     stream-layout statement gives it; ``mui`` is exactly 0.
@@ -327,5 +339,8 @@ def run_sinr(cfg: ExperimentConfig, threads: int = 1) -> dict:
     block_fn = (
         _sinr_block_downlink if cfg.direction is Direction.DOWNLINK else _sinr_block_uplink
     )
+    terms = {key: _empty(cfg, cfg.geom.K) for key in TERMS}
     parts = _map_blocks(cfg, block_fn, threads)
-    return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
+    for key, out in terms.items():
+        np.concatenate([p[key] for p in parts], axis=1, out=out.T)
+    return terms

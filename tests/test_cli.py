@@ -271,10 +271,10 @@ def test_sinr_output(tmp_path):
     assert all(float(l.split(",")[ici_col]) == 0.0 for l in lines[1:])
 
 
-# sha256 of `fdsim sinr --L 2 --K 2 --M 8 --N 4 --trials 100` (seed 0, stream layout 10)
+# sha256 of `fdsim sinr --L 2 --K 2 --M 8 --N 4 --trials 100` (seed 0, stream layout 11)
 GOLDEN_SINR_SHA256 = {
-    "downlink": "b639d1c243bce6e65caae5bca5c19abe13b3f575e453bdf8c12859135c2370d0",
-    "uplink": "2256c1b3d9c22afba79c688ec587f1ec1df5e2f449d9b38ed7dcf9abb8241a08",
+    "downlink": "1d0296fb5a258920042f2465a19fe35d6a400aad57142da08346ac9697e6a6e8",
+    "uplink": "6290ccb6441aa3ee1c40b5d927c3b557f2ef73c7e5e7c01c2f4b94b8a7d44027",
 }
 
 
@@ -414,10 +414,10 @@ def test_si_k8_raw_samples_golden(tmp_path):
 
 
 # sha256 of `fdsim sinr --L 2 --K 2 --M 8 --N 4 --trials 100 --format jsonl` (seed 0,
-# stream layout 10)
+# stream layout 11)
 GOLDEN_SINR_JSONL_SHA256 = {
-    "downlink": "f63eb5635fd5b8816fb6c33bd050a97f80a41b455dd3b6d340163d380f345010",
-    "uplink": "148ac7affc6938be0b8266fcda4f4cb264bbdcc6195ee5503b3fa515e11dd645",
+    "downlink": "08cc6d38244d9151be8b81fd10c9667e9807f7b277ed608cd887150a3dcd38c4",
+    "uplink": "bd223ccbf9065c7450d8570f28230ec2d8a4d7ca6b7b34c9817d06595721828f",
 }
 
 
@@ -491,6 +491,16 @@ def test_out_of_memory_exits_1_with_no_output(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_out_of_memory_without_a_message_still_says_why(tmp_path, monkeypatch, capsys):
+    def no_memory(samples, bins):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "histogram", no_memory)
+    assert main(_si_args(str(tmp_path / "run.csv"), trials="10")) == 1
+    assert capsys.readouterr().err.splitlines() == ["fdsim: out of memory: allocation failed"]
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("bins, code, message", [
     (2**44, 1, "fdsim: out of memory: "),  # 128 TiB of edges: no allocator has them
     (2**60, 2, "fdsim: invalid parameters: --bins 1152921504606846976 is too large"),
@@ -520,6 +530,26 @@ def test_trials_that_cannot_be_allocated_fail_before_monte_carlo(
     assert len(err) == 1 and err[0].startswith(message)
     assert list(tmp_path.iterdir()) == []
 
+
+
+@pytest.mark.parametrize("direction", ["downlink", "uplink"])
+@pytest.mark.parametrize("trials, code, message", [
+    (10**15, 1, "fdsim: out of memory: Unable to allocate 7.11 PiB"),
+    (2**61, 2, "fdsim: invalid parameters: trials 2305843009213693952 is too large"),
+])
+def test_sinr_trials_that_cannot_be_allocated_fail_before_monte_carlo(
+        tmp_path, monkeypatch, capsys, direction, trials, code, message):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Monte Carlo work started before the terms were allocated")
+
+    for name in ("_blocks", "_sinr_block_downlink", "_sinr_block_uplink"):
+        monkeypatch.setattr(f"fdsim.mc.{name}", forbidden)
+    out = str(tmp_path / "sinr.csv")
+    argv = ["sinr", "--K", "1", "--trials", str(trials), "--direction", direction, "--out", out]
+    assert main(argv) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(message)
+    assert list(tmp_path.iterdir()) == []
 
 def _interrupt(*args, **kwargs):
     raise KeyboardInterrupt

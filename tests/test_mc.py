@@ -330,21 +330,35 @@ def test_normals_per_trial(monkeypatch):
         assert count(run_sinr, cfg) == (T * per_trial, T * L * K)
 
 
+def _bartlett_t(n, K, M, gen):
+    """The Bartlett factors T that `mc._zf_draw` draws from ``gen``, formed
+    from the same draws, trials first."""
+    T = np.zeros((n, K, K), dtype=complex)
+    cols, rows = np.triu_indices(K, 1)  # below the diagonal, column by column
+    T[:, rows, cols] = generate_batch(1, rows.size, n, RAYLEIGH, gen)[0].T
+    T[:, range(K), range(K)] = np.sqrt(
+        gen.gamma(np.arange(M, M - K, -1)[:, None], size=(K, n))
+    ).T
+    return T
+
+
+def _zf_dense(below, diag_inv):
+    """``R = T^-1 D`` (trials first) and ``D^2`` of `mc._zf_draw`'s factors:
+    the identity rows e_i, fed through `mc._zf_solve`, come back as e_i T^-1."""
+    K, n = diag_inv.shape
+    x = np.repeat(np.eye(K, dtype=complex)[:, :, None], n, axis=2)  # x[:, i] = e_i
+    norm2 = mc._zf_solve(below, diag_inv, x)
+    return (x / np.sqrt(norm2[:, None])).T, 1 / norm2.T
+
+
 @pytest.mark.parametrize("K", range(1, 9))
 def test_bartlett_inverse_matches_lapack(K):
     # forward substitution on the packed draws; the reference forms T from the
     # same substream's draws, inverts it with LAPACK and scales its columns
     n = 2000
     for M in (K, K + 3, 64):
-        R, d2 = mc._zf_solve(*mc._zf_draw(n, K, M, RngHandle(80, M).generator()))
-        gen = RngHandle(80, M).generator()
-        T = np.zeros((n, K, K), dtype=complex)
-        cols, rows = np.triu_indices(K, 1)  # below the diagonal, column by column
-        T[:, rows, cols] = generate_batch(1, rows.size, n, RAYLEIGH, gen)[0].T
-        T[:, range(K), range(K)] = np.sqrt(
-            gen.gamma(np.arange(M, M - K, -1)[:, None], size=(K, n))
-        ).T
-        inv = np.linalg.inv(T)
+        R, d2 = _zf_dense(*mc._zf_draw(n, K, M, RngHandle(80, M).generator()))
+        inv = np.linalg.inv(_bartlett_t(n, K, M, RngHandle(80, M).generator()))
         norms = np.linalg.norm(inv, axis=1)  # ||T^-1 e_k||
         ref = inv / norms[:, None, :]
         err = np.linalg.norm(R - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
@@ -354,10 +368,10 @@ def test_bartlett_inverse_matches_lapack(K):
 
 
 def _si_gains_dense(cfg, n, gen):
-    """An `si` block through the dense R of ``_zf_solve``: every draw, then
-    ``sum |x R|^2`` with one stacked product over the whole block."""
+    """An `si` block through a dense R: every draw, then ``sum |x R|^2`` with
+    one stacked product over the whole block."""
     K, M, N = cfg.geom.K, cfg.geom.M, cfg.geom.N
-    R, _ = mc._zf_solve(*mc._zf_draw(n, K, M, gen))
+    R, _ = _zf_dense(*mc._zf_draw(n, K, M, gen))
     q = mc._q(n, K, M, gen)
     x = mc._si_link(mc._q(n, 1, N, gen), q, cfg.si_spec, gen)[0]
     return np.sum(np.abs(x.T[:, None, :] @ R) ** 2, axis=(1, 2))
@@ -372,6 +386,63 @@ def test_chunked_si_block_matches_one_pass(K, n):
     block = mc._si_gains_block(cfg, n, RngHandle(81, K).generator())
     dense = _si_gains_dense(cfg, n, RngHandle(81, K).generator())
     assert np.allclose(block, dense, rtol=1e-12, atol=0)
+
+
+def _sinr_block_lapack(cfg, n, gen):
+    """Stream layout 11's SINR block from the same draws, with every R from
+    LAPACK and every term a stacked product, trials first."""
+    L, K, M, N = cfg.geom.L, cfg.geom.K, cfg.geom.M, cfg.geom.N
+
+    def zf(dim):  # R = T^-1 D and D^2
+        inv = np.linalg.inv(_bartlett_t(n, K, dim, gen))
+        norm2 = mc._sq(inv).sum(axis=1)  # ||T^-1 e_k||^2
+        return inv / np.sqrt(norm2[:, None, :]), 1 / norm2
+
+    def link(rows, cols):  # a Rayleigh rows x cols link, drawn as its transpose
+        return generate_batch(cols, rows, n, RAYLEIGH, gen).T
+
+    ici = cmi = 0
+    if cfg.direction is Direction.DOWNLINK:
+        _, useful = zf(M)
+        for _ in range(L - 1):
+            R_j, _ = zf(M)
+            ici = ici + mc._sq(link(K, K) @ R_j).sum(axis=2)  # H_cross V_j
+        cmi = mc._sq(link(K, L * K - 1)).sum(axis=2)
+        si = mc._sq(mc._si_link(np.ones((1, n)), np.ones((K, n)), cfg.si_spec, gen).T)[:, :, 0]
+        noise = mc._sq(link(K, 1))[:, :, 0]
+    else:
+        R_up, useful = zf(N)
+        q_up = mc._q(n, K, N, gen)
+        R_own, _ = zf(M)
+        q_own = mc._q(n, K, M, gen)
+        W = R_up.swapaxes(1, 2)  # the decoder, R'^T Q'^*
+        H_si = mc._si_link(q_own, q_up, cfg.si_spec, gen).T
+        si = mc._sq(W @ H_si @ R_own).sum(axis=2)
+        ici = mc._sq(W @ link(K, K * (L - 1))).sum(axis=2)
+        for _ in range(L - 1):
+            R_j, _ = zf(M)
+            cmi = cmi + mc._sq(W @ link(K, K) @ R_j).sum(axis=2)  # W H_cross V_j
+        noise = mc._sq(W @ link(K, 1))[:, :, 0]
+    noise = cfg.noise_power * noise
+    sinr = useful / (ici + cmi + si + noise)
+    return dict(useful=useful, ici=ici, cmi=cmi, si=si, noise=noise, sinr=sinr)
+
+
+@pytest.mark.parametrize("L, K, M, N", [(2, 2, 8, 4), (3, 3, 16, 8)])
+@pytest.mark.parametrize("direction", [Direction.DOWNLINK, Direction.UPLINK])
+def test_sinr_block_matches_lapack_reference(direction, L, K, M, N):
+    # the same draws as one block of run_sinr, each R from np.linalg.inv
+    cfg = _cfg(L=L, K=K, M=M, N=N, noise_power=0.5, direction=direction)
+    block_fn = (
+        mc._sinr_block_downlink if direction is Direction.DOWNLINK else mc._sinr_block_uplink
+    )
+    n = 3000
+    got = block_fn(cfg, n, RngHandle(83, L).generator())
+    ref = _sinr_block_lapack(cfg, n, RngHandle(83, L).generator())
+    assert np.all(got["mui"] == 0)
+    for key, want in ref.items():
+        assert got[key].shape == (K, n), key
+        assert np.allclose(got[key].T, want, rtol=1e-12, atol=0), key
 
 
 def _si_block_peak(K, M=64, N=32):
