@@ -6,10 +6,11 @@ Subcommands:
   moments  print the closed-form moments and Gamma parameters
   sinr     run multi-cell SINR sampling and write per-term samples
 
-Numbers are written as round-trip ``repr`` text, by orjson for float64s in
-``1e-4 <= |x| < 1e16`` or 0.  A run streams its output, one block of rows at a
-time, into staged temporary files that are renamed together once every file is
-complete, so a failed or interrupted run leaves none of its output set.
+Numbers are written as round-trip ``repr`` text, integers and float64s by one
+orjson call per run of same-dtype columns per block of rows, with CSV row ends
+set in its bytes.  A run streams its output, one block of rows at a time, into
+staged temporary files that are renamed together once every file is complete,
+so a failed or interrupted run leaves none of its output set.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ import os
 import secrets
 import sys
 from dataclasses import replace
+from itertools import groupby
 
 import numpy as np
 import orjson
@@ -82,31 +84,62 @@ _SETTINGS = {
 }
 
 
-def _text(column: np.ndarray) -> list:
-    """``repr`` of each entry of a contiguous 1-D column; orjson writes the same text
-    for a float64 in ``1e-4 <= |x| < 1e16`` or 0 (``0.00003``, ``1e16``, ``null`` outside)."""
-    if column.dtype != np.float64:
-        return list(map(repr, column.tolist()))
-    text = orjson.dumps(column, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
-    a = np.abs(column)
-    for i in np.flatnonzero(~((a >= 1e-4) & (a < 1e16)) & (column != 0)):
-        text[i] = repr(float(column[i]))
+def _run_text(run: list) -> bytes:
+    """The comma-separated ``repr`` text of a run's values in row-major order.
+    orjson writes it for native integers and float64s, but for a nonzero float64
+    outside ``1e-4 <= |x| < 1e16`` (``0.00003``, ``1e16``, ``null``): ``repr``'s goes in."""
+    values = run[0] if len(run) == 1 else np.stack(run, axis=1).ravel()
+    dtype = values.dtype
+    if not (dtype.isnative and (dtype.kind in "iu" or dtype == np.float64)):
+        return ",".join(map(repr, values.tolist())).encode()
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+    if dtype.kind == "f":
+        a = np.abs(values)
+        outside = np.flatnonzero(~((a >= 1e-4) & (a < 1e16)) & (values != 0))
+        if outside.size:  # value i spans bounds[i] + 1 to bounds[i + 1]
+            commas = np.flatnonzero(np.frombuffer(text, np.uint8) == ord(","))
+            bounds = np.concatenate(([-1], commas, [len(text)]))
+            pieces, end = [], 0
+            for i in outside:
+                pieces += [text[end:bounds[i] + 1], repr(float(values[i])).encode()]
+                end = bounds[i + 1]
+            text = b"".join(pieces + [text[end:]])
     return text
 
 
+def _csv_rows(text: bytes, width: int) -> bytearray:
+    """``text`` of ``width`` values a row with every ``width``-th comma made a row end."""
+    rows = bytearray(text + b",")
+    codes = np.frombuffer(rows, np.uint8)
+    codes[np.flatnonzero(codes == ord(","))[width - 1::width]] = ord("\n")
+    return rows
+
+
 def _table(header, columns, fmt: str):
-    """Yield the CSV or JSONL text of equal-length ndarray columns, one block
-    of ``BLOCK_SIZE`` rows at a time, each value as its ``_text``."""
+    """Yield the CSV or JSONL text of equal-length ndarray columns of numbers,
+    one block of ``BLOCK_SIZE`` rows at a time.  Each run of same-dtype columns
+    in a block takes its text from one ``_run_text`` call; the runs are joined
+    row by row (CSV), or a run's column j is its every width-th value (JSONL)."""
     if fmt == "jsonl":
         template = "{" + ", ".join(f"{json.dumps(h)}: %s" for h in header) + "}\n"
     else:
-        template = ",".join(["%s"] * len(header)) + "\n"
         yield ",".join(header) + "\n"
     for i in range(0, len(columns[0]), BLOCK_SIZE):
         block = [np.ascontiguousarray(c[i:i + BLOCK_SIZE]) for c in columns]
         if fmt == "jsonl" and any(c.dtype.kind == "f" and not np.isfinite(c).all() for c in block):
             raise ValueError("Out of range float values are not JSON compliant")
-        yield "".join(map(template.__mod__, zip(*map(_text, block))))
+        runs = [list(run) for _, run in groupby(block, key=lambda c: c.dtype)]
+        if fmt == "jsonl":
+            values = []
+            for run in runs:
+                text = _run_text(run).decode().split(",")
+                values += [text[j::len(run)] for j in range(len(run))]
+            yield "".join(map(template.__mod__, zip(*values)))
+        else:
+            text = [_csv_rows(_run_text(run), len(run)).decode() for run in runs]
+            if len(text) > 1:
+                text = ["\n".join(map(",".join, zip(*map(str.splitlines, text)))) + "\n"]
+            yield text[0]
 
 
 def _atomic_write(files: dict) -> None:

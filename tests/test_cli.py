@@ -44,16 +44,19 @@ EDGE_FLOATS = [0.0, -0.0, 1e16, 1e-5, 5e-324, 1.7976931348623157e308, -2.5]
 EDGE_INTS = [0, 7, 2**53 + 1, 2**63 - 1, 2**63, 2**64 - 1]
 
 
-@pytest.mark.parametrize("width", [1, 3])
+@pytest.mark.parametrize("width", [1, 3, 6])
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_table_matches_one_shot_formatter(fmt, width):
     n = 2 * BLOCK_SIZE + 123  # more than two blocks of rows
     gen = np.random.default_rng(9)
-    header = ["edge", "i", "x"][:width]
-    columns = [
+    header = ["edge", "i", "x", "f32", "y", "z"][:width]
+    columns = [  # at width 6 an object and a float32 column lie between float64 runs
         np.resize(np.array(EDGE_FLOATS), n),
         np.array([EDGE_INTS[r % len(EDGE_INTS)] for r in range(n)], dtype=object),
         gen.standard_normal(n) * 10.0 ** gen.integers(-300, 300, size=n),
+        (gen.standard_normal(n) * 10.0 ** gen.integers(-30, 30, size=n)).astype(np.float32),
+        gen.standard_normal(n),
+        np.resize(np.array(EDGE_FLOATS[::-1]), n),
     ][:width]
     expected = _one_shot_table(header, [c.tolist() for c in columns], fmt)
     pieces = list(_table(header, columns, fmt))
@@ -84,6 +87,25 @@ def _notation_switches():
     return np.concatenate([values, -values])
 
 
+def _mixed_runs():
+    """Tables of several same-dtype column runs, each more than two blocks long."""
+    n = 2 * BLOCK_SIZE + 5
+    gen = np.random.default_rng(19)
+    terms = 10.0 ** gen.uniform(-4, 15, size=(3, n)) * gen.choice([-1.0, 1.0], size=(3, n))
+    # values outside [1e-4, 1e16) on the run's first and last value and on
+    # the first and last row of every block
+    edges = [0, BLOCK_SIZE - 1, BLOCK_SIZE, 2 * BLOCK_SIZE - 1, 2 * BLOCK_SIZE, n - 1]
+    terms[0, edges], terms[1, edges[::2]], terms[2, edges] = 3e-05, 5e-324, -1e16
+    return {
+        "histogram shape": [np.linspace(0.0, 40.0, n, endpoint=False),
+                            gen.integers(0, 10**6, size=n)],
+        "summary shape": [gen.integers(-(2**63), 2**63 - 1, size=n), gen.standard_normal(n),
+                          gen.integers(2**63, 2**64 - 1, size=n, dtype=np.uint64),
+                          gen.standard_normal(n) * 1e-3],
+        "outside values on run edges": [np.arange(n), *terms],
+    }
+
+
 WRITER_CASES = {
     "bit patterns": [_bit_patterns(2 * BLOCK_SIZE + 5)],
     "notation switches": [_notation_switches()],
@@ -93,6 +115,9 @@ WRITER_CASES = {
         np.array([-1, 0, 2**70, -(2**64), 3], dtype=object),
     ],
     "float32": [np.array([0.1, 1e-5, 3.4e38, -1e20, 1.5], dtype=np.float32)],
+    "big-endian": [np.array([1.5, 2.0**60, 1e-5], dtype=">f8"),
+                   np.array([1, -(2**40), 7], dtype=">i8")],
+    **_mixed_runs(),
 }
 
 
@@ -130,7 +155,8 @@ def test_in_range_floats_make_no_float_repr_call(monkeypatch, fmt):
     columns += [10.0 ** gen.uniform(-4, 16, size=n) for _ in range(6)]
     columns.insert(3, np.zeros(n))  # mui
     outside = np.array([3.276159679062199e-05, 1e16, -1e-300])
-    reprs = []
+    reprs, dumps = [], []
+    dumps_fn = cli.orjson.dumps
 
     def one_shot():
         return _lines(_one_shot_table(SINR_COLUMNS, [c.tolist() for c in columns], fmt))
@@ -139,15 +165,22 @@ def test_in_range_floats_make_no_float_repr_call(monkeypatch, fmt):
         reprs.append(type(x))
         return repr(x)
 
+    def counting_dumps(*args, **kwargs):
+        dumps.append(args[0].dtype)
+        return dumps_fn(*args, **kwargs)
+
     monkeypatch.setattr(cli, "repr", counting_repr, raising=False)
+    monkeypatch.setattr(cli.orjson, "dumps", counting_dumps)
     text = "".join(_table(SINR_COLUMNS, columns, fmt))
-    assert reprs.count(int) == 2 * n and float not in reprs
+    # one call per run (the int index columns, then the float terms) per block
+    assert reprs == [] and dumps == [np.int64, np.float64] * 2
     assert _lines(text) == one_shot()
 
     reprs.clear()
+    dumps.clear()
     columns[-1][[5, BLOCK_SIZE, n - 1]] = outside
     text = "".join(_table(SINR_COLUMNS, columns, fmt))
-    assert reprs.count(float) == len(outside)
+    assert reprs == [float] * len(outside) and len(dumps) == 4
     assert _lines(text) == one_shot()
 
 
@@ -376,7 +409,7 @@ def test_staging_never_opens_an_existing_path(tmp_path, monkeypatch, planted):
 
 
 # sha256 of the raw-sample `fdsim si` files (`_si_args` without --bins), per format
-# (stream layout 10)
+# (stream layout 10; layout 11 kept these bytes)
 GOLDEN_SI_RAW_SHA256 = {
     ("csv", "empirical"): "487d773d1ec0fe1537379bdb4270763ef2b83efaa7f85c2b2135d1f7bf0ed080",
     ("csv", "theoretical"): "ffb739b11fd22dd60608c74d618279a260b72cccb4978815929f3ee52185d5ba",
@@ -397,7 +430,7 @@ def test_si_raw_samples_golden(tmp_path, fmt):
 
 
 # sha256 of `fdsim si --M 64 --N 32 --K 8 --mode empirical --trials 5000` (seed 0,
-# stream layout 10): two blocks, the second partial
+# stream layout 10; layout 11 kept these bytes): two blocks, the second partial
 GOLDEN_SI_K8_SHA256 = {
     "empirical": "5ea6e3950676e4b5ed0fbaf46180511231f30032fafa1e3bb8ce90500658f88c",
     "summary": "0e678f6eb770a92cc8795fabd27b3fe01bd0eacd414dd9fab0f66d9623a92f42",
