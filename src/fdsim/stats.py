@@ -83,14 +83,51 @@ def gamma_cdf(x, p: GammaParams):
     return out if out.ndim else float(out)
 
 
+# Rank strides of the KS walk, coarsest first; the last must be 1.
+_KS_STRIDES = (4096, 512, 64, 8, 1)
+# Added to every gap bound: far above gammainc's rounding, so a cdf that is
+# nondecreasing only up to its rounding is still pruned exactly.
+_KS_SLACK = 1e-9
+
+
 def ks_distance(samples, cdf) -> float:
-    """Two-sided Kolmogorov-Smirnov sup distance to a reference CDF."""
-    s = np.sort(np.asarray(samples, dtype=float))
+    """Two-sided Kolmogorov-Smirnov sup distance to a reference CDF.
+
+    ``samples`` of any shape are flattened and sorted, s_1 <= ... <= s_n.
+    The result is max over i of ``i/n - F_i`` and ``F_i - (i-1)/n``, with
+    F_i = cdf(s_i), and it is the same float as evaluating ``cdf`` at every
+    s_i, for any ``cdf`` that is elementwise and nondecreasing up to an
+    absolute 1e-9. ``cdf`` is called on subsets of the sorted sample only.
+    It is first evaluated on a coarse grid of ranks, the first and last
+    included. Between two evaluated ranks a < b such a ``cdf`` bounds every
+    term by ``max(b/n - F_a, F_b - a/n)``, so a gap is refined, in rounds
+    of finer strides down to single ranks, only while that bound plus 1e-9
+    reaches the largest term found so far. A NaN sample gives NaN whenever
+    cdf(NaN) is NaN.
+    """
+    s = np.sort(np.asarray(samples, dtype=float), axis=None)
     n = s.size
     if n < 1:
         raise InvalidParameterError("need at least one sample")
-    f = np.asarray(cdf(s), dtype=float)
-    i = np.arange(1, n + 1)
+    j = np.append(np.arange(0, n - 1, _KS_STRIDES[0]), n - 1)  # evaluated ranks, 0-based
+    f = np.asarray(cdf(s[j]), dtype=float)
+    for coarse, fine in zip(_KS_STRIDES, _KS_STRIDES[1:]):
+        lo, hi = j[:-1], j[1:]
+        bound = np.maximum((hi + 1) / n - f[:-1], f[1:] - (lo + 1) / n)
+        refine = bound + _KS_SLACK >= _ks_sup(j, f, n)
+        # every refined gap is at most `coarse` ranks wide
+        new = lo[refine, None] + np.arange(fine, coarse, fine)
+        new = new[new < hi[refine, None]]
+        if new.size:
+            at = np.searchsorted(j, new)
+            j = np.insert(j, at, new)
+            f = np.insert(f, at, np.asarray(cdf(s[new]), dtype=float))
+    return _ks_sup(j, f, n)
+
+
+def _ks_sup(j: np.ndarray, f: np.ndarray, n: int) -> float:
+    """The largest KS term at the 0-based ranks j, whose cdf values are f."""
+    i = j + 1
     return float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
 
 

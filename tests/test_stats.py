@@ -5,16 +5,21 @@ import pytest
 from scipy import integrate
 
 from fdsim import (
+    ExperimentConfig,
     GammaParams,
     InvalidParameterError,
     RicianSpec,
     RngHandle,
+    SystemGeometry,
     gamma_cdf,
+    gamma_mimo,
     gamma_pdf,
     gamma_siso,
     histogram,
     ks_distance,
     rician_from_factor,
+    run_si_empirical,
+    run_si_theoretical,
     si_pdf_siso,
 )
 from fdsim.channel import generate_batch
@@ -113,7 +118,62 @@ class TestGammaLaw:
         assert np.array_equal(a, b)
 
 
+def _ks_full(samples, cdf) -> float:
+    """The KS distance from a cdf evaluated at every sorted sample."""
+    s = np.sort(np.asarray(samples, dtype=float))
+    n = s.size
+    f = np.asarray(cdf(s), dtype=float)
+    i = np.arange(1, n + 1)
+    return float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
+
+
+KS_LAW = GammaParams(1.7, 0.6)
+
+
+def _ks_data(kind, n, seed):
+    g = RngHandle(seed, 0).generator()
+    if kind == "matched":  # drawn from the reference cdf itself: the least pruning
+        return g.gamma(KS_LAW.kappa, KS_LAW.theta, size=n)
+    if kind == "mismatched":
+        return g.exponential(KS_LAW.mean, size=n)
+    if kind == "ties":
+        return np.round(g.gamma(KS_LAW.kappa, KS_LAW.theta, size=n), 1)
+    if kind == "all-equal":
+        return np.full(n, KS_LAW.mean)
+    return np.zeros(n)
+
+
 class TestKsDistance:
+    @pytest.mark.parametrize("kind", ["matched", "mismatched", "ties", "all-equal", "zeros"])
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 4097, 100_000])
+    def test_pruned_walk_equals_full_evaluation(self, n, kind):
+        s = _ks_data(kind, n, seed=40 + n % 7)
+        cdf = lambda x: gamma_cdf(x, KS_LAW)
+        assert ks_distance(s, cdf) == _ks_full(s, cdf)
+
+    @pytest.mark.parametrize("K,M,N", [(1, 16, 8), (3, 16, 8), (8, 64, 32)])
+    @pytest.mark.parametrize("run", [run_si_empirical, run_si_theoretical])
+    def test_engine_samples_equal_full_evaluation(self, run, K, M, N):
+        cfg = ExperimentConfig(
+            geom=SystemGeometry(L=1, K=K, M=M, N=N), si_spec=RicianSpec(0.5, 1.0),
+            trials=65_536, seed=K,
+        )
+        gp = gamma_mimo(cfg.geom, cfg.si_spec)
+        s = run(cfg).samples
+        cdf = lambda x: gamma_cdf(x, gp)
+        assert ks_distance(s, cdf) == _ks_full(s, cdf)
+
+    def test_any_shape_is_flattened(self):
+        cdf = lambda x: 1 - np.exp(-np.asarray(x))
+        flat = [0.3, 1.2, 0.7, 2.5, 0.1, 0.9]
+        assert ks_distance(np.reshape(flat[:3], (3, 1)), cdf) == ks_distance(flat[:3], cdf)
+        assert ks_distance(np.reshape(flat, (2, 3)), cdf) == ks_distance(flat, cdf)
+
+    def test_nan_sample_gives_nan(self):
+        s = [0.5, float("nan"), 1.0]
+        assert math.isnan(ks_distance(s, lambda x: gamma_cdf(x, KS_LAW)))
+        assert math.isnan(_ks_full(s, lambda x: gamma_cdf(x, KS_LAW)))
+
     def test_self_consistency(self):
         p = GammaParams(1.0, 1.0)
         s = RngHandle(33, 0).generator().gamma(p.kappa, p.theta, size=100_000)
@@ -137,8 +197,18 @@ class TestKsDistance:
         p = gamma_siso(spec)
         g = RngHandle(2024, 0).generator()
         s = np.abs(generate_batch(1, 1, 1_000_000, spec, g)) ** 2
-        d = ks_distance(s, lambda x: gamma_cdf(x, p))
+        seen = []
+
+        def cdf(x):
+            assert np.all(np.diff(x) >= 0)  # values of the sorted sample, in order
+            seen.append(x.size)
+            return gamma_cdf(x, p)
+
+        d = ks_distance(s, cdf)
         assert 0.003 <= d <= 0.007
+        # the walk prunes: a full evaluation would see every one of the 1e6 values
+        assert sum(seen) < s.size / 10
+        assert d == _ks_full(s, lambda x: gamma_cdf(x, p))
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidParameterError):
