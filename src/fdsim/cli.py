@@ -7,10 +7,12 @@ Subcommands:
   sinr     run multi-cell SINR sampling and write per-term samples
 
 Numbers are written as round-trip ``repr`` text, integers and float64s by one
-orjson call per run of same-dtype columns per block of rows, with CSV row ends
-set in its bytes.  A run streams its output, one block of rows at a time, into
-staged temporary files that are renamed together once every file is complete,
-so a failed or interrupted run leaves none of its output set.
+orjson call per run of same-dtype columns per block of rows.  The writer works
+in bytes end to end: a block's text goes from orjson through one split and one
+join (for one column, a comma-to-newline replace) to the file, with no str in
+between.  A run streams its output, one block of rows at a time, into staged
+temporary files, opened in binary mode, that are renamed together once every
+file is complete, so a failed or interrupted run leaves none of its output set.
 """
 from __future__ import annotations
 
@@ -84,73 +86,106 @@ _SETTINGS = {
 }
 
 
-def _run_text(run: list) -> bytes:
-    """The comma-separated ``repr`` text of a run's values in row-major order.
-    orjson writes it for native integers and float64s, but for a nonzero float64
-    outside ``1e-4 <= |x| < 1e16`` (``0.00003``, ``1e16``, ``null``): ``repr``'s goes in."""
-    values = run[0] if len(run) == 1 else np.stack(run, axis=1).ravel()
+def _run_text(values: np.ndarray) -> bytes:
+    """The ``repr`` text of a 1-D or 2-D array of numbers as orjson writes it:
+    ``[a,b,c]`` or ``[[a,b],[c,d]]``.  orjson writes it for native integers and
+    float64s, but for a nonzero float64 outside ``1e-4 <= |x| < 1e16``
+    (``0.00003``, ``1e16``, ``null``): ``repr``'s goes in."""
+    values = np.ascontiguousarray(values)
     dtype = values.dtype
     if not (dtype.isnative and (dtype.kind in "iu" or dtype == np.float64)):
-        return ",".join(map(repr, values.tolist())).encode()
-    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+        return repr(values.tolist()).replace(" ", "").encode()
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
     if dtype.kind == "f":
         a = np.abs(values)
         outside = np.flatnonzero(~((a >= 1e-4) & (a < 1e16)) & (values != 0))
-        if outside.size:  # value i spans bounds[i] + 1 to bounds[i + 1]
+        if outside.size:  # value i spans bounds[i] + 1 to bounds[i + 1], less its row's brackets
             commas = np.flatnonzero(np.frombuffer(text, np.uint8) == ord(","))
-            bounds = np.concatenate(([-1], commas, [len(text)]))
+            bounds = np.concatenate(([0], commas, [len(text) - 1]))
+            rows, width = values.ndim == 2, values.shape[-1]
             pieces, end = [], 0
             for i in outside:
-                pieces += [text[end:bounds[i] + 1], repr(float(values[i])).encode()]
-                end = bounds[i + 1]
+                start = bounds[i] + 1 + (rows and i % width == 0)
+                pieces += [text[end:start], repr(float(values.flat[i])).encode()]
+                end = bounds[i + 1] - (rows and i % width == width - 1)
             text = b"".join(pieces + [text[end:]])
     return text
 
 
-def _csv_rows(text: bytes, width: int) -> bytearray:
-    """``text`` of ``width`` values a row with every ``width``-th comma made a row end."""
-    rows = bytearray(text + b",")
-    codes = np.frombuffer(rows, np.uint8)
-    codes[np.flatnonzero(codes == ord(","))[width - 1::width]] = ord("\n")
-    return rows
+def _runs(block: list) -> list:
+    """A block's runs of same-dtype columns, each the 2-D array of its rows."""
+    return [np.stack(list(run), axis=1) for _, run in groupby(block, key=lambda c: c.dtype)]
 
 
-def _table(header, columns, fmt: str):
-    """Yield the CSV or JSONL text of equal-length ndarray columns of numbers,
-    one block of ``BLOCK_SIZE`` rows at a time.  Each run of same-dtype columns
-    in a block takes its text from one ``_run_text`` call; the runs are joined
-    row by row (CSV), or a run's column j is its every width-th value (JSONL)."""
+def _interleave(pieces: list, seps: list, end: bytes) -> bytes:
+    """Equal-length lists of byte strings made rows by one join: row i is
+    ``seps[0] pieces[0][i] seps[1] pieces[1][i] ... end``."""
+    parts = ([x for sep in seps for x in (sep, None)] + [end]) * len(pieces[0])
+    for j, piece in enumerate(pieces):
+        parts[2 * j + 1::2 * len(pieces) + 1] = piece
+    return b"".join(parts)
+
+
+def _csv_block(block: list) -> bytes:
+    """A block's CSV rows.  A one-column block's row ends replace its commas;
+    otherwise each run's text is split into its rows."""
+    if len(block) == 1:
+        return _run_text(block[0])[1:-1].replace(b",", b"\n") + b"\n"
+    rows = []
+    for run in _runs(block):
+        piece = _run_text(run).split(b"],[")
+        piece[0] = piece[0][2:]  # "[[a,b"
+        piece[-1] = piece[-1][:-2]  # "y,z]]"
+        rows.append(piece)
+    return _interleave(rows, [b""] + [b","] * (len(rows) - 1), b"\n")
+
+
+def _jsonl_block(block: list, keys: list) -> bytes:
+    """A block's JSONL records; ``keys[j]`` opens column j's member.  A run's
+    values are split from its text row by row, so column j's are every
+    width-th from the j-th."""
+    if any(c.dtype.kind == "f" and not np.isfinite(c).all() for c in block):
+        raise ValueError("Out of range float values are not JSON compliant")
+    values = []
+    for run in _runs(block):
+        text = _run_text(run.ravel()).split(b",")
+        text[0] = text[0][1:]  # "[a"
+        text[-1] = text[-1][:-1]  # "z]"
+        values += [text[j::run.shape[1]] for j in range(run.shape[1])]
+    return _interleave(values, keys, b"}\n")
+
+
+def _row_blocks(columns: list):
+    """Equal-length columns cut into blocks of ``BLOCK_SIZE`` rows."""
+    return ([c[i:i + BLOCK_SIZE] for c in columns] for i in range(0, len(columns[0]), BLOCK_SIZE))
+
+
+def _table(header, blocks, fmt: str):
+    """Yield the CSV or JSONL bytes of a table, one ``bytes`` per block of
+    rows; each block is a list of equal-length ndarray columns of numbers.
+
+    The writer works in bytes end to end: each run of same-dtype columns in a
+    block takes its text from one ``_run_text`` call, which one split cuts
+    into rows (CSV) or values (JSONL), and one join puts the block together.
+    The block helpers return only that join, so a block's pieces are freed
+    before the next block's are made."""
     if fmt == "jsonl":
-        template = "{" + ", ".join(f"{json.dumps(h)}: %s" for h in header) + "}\n"
+        keys = [f"{', ' if j else '{'}{json.dumps(h)}: ".encode() for j, h in enumerate(header)]
     else:
-        yield ",".join(header) + "\n"
-    for i in range(0, len(columns[0]), BLOCK_SIZE):
-        block = [np.ascontiguousarray(c[i:i + BLOCK_SIZE]) for c in columns]
-        if fmt == "jsonl" and any(c.dtype.kind == "f" and not np.isfinite(c).all() for c in block):
-            raise ValueError("Out of range float values are not JSON compliant")
-        runs = [list(run) for _, run in groupby(block, key=lambda c: c.dtype)]
-        if fmt == "jsonl":
-            values = []
-            for run in runs:
-                text = _run_text(run).decode().split(",")
-                values += [text[j::len(run)] for j in range(len(run))]
-            yield "".join(map(template.__mod__, zip(*values)))
-        else:
-            text = [_csv_rows(_run_text(run), len(run)).decode() for run in runs]
-            if len(text) > 1:
-                text = ["\n".join(map(",".join, zip(*map(str.splitlines, text)))) + "\n"]
-            yield text[0]
+        yield ",".join(header).encode() + b"\n"
+    for block in blocks:
+        yield _jsonl_block(block, keys) if fmt == "jsonl" else _csv_block(block)
 
 
 def _atomic_write(files: dict) -> None:
-    """Stream ``{path: iterable of str}`` into new randomly named files beside
+    """Stream ``{path: iterable of bytes}`` into new randomly named files beside
     their targets, then rename them all; on any failure remove the staged
     files and the targets already renamed.  The files get the umask's mode."""
     staged, renamed = [], []
     try:
         for path, chunks in files.items():
             tmp = os.path.join(os.path.dirname(path), f".fdsim-{secrets.token_hex(8)}.tmp")
-            with open(tmp, "x") as fh:  # refuses an existing file or symlink
+            with open(tmp, "xb") as fh:  # refuses an existing file or symlink
                 staged.append(tmp)
                 fh.writelines(chunks)
         for tmp, path in zip(staged, files):
@@ -265,7 +300,10 @@ def _out_error(command: str, merged: dict) -> str | None:
     clash = next((t for t in targets if os.path.isdir(t)), None)
     if clash:
         return f"--out would write {clash}, which is a directory"
-    name_max = os.pathconf(directory, "PC_NAME_MAX")
+    try:  # os.pathconf is Unix-only and can fail: then no limit is known
+        name_max = os.pathconf(directory, "PC_NAME_MAX")
+    except (AttributeError, OSError, ValueError):
+        name_max = 0
     longest = max(len(os.fsencode(os.path.basename(t))) for t in targets)
     if 0 < name_max < longest:
         return f"--out gives a {longest}-byte file name, over the directory's {name_max}-byte limit"
@@ -293,10 +331,11 @@ def _cmd_si(merged: dict, cfg: ExperimentConfig, head: list, cf: list) -> dict:
     files = {}
     for label, report in runs.items():
         if bins is None:
-            table = _table(["si_gain"], [report.samples], fmt)
+            table = _table(["si_gain"], _row_blocks([report.samples]), fmt)
         else:
             h = histogram(report.samples, bins)
-            table = _table(["bin_left", "count"], [h.bin_edges[:-1], h.counts], fmt)
+            columns = [h.bin_edges[:-1], h.counts]
+            table = _table(["bin_left", "count"], _row_blocks(columns), fmt)
         files[_data_path(out, label, fmt)] = table
     rows = [
         head + [cfg.trials, cfg.seed, r.emp_m1, r.emp_m2, r.emp_var]
@@ -304,7 +343,7 @@ def _cmd_si(merged: dict, cfg: ExperimentConfig, head: list, cf: list) -> dict:
         for r in runs.values()
     ]
     columns = [np.array(c) for c in zip(*rows)]
-    files[_data_path(out, "summary", fmt)] = _table(SUMMARY_COLUMNS, columns, fmt)
+    files[_data_path(out, "summary", fmt)] = _table(SUMMARY_COLUMNS, [columns], fmt)
     return files
 
 
@@ -312,9 +351,10 @@ def _cmd_sinr(merged: dict, cfg: ExperimentConfig) -> dict:
     cfg = replace(cfg, noise_power=merged["noise"], direction=Direction(merged["direction"]))
     terms = run_sinr(cfg, threads=merged["threads"])
     T, K = cfg.trials, cfg.geom.K
-    columns = [np.repeat(np.arange(T), K), np.tile(np.arange(K), T)]
-    columns += [terms[key].ravel() for key in SINR_COLUMNS[2:]]
-    return {merged["out"]: _table(SINR_COLUMNS, columns, merged["format"])}
+    rows = (np.arange(i, min(i + BLOCK_SIZE, T * K)) for i in range(0, T * K, BLOCK_SIZE))
+    blocks = _row_blocks([terms[key].ravel() for key in SINR_COLUMNS[2:]])
+    blocks = ([r // K, r % K, *block] for r, block in zip(rows, blocks))  # trial, k
+    return {merged["out"]: _table(SINR_COLUMNS, blocks, merged["format"])}
 
 
 def main(argv=None) -> int:
@@ -331,9 +371,8 @@ def main(argv=None) -> int:
         head = [geom.M, geom.N, geom.K, spec.mu, spec.nu]
         if ns.command == "moments":
             row = head + _closed_form(geom, spec)
-            sys.stdout.writelines(
-                _table(MOMENT_COLUMNS, [np.array([v]) for v in row], merged["format"])
-            )
+            table = _table(MOMENT_COLUMNS, [[np.array([v]) for v in row]], merged["format"])
+            sys.stdout.write(b"".join(table).decode())
             return 0
         cfg = ExperimentConfig(
             geom=geom, si_spec=spec, trials=merged["trials"], seed=merged["seed"],

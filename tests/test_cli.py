@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fdsim.cli as cli
-from fdsim.cli import SINR_COLUMNS, _table, main
+from fdsim.cli import SINR_COLUMNS, _row_blocks, _table, main
 from fdsim.mc import BLOCK_SIZE, Direction
 
 GOLDEN_SUMMARY = (
@@ -59,9 +59,9 @@ def test_table_matches_one_shot_formatter(fmt, width):
         np.resize(np.array(EDGE_FLOATS[::-1]), n),
     ][:width]
     expected = _one_shot_table(header, [c.tolist() for c in columns], fmt)
-    pieces = list(_table(header, columns, fmt))
-    assert _lines("".join(pieces)) == _lines(expected)
-    assert max(p.count("\n") for p in pieces) <= BLOCK_SIZE
+    pieces = list(_table(header, _row_blocks(columns), fmt))
+    assert _lines(b"".join(pieces).decode()) == _lines(expected)
+    assert max(p.count(b"\n") for p in pieces) <= BLOCK_SIZE
 
 
 def _lines(text: str) -> list:
@@ -129,12 +129,13 @@ def test_table_text_is_repr(fmt, case):
         columns = [c[np.isfinite(c)] if c.dtype.kind == "f" else c for c in columns]
     header = [f"c{j}" for j in range(len(columns))]
     expected = _one_shot_table(header, [c.tolist() for c in columns], fmt)
-    assert _lines("".join(_table(header, columns, fmt))) == _lines(expected)
+    assert _lines(b"".join(_table(header, _row_blocks(columns), fmt)).decode()) == _lines(expected)
 
 
 def test_non_finite_csv_text_is_repr():
     column = np.array([np.inf, -np.inf, np.nan, 2.5, -np.nan])
-    assert "".join(_table(["x"], [column], "csv")) == "x\ninf\n-inf\nnan\n2.5\nnan\n"
+    text = b"".join(_table(["x"], _row_blocks([column]), "csv")).decode()
+    assert text == "x\ninf\n-inf\nnan\n2.5\nnan\n"
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
@@ -142,7 +143,7 @@ def test_non_finite_jsonl_value_raises(value):
     column = np.ones(BLOCK_SIZE + 1)
     column[-1] = value
     with pytest.raises(ValueError, match="not JSON compliant"):
-        list(_table(["x"], [column], "jsonl"))
+        list(_table(["x"], _row_blocks([column]), "jsonl"))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
@@ -171,7 +172,7 @@ def test_in_range_floats_make_no_float_repr_call(monkeypatch, fmt):
 
     monkeypatch.setattr(cli, "repr", counting_repr, raising=False)
     monkeypatch.setattr(cli.orjson, "dumps", counting_dumps)
-    text = "".join(_table(SINR_COLUMNS, columns, fmt))
+    text = b"".join(_table(SINR_COLUMNS, _row_blocks(columns), fmt)).decode()
     # one call per run (the int index columns, then the float terms) per block
     assert reprs == [] and dumps == [np.int64, np.float64] * 2
     assert _lines(text) == one_shot()
@@ -179,9 +180,42 @@ def test_in_range_floats_make_no_float_repr_call(monkeypatch, fmt):
     reprs.clear()
     dumps.clear()
     columns[-1][[5, BLOCK_SIZE, n - 1]] = outside
-    text = "".join(_table(SINR_COLUMNS, columns, fmt))
+    text = b"".join(_table(SINR_COLUMNS, _row_blocks(columns), fmt)).decode()
     assert reprs == [float] * len(outside) and len(dumps) == 4
     assert _lines(text) == one_shot()
+
+
+def _assembly_shapes(n):
+    """Columns of the three block shapes ``_table`` assembles in its own way."""
+    gen = np.random.default_rng(21)
+
+    def floats():  # some values outside [1e-4, 1e16), whose text is repr's
+        return gen.standard_normal(n) * 10.0 ** gen.integers(-6, 18, size=n)
+
+    return {
+        "one column": [floats()],
+        "one float64 run": [floats() for _ in range(4)],
+        "several runs": [gen.integers(0, 9, size=n), floats(), floats(),
+                         gen.integers(2**63, 2**64 - 1, size=n, dtype=np.uint64), floats(),
+                         gen.integers(-5, 5, size=n)],
+    }
+
+
+ASSEMBLY_ROWS = [1, BLOCK_SIZE + 9]  # one row, two blocks
+ASSEMBLY_SHAPES = {n: _assembly_shapes(n) for n in ASSEMBLY_ROWS}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("shape", ASSEMBLY_SHAPES[1])
+@pytest.mark.parametrize("n", ASSEMBLY_ROWS)
+def test_table_yields_the_bytes_of_each_block(n, shape, fmt):
+    columns = ASSEMBLY_SHAPES[n][shape]
+    header = [f"c{j}" for j in range(len(columns))]
+    pieces = list(_table(header, _row_blocks(columns), fmt))
+    blocks = -(-n // BLOCK_SIZE)
+    assert [type(p) for p in pieces] == [bytes] * ((fmt == "csv") + blocks)  # csv header first
+    expected = _one_shot_table(header, [c.tolist() for c in columns], fmt)
+    assert _lines(b"".join(pieces).decode()) == _lines(expected)
 
 
 def _si_args(out, **over):
@@ -728,6 +762,21 @@ def test_out_name_at_name_max_is_written(tmp_path):
     out = tmp_path / ("a" * (os.pathconf(tmp_path, "PC_NAME_MAX") - 4) + ".csv")
     assert main(["sinr", "--trials", "10", "--out", str(out)]) == 0
     assert out.exists()
+
+
+@pytest.mark.parametrize("pathconf", ["raises", "missing"])
+@pytest.mark.parametrize("command", ["si", "sinr"])
+def test_out_name_limit_unknown_without_pathconf(tmp_path, monkeypatch, command, pathconf):
+    # os.pathconf is Unix-only and can raise; the run then checks no name length
+    if pathconf == "missing":
+        monkeypatch.delattr(os, "pathconf")
+    else:
+        def failing(path, name):
+            raise OSError(errno.EINVAL, os.strerror(errno.EINVAL))
+        monkeypatch.setattr(os, "pathconf", failing)
+    assert main([command, "--trials", "10", "--out", str(tmp_path / "run.csv")]) == 0
+    expected = ["run.csv"] if command == "sinr" else ["run_empirical.csv", "run_summary.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == expected
 
 
 class _FullDisk:
