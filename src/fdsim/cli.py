@@ -6,13 +6,14 @@ Subcommands:
   moments  print the closed-form moments and Gamma parameters
   sinr     run multi-cell SINR sampling and write per-term samples
 
-Numbers are written as round-trip ``repr`` text, integers and float64s by one
-orjson call per run of same-dtype columns per block of rows.  The writer works
-in bytes end to end: a block's text goes from orjson through one split and one
-join (for one column, a comma-to-newline replace) to the file, with no str in
-between.  A run streams its output, one block of rows at a time, into staged
-temporary files, opened in binary mode, that are renamed together once every
-file is complete, so a failed or interrupted run leaves none of its output set.
+Numbers are written as round-trip ``repr`` text, integers and float64s by
+orjson: per block of rows, one call for each CSV run of same-dtype columns or
+for each JSONL column.  The writer works in bytes end to end: a block's text
+goes from orjson through one split and one join (for one column, a
+comma-to-newline replace) to the file, with no str in between.  A run streams
+its output, one block of rows at a time, into staged temporary files, opened
+in binary mode, that are renamed together once every file is complete, so a
+failed or interrupted run leaves none of its output set.
 """
 from __future__ import annotations
 
@@ -38,6 +39,7 @@ from .closedform import (
 from .exceptions import InvalidParameterError
 from .mc import (
     BLOCK_SIZE,
+    TERMS,
     Direction,
     ExperimentConfig,
     run_si_empirical,
@@ -55,7 +57,7 @@ SUMMARY_COLUMNS = [
 
 MOMENT_COLUMNS = ["M", "N", "K", "mu", "nu", "m1", "m2", "var", "kappa", "theta"]
 
-SINR_COLUMNS = ["trial", "k", "useful", "mui", "ici", "cmi", "si", "noise", "sinr"]
+SINR_COLUMNS = ["trial", "k", *TERMS]
 
 _COMMANDS = {
     "si": "residual SI distribution experiment",
@@ -89,32 +91,25 @@ _SETTINGS = {
 def _run_text(values: np.ndarray) -> bytes:
     """The ``repr`` text of a 1-D or 2-D array of numbers as orjson writes it:
     ``[a,b,c]`` or ``[[a,b],[c,d]]``.  orjson writes it for native integers and
-    float64s, but for a nonzero float64 outside ``1e-4 <= |x| < 1e16``
-    (``0.00003``, ``1e16``, ``null``): ``repr``'s goes in."""
+    float64s, but a nonzero float64 outside ``1e-4 <= |x| < 1e16``
+    (``0.00003``, ``1e16``, ``nan``) goes to orjson as NaN, which it writes
+    ``null``, and ``repr``'s text goes in place of each ``null``."""
     values = np.ascontiguousarray(values)
     dtype = values.dtype
     if not (dtype.isnative and (dtype.kind in "iu" or dtype == np.float64)):
         return repr(values.tolist()).replace(" ", "").encode()
-    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
+    reprs = []
     if dtype.kind == "f":
         a = np.abs(values)
-        outside = np.flatnonzero(~((a >= 1e-4) & (a < 1e16)) & (values != 0))
-        if outside.size:  # value i spans bounds[i] + 1 to bounds[i + 1], less its row's brackets
-            commas = np.flatnonzero(np.frombuffer(text, np.uint8) == ord(","))
-            bounds = np.concatenate(([0], commas, [len(text) - 1]))
-            rows, width = values.ndim == 2, values.shape[-1]
-            pieces, end = [], 0
-            for i in outside:
-                start = bounds[i] + 1 + (rows and i % width == 0)
-                pieces += [text[end:start], repr(float(values.flat[i])).encode()]
-                end = bounds[i + 1] - (rows and i % width == width - 1)
-            text = b"".join(pieces + [text[end:]])
+        outside = ~((a >= 1e-4) & (a < 1e16)) & (values != 0)
+        reprs = [repr(x).encode() for x in values[outside].tolist()]
+        values = np.where(outside, np.nan, values) if reprs else values
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
+    if reprs:  # a split that finds no null still scans the whole text
+        parts = [None] * (2 * len(reprs) + 1)
+        parts[::2], parts[1::2] = text.split(b"null"), reprs
+        text = b"".join(parts)
     return text
-
-
-def _runs(block: list) -> list:
-    """A block's runs of same-dtype columns, each the 2-D array of its rows."""
-    return [np.stack(list(run), axis=1) for _, run in groupby(block, key=lambda c: c.dtype)]
 
 
 def _interleave(pieces: list, seps: list, end: bytes) -> bytes:
@@ -128,30 +123,20 @@ def _interleave(pieces: list, seps: list, end: bytes) -> bytes:
 
 def _csv_block(block: list) -> bytes:
     """A block's CSV rows.  A one-column block's row ends replace its commas;
-    otherwise each run's text is split into its rows."""
+    otherwise the text of each run of same-dtype columns is split into rows."""
     if len(block) == 1:
         return _run_text(block[0])[1:-1].replace(b",", b"\n") + b"\n"
-    rows = []
-    for run in _runs(block):
-        piece = _run_text(run).split(b"],[")
-        piece[0] = piece[0][2:]  # "[[a,b"
-        piece[-1] = piece[-1][:-2]  # "y,z]]"
-        rows.append(piece)
+    runs = (np.stack(list(run), axis=1) for _, run in groupby(block, key=lambda c: c.dtype))
+    rows = [_run_text(run)[2:-2].split(b"],[") for run in runs]  # less "[[" and "]]"
     return _interleave(rows, [b""] + [b","] * (len(rows) - 1), b"\n")
 
 
 def _jsonl_block(block: list, keys: list) -> bytes:
-    """A block's JSONL records; ``keys[j]`` opens column j's member.  A run's
-    values are split from its text row by row, so column j's are every
-    width-th from the j-th."""
+    """A block's JSONL records; ``keys[j]`` opens column j's member, whose
+    values are split from the column's text."""
     if any(c.dtype.kind == "f" and not np.isfinite(c).all() for c in block):
         raise ValueError("Out of range float values are not JSON compliant")
-    values = []
-    for run in _runs(block):
-        text = _run_text(run.ravel()).split(b",")
-        text[0] = text[0][1:]  # "[a"
-        text[-1] = text[-1][:-1]  # "z]"
-        values += [text[j::run.shape[1]] for j in range(run.shape[1])]
+    values = [_run_text(column)[1:-1].split(b",") for column in block]
     return _interleave(values, keys, b"}\n")
 
 
@@ -164,9 +149,10 @@ def _table(header, blocks, fmt: str):
     """Yield the CSV or JSONL bytes of a table, one ``bytes`` per block of
     rows; each block is a list of equal-length ndarray columns of numbers.
 
-    The writer works in bytes end to end: each run of same-dtype columns in a
-    block takes its text from one ``_run_text`` call, which one split cuts
-    into rows (CSV) or values (JSONL), and one join puts the block together.
+    The writer works in bytes end to end: each CSV run of same-dtype columns
+    or JSONL column in a block takes its text from one ``_run_text`` call,
+    which one split cuts into rows (CSV) or values (JSONL), and one join puts
+    the block together.
     The block helpers return only that join, so a block's pieces are freed
     before the next block's are made."""
     if fmt == "jsonl":
@@ -352,7 +338,7 @@ def _cmd_sinr(merged: dict, cfg: ExperimentConfig) -> dict:
     terms = run_sinr(cfg, threads=merged["threads"])
     T, K = cfg.trials, cfg.geom.K
     rows = (np.arange(i, min(i + BLOCK_SIZE, T * K)) for i in range(0, T * K, BLOCK_SIZE))
-    blocks = _row_blocks([terms[key].ravel() for key in SINR_COLUMNS[2:]])
+    blocks = _row_blocks([terms[key].ravel() for key in TERMS])
     blocks = ([r // K, r % K, *block] for r, block in zip(rows, blocks))  # trial, k
     return {merged["out"]: _table(SINR_COLUMNS, blocks, merged["format"])}
 

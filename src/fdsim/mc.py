@@ -231,17 +231,24 @@ def _gamma_block(cfg: ExperimentConfig, n: int, gen: Generator) -> np.ndarray:
     return gen.gamma(gp.kappa, gp.theta, size=n)
 
 
-def _empty(cfg: ExperimentConfig, *shape: int) -> np.ndarray:
-    """An array of ``cfg.trials`` rows, allocated before the first block runs."""
+def _empty(what: str, *shape: int, dtype=float) -> np.ndarray:
+    """An array allocated before the first block runs; ``what`` names it in an error."""
     try:
-        return np.empty((cfg.trials, *shape))
+        return np.empty(shape, dtype)
     except ValueError as exc:  # a count numpy cannot size; a MemoryError propagates
-        raise InvalidParameterError(f"trials {cfg.trials} is too large: {exc}") from None
+        raise InvalidParameterError(f"{what} is too large: {exc}") from None
+
+
+def _try_draw(cfg: ExperimentConfig, count: int) -> None:
+    """Allocate, then free, a block's largest draw, ``count`` complex normals a
+    trial, before the first block runs."""
+    n = min(cfg.trials, BLOCK_SIZE)
+    _empty(f"a draw of {count} complex normals a trial", count, n, dtype=complex)
 
 
 def _report(cfg: ExperimentConfig, block_fn, threads: int) -> McReport:
     """The blocks' gains, in one array allocated before the first block runs, and their fit."""
-    samples = _empty(cfg)
+    samples = _empty(f"trials {cfg.trials}", cfg.trials)
     np.concatenate(_map_blocks(cfg, block_fn, threads), out=samples)
     gp = gamma_mimo(cfg.geom, cfg.si_spec)
     emp_m1 = float(samples.mean())
@@ -256,6 +263,8 @@ def run_si_empirical(cfg: ExperimentConfig, threads: int = 1) -> McReport:
     Sampled from the exact law of the chain, as the module docstring's
     stream-layout statement gives it; no trial is regenerated.
     """
+    K = cfg.geom.K
+    _try_draw(cfg, max(K * (K - 1) // 2, K))  # T's below-diagonal entries, or q
     return _report(cfg, _si_gains_block, threads)
 
 
@@ -334,12 +343,16 @@ def run_sinr(cfg: ExperimentConfig, threads: int = 1) -> dict:
     """All SINR terms over cfg.trials, (trials, K) arrays allocated before any block runs.
 
     Sampled from the exact law of the ZF chain, as the module docstring's
-    stream-layout statement gives it; ``mui`` is exactly 0.
+    stream-layout statement gives it; ``mui`` is exactly 0.  A block's
+    largest draw is tried first, so a cell count too large for it fails at once.
     """
-    block_fn = (
-        _sinr_block_downlink if cfg.direction is Direction.DOWNLINK else _sinr_block_uplink
-    )
-    terms = {key: _empty(cfg, cfg.geom.K) for key in TERMS}
+    L, K = cfg.geom.L, cfg.geom.K
+    if cfg.direction is Direction.DOWNLINK:  # the cross-mode scalars, or the noise
+        block_fn, count = _sinr_block_downlink, max(L * K - 1, 1) * K
+    else:  # W H_x, or the SI link
+        block_fn, count = _sinr_block_uplink, max(L - 1, 1) * K * K
+    _try_draw(cfg, count)
+    terms = {key: _empty(f"trials {cfg.trials}", cfg.trials, K) for key in TERMS}
     parts = _map_blocks(cfg, block_fn, threads)
     for key, out in terms.items():
         np.concatenate([p[key] for p in parts], axis=1, out=out.T)

@@ -96,6 +96,11 @@ def _mixed_runs():
     # the first and last row of every block
     edges = [0, BLOCK_SIZE - 1, BLOCK_SIZE, 2 * BLOCK_SIZE - 1, 2 * BLOCK_SIZE, n - 1]
     terms[0, edges], terms[1, edges[::2]], terms[2, edges] = 3e-05, 5e-324, -1e16
+    # one float64 run whose block edges alternate between rows of values
+    # outside [1e-4, 1e16) and rows of non-finite ones (JSONL drops the latter)
+    spliced = 10.0 ** gen.uniform(-4, 15, size=(3, n)) * gen.choice([-1.0, 1.0], size=(3, n))
+    spliced[:, [0, 2 * BLOCK_SIZE - 1, 2 * BLOCK_SIZE]] = [[3e-05], [1e16], [-5e-324]]
+    spliced[:, [BLOCK_SIZE - 1, BLOCK_SIZE, n - 1]] = [[np.nan], [np.inf], [-np.inf]]
     return {
         "histogram shape": [np.linspace(0.0, 40.0, n, endpoint=False),
                             gen.integers(0, 10**6, size=n)],
@@ -103,6 +108,7 @@ def _mixed_runs():
                           gen.integers(2**63, 2**64 - 1, size=n, dtype=np.uint64),
                           gen.standard_normal(n) * 1e-3],
         "outside values on run edges": [np.arange(n), *terms],
+        "non-finite and outside values on block edges": [*spliced],
     }
 
 
@@ -173,15 +179,17 @@ def test_in_range_floats_make_no_float_repr_call(monkeypatch, fmt):
     monkeypatch.setattr(cli, "repr", counting_repr, raising=False)
     monkeypatch.setattr(cli.orjson, "dumps", counting_dumps)
     text = b"".join(_table(SINR_COLUMNS, _row_blocks(columns), fmt)).decode()
-    # one call per run (the int index columns, then the float terms) per block
-    assert reprs == [] and dumps == [np.int64, np.float64] * 2
+    # one call per block per CSV run (the int index columns, then the float
+    # terms) or per JSONL column
+    runs = [np.int64, np.float64] if fmt == "csv" else [np.int64] * 2 + [np.float64] * 7
+    assert reprs == [] and dumps == runs * 2
     assert _lines(text) == one_shot()
 
     reprs.clear()
     dumps.clear()
     columns[-1][[5, BLOCK_SIZE, n - 1]] = outside
     text = b"".join(_table(SINR_COLUMNS, _row_blocks(columns), fmt)).decode()
-    assert reprs == [float] * len(outside) and len(dumps) == 4
+    assert reprs == [float] * len(outside) and len(dumps) == len(runs) * 2
     assert _lines(text) == one_shot()
 
 
@@ -463,6 +471,27 @@ def test_si_raw_samples_golden(tmp_path, fmt):
         assert hashlib.sha256(data).hexdigest() == GOLDEN_SI_RAW_SHA256[fmt, suffix]
 
 
+# sha256 of the same files at --mu 1e-3 --nu 1e-3, where every sample is under 1e-4,
+# so its text is repr's, spliced in where orjson writes null
+GOLDEN_SI_TINY_SHA256 = {
+    ("csv", "empirical"): "03041e50a12e16bfac6165ad570229cbf125ea7e2a1525e47bcc9e4a6d2dc6b1",
+    ("csv", "theoretical"): "0cce192480e3e56f17b5c7bdeaa7d984e0da6403079a18f0cc25b2e87a7b0de8",
+    ("csv", "summary"): "a7f12150abd854b87fea7ebe9bdc3550aa9868645af735ed5c194b54425e8392",
+    ("jsonl", "empirical"): "a3e43f8fe24bf169022cd11373e056cf9d1965282ee9c2f7707b5b4fac266f54",
+    ("jsonl", "theoretical"): "6360d9b898aa16d31dba75afc7b6fc39f99fe51888a1a9a8199232ab2f2c1a3d",
+    ("jsonl", "summary"): "1852caed40861dd361da39f4cdc84af9b4b00fbf87f8da785cb1fb87b880eda3",
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_si_tiny_raw_samples_golden(tmp_path, fmt):
+    out = str(tmp_path / f"tiny.{fmt}")
+    assert main(_si_args(out, bins=None, format=fmt, mu="1e-3", nu="1e-3")) == 0
+    for suffix in ("empirical", "theoretical", "summary"):
+        data = (tmp_path / f"tiny_{suffix}.{fmt}").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == GOLDEN_SI_TINY_SHA256[fmt, suffix]
+
+
 # sha256 of `fdsim si --M 64 --N 32 --K 8 --mode empirical --trials 5000` (seed 0,
 # stream layout 10; layout 11 kept these bytes): two blocks, the second partial
 GOLDEN_SI_K8_SHA256 = {
@@ -617,6 +646,38 @@ def test_sinr_trials_that_cannot_be_allocated_fail_before_monte_carlo(
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(message)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["sinr", "--direction", "downlink", "--L", str(10**15)], 1,
+     "fdsim: out of memory: Unable to allocate 142. PiB"),
+    (["sinr", "--direction", "uplink", "--L", str(10**15)], 1,
+     "fdsim: out of memory: Unable to allocate 142. PiB"),
+    (["si", "--mode", "empirical", *[f"--{x}={2**25}" for x in "KMN"]], 1,
+     "fdsim: out of memory: Unable to allocate 80.0 PiB"),
+    (["sinr", "--direction", "downlink", "--L", str(2**70)], 2,
+     "fdsim: invalid parameters: a draw of 1180591620717411303423 complex normals"),
+    (["sinr", "--direction", "uplink", "--L", str(2**70)], 2,
+     "fdsim: invalid parameters: a draw of 1180591620717411303423 complex normals"),
+    (["si", "--mode", "empirical", *[f"--{x}={2**70}" for x in "KMN"]], 2,
+     "fdsim: invalid parameters: a draw of 696898287454081973172400900209902591410176"),
+], ids=[f"{what}-{size}" for size in ("unallocatable", "unsizable")
+        for what in ("downlink", "uplink", "si")])
+def test_geometry_whose_draw_cannot_be_allocated_fails_before_monte_carlo(
+        tmp_path, monkeypatch, capsys, argv, code, message):
+    # the draw that grows with L (sinr) or K (si) is tried before the first
+    # block; a downlink block would loop over the L - 1 other cells first
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Monte Carlo work started before the largest draw was tried")
+
+    for name in ("_blocks", "_si_gains_block", "_sinr_block_downlink", "_sinr_block_uplink"):
+        monkeypatch.setattr(f"fdsim.mc.{name}", forbidden)
+    assert main([*argv, "--trials", "10", "--out", str(tmp_path / "run.csv")]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(message) and err[0].endswith(
+        "Maximum allowed dimension exceeded" if code == 2 else "complex128")
+    assert list(tmp_path.iterdir()) == []
+
 
 def _interrupt(*args, **kwargs):
     raise KeyboardInterrupt

@@ -534,9 +534,6 @@ def _full_chain_si(cfg):
     return np.concatenate(out)
 
 
-TERM_KEYS = ("useful", "mui", "ici", "cmi", "si", "noise", "sinr")
-
-
 def _full_chain_sinr(cfg):
     """Stream layout 1 of run_sinr: every link drawn as its full matrix,
     ZF beamformers from the real kernels."""
@@ -576,8 +573,8 @@ def _full_chain_sinr(cfg):
         useful = np.einsum("bkk->bk", g2)
         mui = g2.sum(axis=2) - useful
         sinr = useful / (mui + ici + cmi + si + noise)
-        parts.append(dict(zip(TERM_KEYS, (useful, mui, ici, cmi, si, noise, sinr))))
-    return {k: np.concatenate([p[k] for p in parts]) for k in TERM_KEYS}
+        parts.append(dict(zip(mc.TERMS, (useful, mui, ici, cmi, si, noise, sinr))))
+    return {k: np.concatenate([p[k] for p in parts]) for k in mc.TERMS}
 
 
 KS_TRIALS = 20_000
@@ -618,7 +615,7 @@ def test_sinr_terms_match_full_chain(direction):
         # mui is exactly 0 in law; the full chain leaves only rounding
         assert np.all(got["mui"] == 0)
         assert np.all(ref["mui"] <= 1e-20 * ref["useful"]), (L, K, M, N)
-        for key in TERM_KEYS:
+        for key in mc.TERMS:
             if key != "mui":
                 pvalues[L, K, M, N, key] = ks_2samp(got[key][:, 0], ref[key][:, 0]).pvalue
     for key in REFERENCE_TERMS[direction]:
