@@ -42,6 +42,7 @@ from .mc import (
     TERMS,
     Direction,
     ExperimentConfig,
+    _empty,
     run_si_empirical,
     run_si_theoretical,
     run_sinr,
@@ -196,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _merge_config(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
+def _merge_config(ns: argparse.Namespace) -> dict:
     """Resolve flag > config file > default (FDSIM_SEED for the seed) per setting.
 
     Config-file and FDSIM_SEED values go through the setting's ``type``
@@ -213,7 +214,7 @@ def _merge_config(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> di
             if "choices" in kwargs and val not in kwargs["choices"]:
                 raise ValueError
         except (TypeError, ValueError):
-            parser.error(f"{source}: invalid --{key} value: {val!r}")
+            raise InvalidParameterError(f"{source}: invalid --{key} value: {val!r}") from None
         return val
 
     file_vals = {}
@@ -223,12 +224,12 @@ def _merge_config(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> di
             with open(ns.config) as fh:
                 file_vals = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            parser.error(f"cannot read {source}: {exc}")
+            raise InvalidParameterError(f"cannot read {source}: {exc}") from None
         if not isinstance(file_vals, dict):
-            parser.error(f"{source}: expected a JSON object")
+            raise InvalidParameterError(f"{source}: expected a JSON object")
         unknown = set(file_vals) - set(_SETTINGS)
         if unknown:
-            parser.error(f"unknown keys in --config: {sorted(unknown)}")
+            raise InvalidParameterError(f"unknown keys in --config: {sorted(unknown)}")
         file_vals = {k: typed(k, v, source) for k, v in file_vals.items() if v is not None}
 
     merged = {}
@@ -240,13 +241,13 @@ def _merge_config(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> di
     mu_given = merged["mu"] is not None or merged["nu"] is not None
     factor_given = merged["varpi"] is not None or merged["omega"] is not None
     if mu_given and factor_given:
-        parser.error("(--mu, --nu) and (--varpi, --omega) are mutually exclusive")
+        raise InvalidParameterError("(--mu, --nu) and (--varpi, --omega) are mutually exclusive")
 
     if "seed" in merged and merged["seed"] is None:
         merged["seed"] = typed("seed", os.environ.get("FDSIM_SEED", "0"), "FDSIM_SEED")
     for key in ("bins", "threads"):
         if merged.get(key) is not None and merged[key] < 1:
-            parser.error(f"--{key} must be >= 1, got {merged[key]}")
+            raise InvalidParameterError(f"--{key} must be >= 1, got {merged[key]}")
     return merged
 
 
@@ -270,14 +271,16 @@ def _si_labels(merged: dict) -> list:
     return ["empirical", "theoretical"] if merged["mode"] == "both" else [merged["mode"]]
 
 
-def _out_error(command: str, merged: dict) -> str | None:
-    """Why ``--out`` cannot name the output set of an ``si`` or ``sinr`` run."""
+def _check_out(command: str, merged: dict) -> None:
+    """Raise if ``--out`` cannot name the output set of an ``si`` or ``sinr`` run."""
     out = merged["out"]
     directory = os.path.dirname(os.path.abspath(out)) if out else ""
-    if not out or out.endswith(os.sep) or os.path.isdir(out) or not os.path.isdir(directory):
-        return "--out must name a file in an existing directory"
+    if (not out or "\0" in out or out.endswith(os.sep) or os.path.isdir(out)
+            or not os.path.isdir(directory)):  # no file name holds a NUL byte
+        raise InvalidParameterError("--out must name a file in an existing directory")
     if not os.access(directory, os.W_OK | os.X_OK):
-        return "--out must name a file in a directory this process can write to"
+        raise InvalidParameterError(
+            "--out must name a file in a directory this process can write to")
     if command == "sinr":
         targets = [out]
     else:
@@ -285,15 +288,15 @@ def _out_error(command: str, merged: dict) -> str | None:
         targets = [_data_path(out, label, merged["format"]) for label in labels]
     clash = next((t for t in targets if os.path.isdir(t)), None)
     if clash:
-        return f"--out would write {clash}, which is a directory"
+        raise InvalidParameterError(f"--out would write {clash}, which is a directory")
     try:  # os.pathconf is Unix-only and can fail: then no limit is known
         name_max = os.pathconf(directory, "PC_NAME_MAX")
     except (AttributeError, OSError, ValueError):
         name_max = 0
     longest = max(len(os.fsencode(os.path.basename(t))) for t in targets)
     if 0 < name_max < longest:
-        return f"--out gives a {longest}-byte file name, over the directory's {name_max}-byte limit"
-    return None
+        raise InvalidParameterError(
+            f"--out gives a {longest}-byte file name, over the directory's {name_max}-byte limit")
 
 
 def _closed_form(geom: SystemGeometry, spec: RicianSpec) -> list:
@@ -308,10 +311,7 @@ def _closed_form(geom: SystemGeometry, spec: RicianSpec) -> list:
 def _cmd_si(merged: dict, cfg: ExperimentConfig, head: list, cf: list) -> dict:
     out, bins, fmt = merged["out"], merged["bins"], merged["format"]
     if bins is not None:  # try the histogram's allocations before any block runs
-        try:
-            np.empty(bins + 1), np.empty(bins, np.intp)
-        except ValueError as exc:  # a count numpy cannot size; a MemoryError exits 1
-            raise InvalidParameterError(f"--bins {bins} is too large: {exc}") from None
+        _empty(f"--bins {bins}", bins + 1), _empty(f"--bins {bins}", bins, dtype=np.intp)
     run = {"empirical": run_si_empirical, "theoretical": run_si_theoretical}
     runs = {label: run[label](cfg, threads=merged["threads"]) for label in _si_labels(merged)}
     files = {}
@@ -344,14 +344,11 @@ def _cmd_sinr(merged: dict, cfg: ExperimentConfig) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    merged = _merge_config(ns, parser)
-    error = _out_error(ns.command, merged) if ns.command != "moments" else None
-    if error:
-        print(f"fdsim {ns.command}: {error}", file=sys.stderr)
-        return 2
+    ns = build_parser().parse_args(argv)
     try:
+        merged = _merge_config(ns)
+        if ns.command != "moments":
+            _check_out(ns.command, merged)
         spec = _resolve_spec(merged)
         geom = SystemGeometry(L=merged.get("L", 1), K=merged["K"], M=merged["M"], N=merged["N"])
         head = [geom.M, geom.N, geom.K, spec.mu, spec.nu]

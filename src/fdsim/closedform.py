@@ -24,6 +24,7 @@ Monte Carlo variance under ZF, orthonormal and MRT precoders.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .channel import RicianSpec
@@ -193,8 +194,7 @@ def si_variance(geom: SystemGeometry, spec: RicianSpec) -> float:
 
 def moment_match(m1: float, var: float) -> GammaParams:
     """Method of moments: Gamma with mean ``m1`` and variance ``var``."""
-    if not m1 > 0:
-        raise InvalidParameterError(f"m1 must be > 0, got {m1}")
-    if not var > 0:
-        raise InvalidParameterError(f"var must be > 0, got {var}")
+    for name, value in (("m1", m1), ("var", var)):
+        if not (value > 0 and math.isfinite(value)):  # an overflowed moment gives inf / inf
+            raise InvalidParameterError(f"{name} must be > 0 and finite, got {value}")
     return GammaParams(kappa=m1 * m1 / var, theta=var / m1)

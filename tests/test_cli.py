@@ -374,6 +374,17 @@ def test_vanishing_si_power_exits_2(capsys, spec):
     assert capsys.readouterr().err.startswith("fdsim: invalid parameters")
 
 
+@pytest.mark.parametrize("spec", [["--varpi", "1", "--omega", "1e300"],
+                                  ["--mu", "1e150", "--nu", "1"],
+                                  ["--mu", "0", "--nu", "1e100"]])
+def test_si_variance_overflow_exits_2(capsys, spec):
+    # the variance overflows to inf; the matched Gamma names it, not a NaN kappa
+    assert main(["moments", *spec]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "fdsim: invalid parameters: var must be > 0 and finite, got inf"
+    ]
+
+
 def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["si", "--badflag"])
@@ -381,9 +392,7 @@ def test_unknown_flag_exits_2():
 
 
 def test_mutually_exclusive_spec_flags_exit_2(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["moments", "--mu", "0.5", "--varpi", "1.0"])
-    assert exc.value.code == 2
+    assert main(["moments", "--mu", "0.5", "--varpi", "1.0"]) == 2
 
 
 def test_missing_out_exits_2():
@@ -745,6 +754,93 @@ def test_user_errors_fail_before_monte_carlo(tmp_path, monkeypatch, capsys, no_m
     assert list(tmp_path.iterdir()) == []
 
 
+def _config(value):
+    return lambda path, monkeypatch: (path / "cfg.json").write_text(json.dumps(value))
+
+
+def _no_setup(path, monkeypatch):
+    pass
+
+
+_SI, _SINR = ["si", "--trials", "10"], ["sinr", "--trials", "10"]
+_CONFIG = ["--config", "cfg.json"]
+
+
+@pytest.mark.parametrize("argv, setup, message", [
+    pytest.param([*_SI, "--out", "run.csv", *_CONFIG], _config({"threads": "four"}),
+                 "--config cfg.json: invalid --threads value: 'four'", id="config-value"),
+    pytest.param([*_SI, "--out", "run.csv", *_CONFIG], _config(["M", "N"]),
+                 "--config cfg.json: expected a JSON object", id="config-not-an-object"),
+    pytest.param([*_SI, "--out", "run.csv", *_CONFIG], _config({"bogus": 1}),
+                 "unknown keys in --config: ['bogus']", id="config-unknown-key"),
+    pytest.param([*_SI, "--out", "run.csv", *_CONFIG], _no_setup,
+                 "cannot read --config cfg.json: [Errno 2]", id="config-unreadable"),
+    pytest.param([*_SI, "--out", "run.csv"],
+                 lambda path, monkeypatch: monkeypatch.setenv("FDSIM_SEED", "abc"),
+                 "FDSIM_SEED: invalid --seed value: 'abc'", id="env-seed"),
+    pytest.param([*_SINR, "--out", "run.csv", "--threads", "0"], _no_setup,
+                 "--threads must be >= 1, got 0", id="threads-0"),
+    pytest.param([*_SI, "--out", "run.csv", "--bins", "0"], _no_setup,
+                 "--bins must be >= 1, got 0", id="bins-0"),
+    pytest.param([*_SI, "--out", "run.csv", "--mu", "0.5", "--varpi", "1"], _no_setup,
+                 "(--mu, --nu) and (--varpi, --omega) are mutually exclusive",
+                 id="mu-and-varpi"),
+    pytest.param([*_SINR, "--out", "missing/run.csv"], _no_setup,
+                 "--out must name a file in an existing directory", id="out-no-directory"),
+    pytest.param([*_SINR, "--out", "."], _no_setup,
+                 "--out must name a file in an existing directory", id="out-a-directory"),
+    pytest.param([*_SI, *_CONFIG], _config({"out": "run\u0000x.csv"}),
+                 "--out must name a file in an existing directory", id="out-nul-byte"),
+    pytest.param([*_SINR, "--out", "run.csv"],
+                 lambda path, monkeypatch: monkeypatch.setattr(os, "access", lambda p, m: False),
+                 "--out must name a file in a directory this process can write to",
+                 id="out-unwritable"),
+    pytest.param([*_SI, "--out", "run.csv"],
+                 lambda path, monkeypatch: (path / "run_summary.csv").mkdir(),
+                 "--out would write run_summary.csv, which is a directory", id="out-clash"),
+    pytest.param([*_SINR, "--out", "a" * 5000 + ".csv"], _no_setup,
+                 "--out gives a 5004-byte file name, over the directory's", id="out-name-max"),
+    pytest.param([*_SI, "--out", "run.csv", "--bins", str(2**60)], _no_setup,
+                 "--bins 1152921504606846976 is too large", id="bins-unsizable"),
+    pytest.param([*_SI, "--out", "run.csv", "--K", "9", "--N", "8"], _no_setup,
+                 "need K <= min(N, M), got K=9, N=8, M=16", id="model"),
+])
+def test_every_user_error_is_one_line_and_exit_2(tmp_path, monkeypatch, capsys,
+                                                 no_monte_carlo, argv, setup, message):
+    # each check fdsim makes of its own input raises InvalidParameterError,
+    # which main reports on one line, before any Monte Carlo work and any write
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FDSIM_SEED", raising=False)
+    setup(tmp_path, monkeypatch)
+    made = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"fdsim: invalid parameters: {message}")
+    assert sorted(tmp_path.rglob("*")) == made
+
+
+@pytest.mark.parametrize("argv", [
+    ["si", "--trials", "200000"],
+    ["sinr", "--L", "2", "--K", "2", "--trials", "50000"],
+])
+def test_out_holding_a_nul_byte_fails_before_monte_carlo(tmp_path, monkeypatch, capsys, argv):
+    # only a config file can carry the byte; os.replace would refuse the name
+    # after every block had run
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Monte Carlo work started before --out was checked")
+
+    for name in ("_blocks", "_si_gains_block", "_gamma_block",
+                 "_sinr_block_downlink", "_sinr_block_uplink"):
+        monkeypatch.setattr(f"fdsim.mc.{name}", forbidden)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"out": "run\u0000x.csv"}))
+    assert main([*argv, "--config", "cfg.json"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "fdsim: invalid parameters: --out must name a file in an existing directory"
+    ]
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 @pytest.mark.parametrize("command, out", [
     ("si", "sub"), ("si", "sub/"), ("sinr", "."), ("sinr", "sub"), ("sinr", "sub/"),
 ])
@@ -754,7 +850,7 @@ def test_out_naming_a_directory_exits_2(tmp_path, monkeypatch, capsys, no_monte_
     (tmp_path / "sub").mkdir()
     assert _exit_code([command, "--trials", "10", "--out", out]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"fdsim {command}: --out must name a file in an existing directory"]
+    assert err == ["fdsim: invalid parameters: --out must name a file in an existing directory"]
     assert [p.name for p in tmp_path.rglob("*")] == ["sub"]
 
 
@@ -770,7 +866,7 @@ def test_si_output_named_by_a_directory_exits_2(tmp_path, monkeypatch, capsys, n
     (tmp_path / target).mkdir()
     assert _exit_code(["si", "--mode", mode, "--trials", "10", "--out", "run.csv"]) == 2
     assert capsys.readouterr().err.splitlines() == [
-        f"fdsim si: --out would write {target}, which is a directory"
+        f"fdsim: invalid parameters: --out would write {target}, which is a directory"
     ]
     assert [p.name for p in tmp_path.rglob("*")] == [target]
 
@@ -790,7 +886,7 @@ def test_out_name_over_name_max_exits_2(tmp_path, monkeypatch, capsys, no_monte_
     assert _exit_code([*argv, "--trials", "10", "--out", out]) == 2
     longest = name_max + extra + (len("_" + argv[2]) if argv[0] == "si" else 0)
     assert capsys.readouterr().err.splitlines() == [
-        f"fdsim {argv[0]}: --out gives a {longest}-byte file name, over the "
+        f"fdsim: invalid parameters: --out gives a {longest}-byte file name, over the "
         f"directory's {name_max}-byte limit"
     ]
     assert list(tmp_path.iterdir()) == []
@@ -802,7 +898,8 @@ def test_out_in_a_directory_the_process_cannot_write_exits_2(tmp_path, monkeypat
     monkeypatch.setattr(os, "access", lambda path, mode: False)
     assert _exit_code([command, "--trials", "10", "--out", str(tmp_path / "run.csv")]) == 2
     assert capsys.readouterr().err.splitlines() == [
-        f"fdsim {command}: --out must name a file in a directory this process can write to"
+        "fdsim: invalid parameters: --out must name a file in a directory this process can "
+        "write to"
     ]
     assert list(tmp_path.iterdir()) == []
 
@@ -1000,8 +1097,8 @@ def test_defaults_and_ownership_of_the_resolved_settings(tmp_path, monkeypatch, 
     resolved, runs = [], []
     real_merge = cli._merge_config
 
-    def merge(ns, parser):
-        resolved.append(real_merge(ns, parser))
+    def merge(ns):
+        resolved.append(real_merge(ns))
         return resolved[-1]
 
     def runner(name):

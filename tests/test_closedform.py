@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,7 @@ from fdsim import (
     run_si_empirical,
     si_variance,
 )
-from fdsim.channel import RAYLEIGH, generate_batch
+from fdsim.channel import RAYLEIGH, generate_batch, rician_from_factor
 
 from beamforming import zf_decoder_batch, zf_precoder_batch
 
@@ -218,6 +219,22 @@ class TestMomentMatch:
             moment_match(0.0, 1.0)
         with pytest.raises(InvalidParameterError):
             moment_match(1.0, -1.0)
+
+    @pytest.mark.parametrize("m1, var, name", [
+        (1e300, math.inf, "var"), (math.inf, math.inf, "m1"), (1.0, math.nan, "var"),
+    ])
+    def test_non_finite_moments_are_rejected_by_name(self, m1, var, name):
+        # inf / inf would give a NaN kappa
+        with pytest.raises(InvalidParameterError, match=f"^{name} must be > 0 and finite"):
+            moment_match(m1, var)
+
+    @pytest.mark.parametrize("spec", [rician_from_factor(1.0, 1e300), RicianSpec(1e150, 1.0),
+                                      RicianSpec(0.0, 1e100)])
+    def test_overflowed_variance_is_rejected(self, spec):
+        g = SystemGeometry(L=1, K=1, M=16, N=8)
+        assert si_variance(g, spec) == math.inf
+        with pytest.raises(InvalidParameterError, match="^var must be > 0 and finite, got inf"):
+            gamma_mimo(g, spec)
 
 
 def test_geometry_validation():
