@@ -12,8 +12,9 @@ for each JSONL column.  The writer works in bytes end to end: a block's text
 goes from orjson through one split and one join (for one column, a
 comma-to-newline replace) to the file, with no str in between.  A run streams
 its output, one block of rows at a time, into staged temporary files, opened
-in binary mode, that are renamed together once every file is complete, so a
-failed or interrupted run leaves none of its output set.
+in binary mode, that are renamed together once every file is complete.  A
+failed or interrupted run leaves the directory as it found it: none of its
+output set, and every file it would have replaced as it was.
 """
 from __future__ import annotations
 
@@ -166,23 +167,34 @@ def _table(header, blocks, fmt: str):
 
 def _atomic_write(files: dict) -> None:
     """Stream ``{path: iterable of bytes}`` into new randomly named files beside
-    their targets, then rename them all; on any failure remove the staged
-    files and the targets already renamed.  The files get the umask's mode."""
-    staged, renamed = [], []
+    their targets, then rename them all into place, each existing target first
+    renamed aside.  On any failure or interrupt the staged files and the targets
+    already renamed are removed and the old targets renamed back, so the
+    directory is left as it was found; after the last rename the old targets
+    are removed.  The files get the umask's mode."""
+    staged = []  # (staged file, target, the target's name while it is set aside)
     try:
         for path, chunks in files.items():
-            tmp = os.path.join(os.path.dirname(path), f".fdsim-{secrets.token_hex(8)}.tmp")
-            with open(tmp, "xb") as fh:  # refuses an existing file or symlink
-                staged.append(tmp)
+            stem = os.path.join(os.path.dirname(path), f".fdsim-{secrets.token_hex(8)}")
+            with open(stem + ".tmp", "xb") as fh:  # refuses an existing file or symlink
+                staged.append((stem + ".tmp", path, stem + ".old"))
                 fh.writelines(chunks)
-        for tmp, path in zip(staged, files):
+        for tmp, path, old in staged:
+            if os.path.lexists(path):
+                os.replace(path, old)
             os.replace(tmp, path)
-            renamed.append(path)
     except BaseException:
-        for p in staged + renamed:
-            if os.path.exists(p):
-                os.unlink(p)
+        for tmp, path, old in staged:
+            if os.path.lexists(tmp):
+                os.unlink(tmp)
+            elif os.path.lexists(path):  # the staged file renamed into place
+                os.unlink(path)
+            if os.path.lexists(old):
+                os.replace(old, path)
         raise
+    for _, _, old in staged:
+        if os.path.lexists(old):
+            os.unlink(old)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,15 +2,16 @@
 
 Stream layout 11, stated in full; CHANGES.md records the earlier layouts.
 
-Blocks.  A run is cut into blocks of ``BLOCK_SIZE = 4096`` trials: block b
-holds trials ``[b * BLOCK_SIZE, (b + 1) * BLOCK_SIZE)`` and the last block
-the remainder.  Block b draws all of its randomness from the SFC64
-substream ``SeedSequence(seed, spawn_key=(b,))``, each item below for all
-of its trials at once, so results are bitwise reproducible whatever the
-number of workers.  Every normal comes from ``generate_batch`` (one
-``standard_normal`` in C order, each entry's real part, then its imaginary
-part), and every draw holds the trial index on its last axis.  No run
-draws a channel matrix or runs a ZF kernel, and nothing is redrawn.
+Blocks.  A run allocates its result arrays, then cuts its trials into
+blocks of ``BLOCK_SIZE = 4096``: block b holds trials ``[b * BLOCK_SIZE,
+(b + 1) * BLOCK_SIZE)``, the last block the remainder, and the worker that
+runs it writes its results there.  Block b draws all of its randomness
+from the SFC64 substream ``SeedSequence(seed, spawn_key=(b,))``, each item
+below for all of its trials at once, so results are bitwise reproducible
+whatever the number of workers.  Every normal comes from ``generate_batch``
+(one ``standard_normal`` in C order, each entry's real part, then its
+imaginary part), and every draw holds the trial index on its last axis.
+No run draws a channel matrix or runs a ZF kernel, and nothing is redrawn.
 
 ZF factors (``_zf_draw``, ``_zf_solve``).  A Rayleigh K x M link factors
 as ``T Q`` (the complex Bartlett decomposition; Goodman 1963; Edelman
@@ -130,13 +131,9 @@ class ExperimentConfig:
         if not (type(self.trials) is int and self.trials >= 1):  # a bool is no count
             raise InvalidParameterError(f"trials must be an integer >= 1, got {self.trials!r}")
         if not (type(self.seed) is int and 0 <= self.seed < 2**64):
-            raise InvalidParameterError(
-                f"seed must be an integer in [0, 2**64), got {self.seed!r}"
-            )
+            raise InvalidParameterError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if not (self.noise_power >= 0 and math.isfinite(self.noise_power)):
-            raise InvalidParameterError(
-                f"noise_power must be >= 0, got {self.noise_power}"
-            )
+            raise InvalidParameterError(f"noise_power must be >= 0, got {self.noise_power}")
         object.__setattr__(self, "noise_power", self.noise_power + 0.0)  # -0.0 -> 0.0
 
 
@@ -158,20 +155,24 @@ def _blocks(trials: int):
     return out
 
 
-def _map_blocks(cfg: ExperimentConfig, block_fn, threads: int) -> list:
-    """``block_fn(cfg, n, gen)`` per block; block b draws from substream (seed, b)."""
+def _map_blocks(cfg: ExperimentConfig, block_fn, threads: int, out) -> None:
+    """``block_fn(cfg, n, gen)`` per block, from substream (seed, b); its worker writes the
+    result into the block's trials (last axis) of ``out``, an array or a dict of them."""
     if threads < 1:
         raise InvalidParameterError(f"threads must be >= 1, got {threads!r}")
     blocks = _blocks(cfg.trials)
 
     def run(block):
         b, n = block
-        return block_fn(cfg, n, RngHandle(cfg.seed, b).generator())
+        part = block_fn(cfg, n, RngHandle(cfg.seed, b).generator())
+        pairs = [(d, part[k]) for k, d in out.items()] if isinstance(out, dict) else [(out, part)]
+        for dest, value in pairs:
+            dest[..., b * BLOCK_SIZE:b * BLOCK_SIZE + n] = value
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     # a failing block or an interrupt cancels the queued blocks in map's iterator
     with ThreadPoolExecutor(max_workers=min(threads, len(blocks), cpus or 1)) as ex:
-        return list(ex.map(run, blocks))
+        list(ex.map(run, blocks))
 
 
 def _sq(z: np.ndarray) -> np.ndarray:
@@ -240,8 +241,7 @@ def _empty(what: str, *shape: int, dtype=float) -> np.ndarray:
 
 
 def _try_draw(cfg: ExperimentConfig, count: int) -> None:
-    """Allocate, then free, a block's largest draw, ``count`` complex normals a
-    trial, before the first block runs."""
+    """Allocate, then free, a block's largest draw, ``count`` complex normals a trial."""
     n = min(cfg.trials, BLOCK_SIZE)
     _empty(f"a draw of {count} complex normals a trial", count, n, dtype=complex)
 
@@ -249,7 +249,7 @@ def _try_draw(cfg: ExperimentConfig, count: int) -> None:
 def _report(cfg: ExperimentConfig, block_fn, threads: int) -> McReport:
     """The blocks' gains, in one array allocated before the first block runs, and their fit."""
     samples = _empty(f"trials {cfg.trials}", cfg.trials)
-    np.concatenate(_map_blocks(cfg, block_fn, threads), out=samples)
+    _map_blocks(cfg, block_fn, threads, samples)
     gp = gamma_mimo(cfg.geom, cfg.si_spec)
     emp_m1 = float(samples.mean())
     emp_m2 = float(np.mean(samples**2))
@@ -353,7 +353,5 @@ def run_sinr(cfg: ExperimentConfig, threads: int = 1) -> dict:
         block_fn, count = _sinr_block_uplink, max(L - 1, 1) * K * K
     _try_draw(cfg, count)
     terms = {key: _empty(f"trials {cfg.trials}", cfg.trials, K) for key in TERMS}
-    parts = _map_blocks(cfg, block_fn, threads)
-    for key, out in terms.items():
-        np.concatenate([p[key] for p in parts], axis=1, out=out.T)
+    _map_blocks(cfg, block_fn, threads, {key: out.T for key, out in terms.items()})
     return terms

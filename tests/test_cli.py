@@ -713,6 +713,53 @@ def test_interrupt_exits_130_with_no_output(tmp_path, monkeypatch, capsys, where
     assert list(tmp_path.iterdir()) == []
 
 
+def _rerun_over(tmp_path, previous):
+    """Write an ``si`` output set with ``--mode previous``; return its bytes by
+    file name and the argv of a rerun at the same ``--out`` with another seed."""
+    out = str(tmp_path / "run.csv")
+    assert main(_si_args(out, trials="100", bins=None, mode=previous)) == 0
+    files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    return files, _si_args(out, trials="100", bins=None, mode="both", seed="5")
+
+
+@pytest.mark.parametrize("stop, code, message", [
+    (lambda: OSError(28, "No space left on device"), 1,
+     "fdsim: cannot write output: [Errno 28] No space left on device"),
+    (KeyboardInterrupt, 130, "fdsim: interrupted"),
+], ids=["disk-full", "interrupt"])
+@pytest.mark.parametrize("previous, renames", [("both", 6), ("empirical", 5)])
+def test_a_failed_run_leaves_the_previous_output_set_as_it_was(
+        tmp_path, monkeypatch, capsys, stop, code, message, previous, renames):
+    # each existing target is renamed aside before the new file takes its
+    # name (6 renames over a `both` set, 5 over an `empirical` one), and
+    # renamed back when any later rename fails
+    before, rerun = _rerun_over(tmp_path, previous)
+    real_replace, calls, fails_at = os.replace, [], [0]
+
+    def fails(src, dst):
+        calls.append(dst)
+        if len(calls) == fails_at[0]:
+            raise stop()
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", fails)
+    for fails_at[0] in range(1, renames + 1):
+        calls.clear()
+        capsys.readouterr()
+        assert main(rerun) == code, fails_at
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before, fails_at
+
+
+@pytest.mark.parametrize("previous", ["both", "empirical"])
+def test_a_rerun_replaces_the_previous_output_set(tmp_path, previous):
+    before, rerun = _rerun_over(tmp_path, previous)
+    assert main(rerun) == 0
+    after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(after) == ["run_empirical.csv", "run_summary.csv", "run_theoretical.csv"]
+    assert all(before.get(name) != data for name, data in after.items())
+
+
 @pytest.fixture
 def no_monte_carlo(monkeypatch):
     def forbidden(*args, **kwargs):

@@ -25,6 +25,7 @@ from fdsim import (
     run_sinr,
 )
 from fdsim.channel import RAYLEIGH, generate_batch
+from fdsim.cli import main
 
 from beamforming import zf_decoder_batch, zf_precoder_batch
 
@@ -188,7 +189,7 @@ def test_a_stopped_run_waits_only_for_the_blocks_in_flight(monkeypatch, stop):
         return np.zeros(n)
 
     with pytest.raises(RuntimeError if stop == "raise" else KeyboardInterrupt):
-        mc._map_blocks(cfg, block_fn, threads=2)
+        mc._map_blocks(cfg, block_fn, threads=2, out=np.empty(cfg.trials))
     started = len(ran)
     time.sleep(0.3)
     # the blocks in flight on the two workers end; the queued ones never start
@@ -205,7 +206,7 @@ def test_every_run_goes_through_the_pool(monkeypatch, threads, most):
         time.sleep(0.05)  # holds its worker, so a larger pool would start another
         return np.zeros(n)
 
-    mc._map_blocks(_cfg(trials=12), block_fn, threads=threads)
+    mc._map_blocks(_cfg(trials=12), block_fn, threads=threads, out=np.empty(12))
     assert 1 <= len(workers) <= most
     assert threading.main_thread().ident not in workers
 
@@ -234,9 +235,10 @@ def test_pool_workers_are_clamped(monkeypatch, threads, cpus, workers):
             return map(fn, blocks)
 
     monkeypatch.setattr(mc, "ThreadPoolExecutor", Recorder)
-    parts = mc._map_blocks(_cfg(trials=40), lambda cfg, n, gen: n, threads=threads)
+    out = np.zeros(40)
+    mc._map_blocks(_cfg(trials=40), lambda cfg, n, gen: n, threads=threads, out=out)
     assert pools == [workers]
-    assert parts == [4] * 10
+    assert out.tolist() == [4] * 40
 
 
 def test_engine_reaches_traced_names_through_module_globals(monkeypatch):
@@ -445,15 +447,36 @@ def test_sinr_block_matches_lapack_reference(direction, L, K, M, N):
         assert np.allclose(got[key].T, want, rtol=1e-12, atol=0), key
 
 
-def _si_block_peak(K, M=64, N=32):
-    """tracemalloc peak of one full `si` block."""
-    cfg, gen = _cfg(K=K, M=M, N=N), RngHandle(82, 0).generator()
+def _traced_peak(fn, *args):
+    """tracemalloc peak of ``fn(*args)``."""
     tracemalloc.start()
     try:
-        mc._si_gains_block(cfg, mc.BLOCK_SIZE, gen)
+        fn(*args)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _si_block_peak(K, M=64, N=32):
+    """tracemalloc peak of one full `si` block."""
+    cfg, gen = _cfg(K=K, M=M, N=N), RngHandle(82, 0).generator()
+    return _traced_peak(mc._si_gains_block, cfg, mc.BLOCK_SIZE, gen)
+
+
+@pytest.mark.parametrize("argv, per_trial", [
+    (["sinr", "--L", "2", "--K", "2", "--direction", "uplink"], 7 * 2 * 8),  # K terms of 7 kinds
+    (["si", "--mode", "empirical"], 2 * 8),  # the gains, then KS's one sorted copy
+], ids=["sinr-uplink", "si-empirical"])
+def test_a_run_holds_only_its_designed_bytes_per_trial(tmp_path, argv, per_trial):
+    # each block is written into the run's arrays, so no per-block copy of a
+    # result is held; the peak's constant part (a block's draws, a block of
+    # text, allocator caches) moves by tens of kB between runs
+    def run(trials):
+        assert main([*argv, "--trials", str(trials), "--out", str(tmp_path / "run.csv")]) == 0
+
+    small, large = 2**15, 2**17
+    rise = _traced_peak(run, large) - _traced_peak(run, small)
+    assert rise <= per_trial * (large - small) + 2**18, rise / (large - small)
 
 
 def test_si_k3_block_memory_is_bounded():

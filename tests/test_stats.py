@@ -206,8 +206,9 @@ class TestKsDistance:
 
         d = ks_distance(s, cdf)
         assert 0.003 <= d <= 0.007
-        # the walk prunes: a full evaluation would see every one of the 1e6 values
-        assert sum(seen) < s.size / 10
+        # the walk prunes: a full evaluation would see every one of the 1e6
+        # values, and the README promises under 1 %
+        assert sum(seen) < s.size / 100
         assert d == _ks_full(s, lambda x: gamma_cdf(x, p))
 
     def test_empty_rejected(self):
