@@ -56,10 +56,10 @@ class GammaParams:
     theta: float
 
     def __post_init__(self):
-        if not self.kappa > 0:
-            raise InvalidParameterError(f"kappa must be > 0, got {self.kappa}")
-        if not self.theta > 0:
-            raise InvalidParameterError(f"theta must be > 0, got {self.theta}")
+        if not 0 < self.kappa < math.inf:
+            raise InvalidParameterError(f"kappa must be > 0 and finite, got {self.kappa}")
+        if not 0 < self.theta < math.inf:
+            raise InvalidParameterError(f"theta must be > 0 and finite, got {self.theta}")
 
     @property
     def mean(self) -> float:

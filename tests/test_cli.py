@@ -4,6 +4,9 @@ import json
 import os
 import re
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +18,9 @@ from fdsim.mc import BLOCK_SIZE, Direction
 GOLDEN_SUMMARY = (
     "M,N,K,mu,nu,trials,seed,emp_m1,emp_m2,emp_var,cf_m1,cf_m2,cf_var,kappa,theta,ks\n"
     "4,4,2,0.5,1.0,200,123,2.557618535211814,10.979703460030061,4.438290888371035,"
-    "2.5,10.27,4.02,1.554726368159204,1.6079999999999999,0.03636877370709644\n"
+    "2.5,10.27,4.02,1.554726368159204,1.6079999999999999,0.03636877370709637\n"
     "4,4,2,0.5,1.0,200,123,2.5334947989090746,10.347269436072333,3.9286735399730004,"
-    "2.5,10.27,4.02,1.554726368159204,1.6079999999999999,0.045568854539488834\n"
+    "2.5,10.27,4.02,1.554726368159204,1.6079999999999999,0.04556885453948867\n"
 )
 
 GOLDEN_EMPIRICAL = (
@@ -245,6 +248,25 @@ def test_si_golden_run(tmp_path):
     assert (tmp_path / "run_theoretical.csv").exists()
 
 
+def test_no_command_loads_scipy(tmp_path):
+    # gamma_cdf is fdsim's own; only si_pdf_siso and gamma_pdf load scipy
+    code = f"""
+import sys
+from fdsim.cli import main
+out = {str(tmp_path)!r}
+assert main(["si", "--mode", "both", "--trials", "5000", "--out", out + "/si.csv"]) == 0
+assert main(["sinr", "--L", "2", "--K", "2", "--trials", "200", "--out", out + "/sinr.csv"]) == 0
+assert main(["moments"]) == 0
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("FDSIM_SEED", None)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_si_seeded_reruns_byte_identical(tmp_path):
     out_a = str(tmp_path / "a.csv")
     out_b = str(tmp_path / "b.csv")
@@ -464,10 +486,10 @@ def test_staging_never_opens_an_existing_path(tmp_path, monkeypatch, planted):
 GOLDEN_SI_RAW_SHA256 = {
     ("csv", "empirical"): "487d773d1ec0fe1537379bdb4270763ef2b83efaa7f85c2b2135d1f7bf0ed080",
     ("csv", "theoretical"): "ffb739b11fd22dd60608c74d618279a260b72cccb4978815929f3ee52185d5ba",
-    ("csv", "summary"): "ae9d08c5988c5fabcc00583cd782cf32c7ee616c35ef903202766a802a080ac3",
+    ("csv", "summary"): "320dabac0d69bf99537f0f4b7009a055cbeecee538645b906e06e14cc117a6ac",
     ("jsonl", "empirical"): "a39d59656aa5bf56cd5687eb9dd433344870000068b9bf87b39e2d03429040da",
     ("jsonl", "theoretical"): "e6ab34285f5cc58a8b8dd8a4653e6ed46b845754eefc8e8a52ea356231d07382",
-    ("jsonl", "summary"): "378386c9a21b2778f9baac569e0f533a0340f2a727e93367a5040f6fe96b2549",
+    ("jsonl", "summary"): "d0a92d0a0f68cd8c76cbde461528ae4f8f8dda5528ef03e6a1213077f01f23a0",
 }
 
 
@@ -485,10 +507,10 @@ def test_si_raw_samples_golden(tmp_path, fmt):
 GOLDEN_SI_TINY_SHA256 = {
     ("csv", "empirical"): "03041e50a12e16bfac6165ad570229cbf125ea7e2a1525e47bcc9e4a6d2dc6b1",
     ("csv", "theoretical"): "0cce192480e3e56f17b5c7bdeaa7d984e0da6403079a18f0cc25b2e87a7b0de8",
-    ("csv", "summary"): "a7f12150abd854b87fea7ebe9bdc3550aa9868645af735ed5c194b54425e8392",
+    ("csv", "summary"): "9747b1d9cf7cf64f8a39ea4f985ccb76e2372b1dcd57813a84bc567fca4684ab",
     ("jsonl", "empirical"): "a3e43f8fe24bf169022cd11373e056cf9d1965282ee9c2f7707b5b4fac266f54",
     ("jsonl", "theoretical"): "6360d9b898aa16d31dba75afc7b6fc39f99fe51888a1a9a8199232ab2f2c1a3d",
-    ("jsonl", "summary"): "1852caed40861dd361da39f4cdc84af9b4b00fbf87f8da785cb1fb87b880eda3",
+    ("jsonl", "summary"): "dc871026646b4bc6912053353efc92a3af328b8e05e8cf5fcaf0a20df7a3b202",
 }
 
 
@@ -505,7 +527,7 @@ def test_si_tiny_raw_samples_golden(tmp_path, fmt):
 # stream layout 10; layout 11 kept these bytes): two blocks, the second partial
 GOLDEN_SI_K8_SHA256 = {
     "empirical": "5ea6e3950676e4b5ed0fbaf46180511231f30032fafa1e3bb8ce90500658f88c",
-    "summary": "0e678f6eb770a92cc8795fabd27b3fe01bd0eacd414dd9fab0f66d9623a92f42",
+    "summary": "0e97995547b964e3ce00f1762f13184a8da2ec8c3eedb5c04e61f3d822903519",
 }
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fdsim import (
     ExperimentConfig,
+    GammaParams,
     InvalidParameterError,
     RicianSpec,
     RngHandle,
@@ -235,6 +236,21 @@ class TestMomentMatch:
         assert si_variance(g, spec) == math.inf
         with pytest.raises(InvalidParameterError, match="^var must be > 0 and finite, got inf"):
             gamma_mimo(g, spec)
+
+
+@pytest.mark.parametrize("kappa, theta, name", [
+    (math.inf, 1.0, "kappa"), (1.0, math.inf, "theta"), (math.nan, 1.0, "kappa"),
+    (1.0, math.nan, "theta"), (0.0, 1.0, "kappa"), (1.0, -1.0, "theta"),
+])
+def test_gamma_params_must_be_positive_and_finite(kappa, theta, name):
+    with pytest.raises(InvalidParameterError, match=f"^{name} must be > 0 and finite"):
+        GammaParams(kappa, theta)
+
+
+def test_moment_match_rejects_an_overflowed_shape():
+    # finite moments whose shape m1^2/var overflows
+    with pytest.raises(InvalidParameterError, match="^kappa must be > 0 and finite, got inf"):
+        moment_match(1e160, 1e-160)
 
 
 def test_geometry_validation():

@@ -1,8 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy import integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate, special
 
 from fdsim import (
     ExperimentConfig,
@@ -81,6 +84,56 @@ class TestGammaLaw:
             1 - np.exp(-1), abs=1e-12
         )
 
+    @pytest.mark.parametrize("kappa", np.logspace(-3, 6, 19))
+    def test_cdf_matches_the_incomplete_gamma(self, kappa):
+        # at the law's quantiles 1e-7 .. 1 - 1e-7, both sides of the series'
+        # scale change at kappa + 1 + 3 sqrt(kappa), and the edge values
+        q = np.concatenate([
+            np.logspace(-7, -1, 13), np.linspace(0.15, 0.85, 15), 1 - np.logspace(-1, -7, 13),
+        ])
+        cut = kappa + 1 + 3 * math.sqrt(kappa)
+        x = np.concatenate([special.gammaincinv(kappa, q), [cut, np.nextafter(cut, 0)]])
+        got = gamma_cdf(x * 2.0, GammaParams(kappa, 2.0))
+        assert np.max(np.abs(got - _incomplete_gamma(kappa, x))) <= 1e-12
+        edges = gamma_cdf([0.0, np.inf, np.nan], GammaParams(kappa, 2.0))
+        assert edges[:2].tolist() == [0.0, 1.0] and np.isnan(edges[2])
+
+    @pytest.mark.parametrize("kappa", [999.9, 1e3, 1e9, 5e11, 1e15])
+    def test_cdf_at_large_shapes_matches_the_incomplete_gamma(self, kappa):
+        # both sides of the change to Temme's expansion at 1e3, and shapes whose
+        # series would take millions of terms; within 4.5 sqrt(kappa) of kappa
+        # scipy sums Temme's expansion to its full order
+        x = kappa + np.linspace(-4.4, 4.4, 41) * math.sqrt(kappa)
+        got = gamma_cdf(x, GammaParams(kappa, 1.0))
+        assert np.max(np.abs(got - special.gammainc(kappa, x))) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        log_kappa=st.floats(-3, 6),
+        q=st.lists(st.floats(0, 1), min_size=2, max_size=64),
+    )
+    def test_cdf_is_nondecreasing(self, log_kappa, q):
+        # ks_distance's pruning relies on this, to within its 1e-9 slack
+        p = GammaParams(10.0**log_kappa, 1.0)
+        x = np.sort(np.array(q)) * (p.kappa + 12 * math.sqrt(p.kappa) + 50)
+        assert np.all(np.diff(gamma_cdf(x, p)) >= -1e-9)
+
+    @pytest.mark.parametrize("kappa", [1e-3, 0.7, 2.41, 31.6, 1e6])
+    def test_cdf_of_a_value_does_not_depend_on_the_others(self, kappa):
+        # ks_distance evaluates the cdf on subsets of a sample and promises
+        # the float of a full evaluation, so each value must be its x's alone
+        p = GammaParams(kappa, 1.0)
+        g = RngHandle(7, 0).generator()
+        x = np.concatenate([
+            g.gamma(kappa, size=300), kappa + g.uniform(0, 30, 40) * math.sqrt(kappa),
+            [0.0, np.inf, np.nan, 1e-300],
+        ])
+        g.shuffle(x)
+        whole = gamma_cdf(x, p)
+        for at in (np.s_[::7], np.s_[3:5], x < kappa, np.s_[::-1]):
+            assert np.array_equal(gamma_cdf(x[at], p), whole[at], equal_nan=True)
+        assert np.array_equal([gamma_cdf(v, p) for v in x[:20]], whole[:20], equal_nan=True)
+
     def test_pdf_mean_by_quadrature(self):
         p = GammaParams(25 / 24, 1.2)
         mean, _ = integrate.quad(lambda t: t * gamma_pdf(t, p), 0, 100, limit=200)
@@ -116,6 +169,21 @@ class TestGammaLaw:
         a = RngHandle(32, 4).generator().gamma(p.kappa, p.theta, size=1000)
         b = RngHandle(32, 4).generator().gamma(p.kappa, p.theta, size=1000)
         assert np.array_equal(a, b)
+
+
+def _incomplete_gamma(a: float, x: np.ndarray) -> np.ndarray:
+    """P(a, x) from scipy, or from mpmath where cephes stops its series short.
+
+    For a > 200 and x below a - 4.5 sqrt(a) cephes sums at most 2000 terms
+    of the series, which leaves it 3e-11 low at a = 1e6.
+    """
+    ref = special.gammainc(a, x)
+    for i in np.flatnonzero((a > 200) & (x < a - 4.5 * math.sqrt(a))):
+        with mpmath.workdps(30):
+            xi = mpmath.mpf(x[i])
+            series = mpmath.hyp1f1(1, a + 1, xi, maxterms=10**6)
+            ref[i] = float(mpmath.exp(a * mpmath.log(xi) - xi - mpmath.loggamma(a + 1)) * series)
+    return ref
 
 
 def _ks_full(samples, cdf) -> float:
