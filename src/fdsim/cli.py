@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import secrets
 import sys
@@ -35,6 +36,7 @@ from .closedform import (
     gamma_mimo,
     moment1,
     moment2,
+    moment_match,
     si_variance,
 )
 from .exceptions import InvalidParameterError
@@ -346,6 +348,9 @@ def _cmd_si(merged: dict, cfg: ExperimentConfig, head: list, cf: list) -> dict:
 
 
 def _cmd_sinr(merged: dict, cfg: ExperimentConfig) -> dict:
+    m1, var = moment1(cfg.geom.K, cfg.si_spec), si_variance(cfg.geom, cfg.si_spec)
+    if math.isinf(m1) or math.isinf(var):  # sinr makes no Gamma match: only an overflow fails
+        moment_match(m1, var)  # which raises as it does for `si`
     cfg = replace(cfg, noise_power=merged["noise"], direction=Direction(merged["direction"]))
     terms = run_sinr(cfg, threads=merged["threads"])
     T, K = cfg.trials, cfg.geom.K

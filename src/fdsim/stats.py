@@ -5,9 +5,9 @@ non-central chi-squared law; its density is evaluated in the log domain
 through the exponentially scaled Bessel function so large Rician factors
 do not overflow.
 
-``gamma_cdf`` is numpy and ``math`` code only, so importing this module,
-and every ``fdsim`` command, loads no scipy; ``si_pdf_siso`` and
-``gamma_pdf`` import ``scipy.special`` when they are called. The CDF is
+``gamma_pdf`` and ``gamma_cdf`` are numpy and ``math`` code only, so
+importing this module, and every ``fdsim`` command, loads no scipy; only
+``si_pdf_siso`` imports ``scipy.special``, when it is called. The CDF is
 the regularised lower incomplete gamma P(a, x), a = kappa, x = x/theta,
 and each value depends on its own x alone, so ``ks_distance`` may evaluate
 it on any subset of a sample. Below a = 1e3 it is the power series
@@ -21,10 +21,11 @@ Below cut = a + 1 + 3 sqrt(a), every x takes the terms d_n that reach
 shortens the series' tail, so the terms of the scale suffice. Estrin's
 scheme sums them in pairs, pairs of pairs and so on, each level one numpy
 call over every point, and Horner's rule the last few rows, so a call
-makes O(log terms) numpy calls and O(points * terms) flops. The prefix is
-a log(x) - x - lgamma(a+1) for a < 30, and above it a (log1p(t) - t) -
-log(2 pi a)/2 - stirlerr(a), t = x/a - 1, with log1p(t) - t from the atanh
-series near t = 0, so that it does not cancel (DiDonato and Morris 1986).
+makes O(log terms) numpy calls and O(points * terms) flops. The prefix,
+the log-density of Gamma(a+1, 1) that ``gamma_pdf`` reuses, is a log(x) -
+x - lgamma(a+1) for a < 30, and above it a (log1p(t) - t) - log(2 pi a)/2
+- stirlerr(a), t = x/a - 1, with log1p(t) - t from the atanh series near
+t = 0, so that it does not cancel (DiDonato and Morris 1986).
 From a = 1e3 on, Temme's uniform expansion to its a^-2 term takes over
 (DLMF 8.12), with erf(w) as P(1/2, w^2) from the series. Against
 ``scipy.special.gammainc`` the absolute error is under 1e-12 for a from
@@ -78,29 +79,23 @@ def si_pdf_siso(x, varpi: float, omega: float):
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise InvalidParameterError("x must be >= 0")
-    arg = 2.0 * np.sqrt(varpi * (1.0 + varpi) * x / omega)
-    log_pref = (
-        math.log1p(varpi) - math.log(omega) - varpi - (1.0 + varpi) * x / omega + arg
-    )
-    out = np.exp(log_pref) * special.i0e(arg)
+    with np.errstate(invalid="ignore"):  # x = inf gives inf - inf or 0 inf; the density is 0
+        arg = 2.0 * np.sqrt(varpi * (1.0 + varpi) * x / omega)
+        log_pref = math.log1p(varpi) - math.log(omega) - varpi - (1.0 + varpi) * x / omega + arg
+    out = np.where(x == np.inf, 0.0, np.exp(log_pref) * special.i0e(arg))
     return out if out.ndim else float(out)
 
 
 def gamma_pdf(x, p: GammaParams):
-    """Gamma density with shape p.kappa and scale p.theta."""
-    from scipy import special
-
+    """Gamma density with shape p.kappa and scale p.theta, from the CDF's prefix."""
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise InvalidParameterError("x must be >= 0")
-    # xlogy(0, 0) = 0 gives the kappa = 1 limit 1/theta at x = 0
-    log_pdf = (
-        special.xlogy(p.kappa - 1.0, x)
-        - x / p.theta
-        - special.gammaln(p.kappa)
-        - p.kappa * math.log(p.theta)
-    )
-    out = np.exp(log_pdf)
+    u = x / p.theta
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0, 0 log 0, inf - inf
+        out = np.exp(_log_prefix(p.kappa - 1.0, u)) / p.theta
+    # the limits the prefix misses: 1/theta at u = 0 if kappa = 1, and 0 at u = inf
+    out = np.where(u == np.inf, 0.0, np.where((u == 0) & (p.kappa == 1.0), 1 / p.theta, out))
     return out if out.ndim else float(out)
 
 
@@ -226,7 +221,10 @@ def _temme(a: float, x: np.ndarray) -> np.ndarray:
 
 
 def _log_prefix(a: float, x: np.ndarray) -> np.ndarray:
-    """log(x^a e^-x / Gamma(a+1)) over x > 0."""
+    """log(x^a e^-x / Gamma(a+1)), the Gamma(a+1, 1) log-density at x, for a > -1.
+
+    x = 0 gives the density's limit, -inf or +inf, with a numpy warning; at a = 0, NaN.
+    """
     if a < 30.0:
         return a * np.log(x) - x - math.lgamma(a + 1.0)
     # Stirling: lgamma(a+1) = (a + 1/2) log(a) - a + log(2 pi)/2 + stirlerr(a)

@@ -249,14 +249,18 @@ def test_si_golden_run(tmp_path):
 
 
 def test_no_command_loads_scipy(tmp_path):
-    # gamma_cdf is fdsim's own; only si_pdf_siso and gamma_pdf load scipy
+    # only si_pdf_siso loads scipy
     code = f"""
 import sys
+import numpy as np
+import fdsim
 from fdsim.cli import main
 out = {str(tmp_path)!r}
 assert main(["si", "--mode", "both", "--trials", "5000", "--out", out + "/si.csv"]) == 0
 assert main(["sinr", "--L", "2", "--K", "2", "--trials", "200", "--out", out + "/sinr.csv"]) == 0
 assert main(["moments"]) == 0
+for kappa in (0.7, 1.0, 2.4, 1e10):
+    fdsim.gamma_pdf(np.linspace(0, 2 * kappa, 9), fdsim.GammaParams(kappa, 1.3))
 print(sorted(m for m in sys.modules if m.startswith("scipy")))
 """
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
@@ -398,13 +402,33 @@ def test_vanishing_si_power_exits_2(capsys, spec):
 
 @pytest.mark.parametrize("spec", [["--varpi", "1", "--omega", "1e300"],
                                   ["--mu", "1e150", "--nu", "1"],
-                                  ["--mu", "0", "--nu", "1e100"]])
-def test_si_variance_overflow_exits_2(capsys, spec):
-    # the variance overflows to inf; the matched Gamma names it, not a NaN kappa
-    assert main(["moments", *spec]) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        "fdsim: invalid parameters: var must be > 0 and finite, got inf"
-    ]
+                                  ["--mu", "0", "--nu", "1e100"],
+                                  ["--mu", "0", "--nu", "1e154"]])
+def test_si_variance_overflow_exits_2(tmp_path, monkeypatch, capsys, spec):
+    # the variance overflows to inf; the matched Gamma names it, not a NaN kappa,
+    # and sinr, which makes no Gamma match, checks it as si does, before any block
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Monte Carlo work started before the closed form was checked")
+
+    monkeypatch.setattr("fdsim.mc._blocks", forbidden)
+    out = ["--out", str(tmp_path / "run.csv")]
+    for argv in (["moments"], ["si", "--mode", "both", *out],
+                 ["sinr", "--direction", "downlink", *out],
+                 ["sinr", "--direction", "uplink", "--format", "jsonl", *out]):
+        assert main([*argv, *spec]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "fdsim: invalid parameters: var must be > 0 and finite, got inf"
+        ]
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("direction", ["downlink", "uplink"])
+@pytest.mark.parametrize("spec", [["--mu", "1", "--nu", "1e-7"], ["--nu", "1e-200"]])
+def test_sinr_takes_no_gamma_match_floor(tmp_path, direction, spec):
+    # the nu floor and the positive moments are the Gamma match's; sinr makes none
+    out = str(tmp_path / "sinr.csv")
+    assert main(["sinr", "--trials", "10", "--direction", direction, "--out", out, *spec]) == 0
+    assert len((tmp_path / "sinr.csv").read_text().splitlines()) == 11
 
 
 def test_unknown_flag_exits_2():

@@ -66,6 +66,14 @@ class TestSisoPdf:
         vals = si_pdf_siso(np.linspace(0, 20, 50), 1e4, 2.0)
         assert np.all(np.isfinite(vals))
 
+    @pytest.mark.parametrize("varpi", [0.0, 0.5, 1e4])
+    def test_edge_values(self, varpi):
+        # the density is 0 at x = inf, not inf - inf; warnings are errors here
+        assert si_pdf_siso(np.inf, varpi, 1.0) == 0.0
+        got = si_pdf_siso([0.0, np.inf, np.nan], varpi, 1.0)
+        assert got[0] == pytest.approx((1 + varpi) * math.exp(-varpi), rel=1e-15, abs=0)
+        assert got[1] == 0.0 and np.isnan(got[2])
+
     def test_invalid_inputs(self):
         with pytest.raises(InvalidParameterError):
             si_pdf_siso(-1.0, 0.0, 1.0)
@@ -146,6 +154,30 @@ class TestGammaLaw:
             x = np.linspace(0.01, 30, 301)
             direct = x ** (kappa - 1) * np.exp(-x / 1.3) / (math.gamma(kappa) * 1.3**kappa)
             assert np.allclose(gamma_pdf(x, p), direct, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kappa", [999.9, 1e6, 1e10, 5e11, 1e15])
+    def test_pdf_at_large_shapes_against_mpmath(self, kappa):
+        # theta = 1 keeps x/theta exact; x^(kappa-1) e^-x / Gamma(kappa) taken
+        # apart in floats cancels here, to 1e-3 at the 5e11 that --nu 1e-6 gives
+        x = kappa + np.array([-3.0, -1.0, 0.0, 1.0, 3.0]) * math.sqrt(kappa)
+        with mpmath.workdps(40):
+            k = mpmath.mpf(kappa)
+            ref = np.array([
+                float(mpmath.exp((k - 1) * mpmath.log(v) - v - mpmath.loggamma(k)))
+                for v in map(mpmath.mpf, x)
+            ])
+        got = gamma_pdf(x, GammaParams(kappa, 1.0))
+        assert np.max(np.abs(got / ref - 1)) <= 1e-13
+
+    @pytest.mark.parametrize("kappa, at_zero", [
+        (0.7, np.inf), (1.0, 1 / 1.3), (2.4, 0.0), (50.0, 0.0), (1e10, 0.0),
+    ])
+    def test_pdf_edge_values(self, kappa, at_zero):
+        # with no numpy warning: warnings are errors here
+        p = GammaParams(kappa, 1.3)
+        got = gamma_pdf([0.0, np.inf, np.nan], p)
+        assert got[:2].tolist() == [at_zero, 0.0] and np.isnan(got[2])
+        assert [gamma_pdf(0.0, p), gamma_pdf(np.inf, p)] == [at_zero, 0.0]
 
     def test_cdf_monotone_pdf_nonnegative(self):
         p = GammaParams(0.7, 1.3)
