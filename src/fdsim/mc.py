@@ -5,7 +5,11 @@ Stream layout 11, stated in full; CHANGES.md records the earlier layouts.
 Blocks.  A run allocates its result arrays, then cuts its trials into
 blocks of ``BLOCK_SIZE = 4096``: block b holds trials ``[b * BLOCK_SIZE,
 (b + 1) * BLOCK_SIZE)``, the last block the remainder, and the worker that
-runs it writes its results there.  Block b draws all of its randomness
+runs it writes its results there.  The workers are the calling thread and
+``min(threads, blocks, usable CPUs) - 1`` helper threads, so ``threads=1``
+starts none; each takes the next block in index order.  After a failure or
+an interrupt no worker takes another block, and the caller re-raises the
+first once every helper has ended.  Block b draws all of its randomness
 from the SFC64 substream ``SeedSequence(seed, spawn_key=(b,))``, each item
 below for all of its trials at once, so results are bitwise reproducible
 whatever the number of workers.  Every normal comes from ``generate_batch``
@@ -90,7 +94,7 @@ from __future__ import annotations
 import enum
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,7 +137,8 @@ class ExperimentConfig:
         if not (type(self.seed) is int and 0 <= self.seed < 2**64):
             raise InvalidParameterError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if not (self.noise_power >= 0 and math.isfinite(self.noise_power)):
-            raise InvalidParameterError(f"noise_power must be >= 0, got {self.noise_power}")
+            raise InvalidParameterError(
+                f"noise_power must be >= 0 and finite, got {self.noise_power}")
         object.__setattr__(self, "noise_power", self.noise_power + 0.0)  # -0.0 -> 0.0
 
 
@@ -161,18 +166,36 @@ def _map_blocks(cfg: ExperimentConfig, block_fn, threads: int, out) -> None:
     if threads < 1:
         raise InvalidParameterError(f"threads must be >= 1, got {threads!r}")
     blocks = _blocks(cfg.trials)
+    todo, lock, failed = iter(blocks), threading.Lock(), []
 
-    def run(block):
-        b, n = block
-        part = block_fn(cfg, n, RngHandle(cfg.seed, b).generator())
-        pairs = [(d, part[k]) for k, d in out.items()] if isinstance(out, dict) else [(out, part)]
-        for dest, value in pairs:
-            dest[..., b * BLOCK_SIZE:b * BLOCK_SIZE + n] = value
+    def take():
+        with lock:  # after the first failure no worker takes another block
+            return None if failed else next(todo, None)
+
+    def work(helpers=()):  # the caller starts its helpers, then runs blocks beside them
+        try:
+            for helper in helpers:
+                helper.start()
+            for b, n in iter(take, None):
+                part = block_fn(cfg, n, RngHandle(cfg.seed, b).generator())
+                pairs = [(d, part[k]) for k, d in out.items()] if isinstance(out, dict) else [(out, part)]
+                for dest, value in pairs:
+                    dest[..., b * BLOCK_SIZE:b * BLOCK_SIZE + n] = value
+        except BaseException as exc:  # an interrupt too; the caller re-raises the first
+            failed.append(exc)
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    # a failing block or an interrupt cancels the queued blocks in map's iterator
-    with ThreadPoolExecutor(max_workers=min(threads, len(blocks), cpus or 1)) as ex:
-        list(ex.map(run, blocks))
+    workers = min(threads, len(blocks), cpus or 1)
+    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+    work(helpers)
+    for helper in helpers:  # one whose start was interrupted takes no block
+        while helper.is_alive():
+            try:
+                helper.join()  # its block in flight ends
+            except BaseException as exc:  # an interrupt while joining
+                failed.append(exc)
+    if failed:
+        raise failed[0]
 
 
 def _sq(z: np.ndarray) -> np.ndarray:
@@ -287,6 +310,7 @@ def _terms(useful, ici, cmi, si, noise) -> dict:
     return dict(zip(TERMS, (useful, mui, ici, cmi, si, noise, sinr)))
 
 
+@np.errstate(over="raise")  # a term that overflows, at a huge noise_power say, fails the run
 def _sinr_block_downlink(cfg: ExperimentConfig, n: int, gen: Generator) -> dict:
     L, K, M = cfg.geom.L, cfg.geom.K, cfg.geom.M
     useful = 1 / _zf_solve(*_zf_draw(n, K, M, gen), np.empty((K, 0, n), complex))  # no row: D^2
@@ -307,6 +331,7 @@ def _sinr_block_downlink(cfg: ExperimentConfig, n: int, gen: Generator) -> dict:
     return _terms(useful, ici, cmi, si, noise)
 
 
+@np.errstate(over="raise")
 def _sinr_block_uplink(cfg: ExperimentConfig, n: int, gen: Generator) -> dict:
     L, K, M, N = cfg.geom.L, cfg.geom.K, cfg.geom.M, cfg.geom.N
     T_up = _zf_draw(n, K, N, gen)  # H_up^T = T' Q', W = R'^T Q'^*

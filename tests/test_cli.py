@@ -249,7 +249,7 @@ def test_si_golden_run(tmp_path):
 
 
 def test_no_command_loads_scipy(tmp_path):
-    # only si_pdf_siso loads scipy
+    # only si_pdf_siso loads scipy; the engine's workers need no executor
     code = f"""
 import sys
 import numpy as np
@@ -257,8 +257,10 @@ import fdsim
 from fdsim.cli import main
 out = {str(tmp_path)!r}
 assert main(["si", "--mode", "both", "--trials", "5000", "--out", out + "/si.csv"]) == 0
+assert main(["si", "--threads", "2", "--trials", "5000", "--out", out + "/si2.csv"]) == 0
 assert main(["sinr", "--L", "2", "--K", "2", "--trials", "200", "--out", out + "/sinr.csv"]) == 0
 assert main(["moments"]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("concurrent", "logging", "queue")))
 for kappa in (0.7, 1.0, 2.4, 1e10):
     fdsim.gamma_pdf(np.linspace(0, 2 * kappa, 9), fdsim.GammaParams(kappa, 1.3))
 print(sorted(m for m in sys.modules if m.startswith("scipy")))
@@ -268,7 +270,7 @@ print(sorted(m for m in sys.modules if m.startswith("scipy")))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert proc.stdout.splitlines()[-2:] == ["[]", "[]"]
 
 
 def test_si_seeded_reruns_byte_identical(tmp_path):
@@ -629,6 +631,20 @@ def test_non_finite_jsonl_value_exits_1_with_no_output(tmp_path, monkeypatch, ca
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("direction", ["downlink", "uplink"])
+def test_sinr_noise_overflow_exits_1_with_no_output(tmp_path, capsys, direction, fmt):
+    # no closed form bounds the noise term; a block whose terms overflow fails the run
+    out = str(tmp_path / f"sinr.{fmt}")
+    argv = ["sinr", "--noise", "1e308", "--trials", "5000", "--direction", direction,
+            "--format", fmt, "--out", out]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "fdsim: numerical failure: overflow encountered in multiply"
+    ]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_out_of_memory_exits_1_with_no_output(tmp_path, monkeypatch, capsys):
     # e.g. `fdsim si --bins 500000000` under a memory limit: the histogram is
     # allocated after the Monte Carlo work, before anything is staged
@@ -875,6 +891,10 @@ _CONFIG = ["--config", "cfg.json"]
                  "--threads must be >= 1, got 0", id="threads-0"),
     pytest.param([*_SI, "--out", "run.csv", "--bins", "0"], _no_setup,
                  "--bins must be >= 1, got 0", id="bins-0"),
+    pytest.param([*_SINR, "--out", "run.csv", "--noise", "inf"], _no_setup,
+                 "noise_power must be >= 0 and finite, got inf", id="noise-inf"),
+    pytest.param([*_SINR, "--out", "run.csv", "--noise", "nan"], _no_setup,
+                 "noise_power must be >= 0 and finite, got nan", id="noise-nan"),
     pytest.param([*_SI, "--out", "run.csv", "--mu", "0.5", "--varpi", "1"], _no_setup,
                  "(--mu, --nu) and (--varpi, --omega) are mutually exclusive",
                  id="mu-and-varpi"),

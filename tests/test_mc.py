@@ -1,4 +1,5 @@
 import signal
+import sys
 import threading
 import time
 import tracemalloc
@@ -198,17 +199,29 @@ def test_a_stopped_run_waits_only_for_the_blocks_in_flight(monkeypatch, stop):
 
 @pytest.mark.parametrize("threads, most", [(1, 1), (8, 3)])
 def test_every_run_goes_through_the_pool(monkeypatch, threads, most):
+    # the pool is the calling thread and its helper threads; one thread starts no helper
     monkeypatch.setattr(mc, "BLOCK_SIZE", 4)
-    workers = set()
+    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: set(range(64)))
+    helpers, workers = [], []
+
+    class Counting(threading.Thread):
+        def __init__(self, *args, **kwargs):
+            helpers.append(self)
+            super().__init__(*args, **kwargs)
 
     def block_fn(cfg, n, gen):
-        workers.add(threading.get_ident())
-        time.sleep(0.05)  # holds its worker, so a larger pool would start another
+        workers.append(threading.get_ident())
+        time.sleep(0.05)  # holds its worker, so a helper takes the next block
         return np.zeros(n)
 
+    monkeypatch.setattr(threading, "Thread", Counting)
     mc._map_blocks(_cfg(trials=12), block_fn, threads=threads, out=np.empty(12))
-    assert 1 <= len(workers) <= most
-    assert threading.main_thread().ident not in workers
+    assert len(helpers) == most - 1
+    assert not any(h.is_alive() for h in helpers)
+    assert len(workers) == 3
+    assert set(workers) <= {threading.main_thread().ident} | {h.ident for h in helpers}
+    if threads == 1:
+        assert workers == [threading.main_thread().ident] * 3
 
 
 @pytest.mark.parametrize("threads, cpus, workers", [
@@ -217,28 +230,73 @@ def test_every_run_goes_through_the_pool(monkeypatch, threads, most):
     (3, 64, 3),      # then the thread count itself
 ])
 def test_pool_workers_are_clamped(monkeypatch, threads, cpus, workers):
+    # the calling thread counts among the workers
     monkeypatch.setattr(mc, "BLOCK_SIZE", 4)  # 40 trials are 10 blocks
     monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    pools = []
+    helpers = []
 
-    class Recorder:  # stands in for the pool and starts no thread
-        def __init__(self, max_workers):
-            pools.append(max_workers)
+    class Recorder:  # stands in for a helper thread and starts none
+        def __init__(self, target):
+            helpers.append(target)
 
-        def __enter__(self):
-            return self
+        def start(self):
+            pass
 
-        def __exit__(self, *exc):
+        def is_alive(self):
             return False
 
-        def map(self, fn, blocks):
-            return map(fn, blocks)
-
-    monkeypatch.setattr(mc, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(threading, "Thread", Recorder)
     out = np.zeros(40)
     mc._map_blocks(_cfg(trials=40), lambda cfg, n, gen: n, threads=threads, out=out)
-    assert pools == [workers]
+    assert len(helpers) + 1 == workers
     assert out.tolist() == [4] * 40
+
+
+def test_a_helper_error_surfaces_after_the_caller_runs_out_of_blocks(monkeypatch):
+    monkeypatch.setattr(mc, "BLOCK_SIZE", 4)
+    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1})
+    in_helper, drained = threading.Event(), threading.Event()
+    blocks = mc._blocks
+
+    class Blocks(list):  # sets `drained` once a worker finds no block left
+        def __iter__(self):
+            yield from list.__iter__(self)
+            drained.set()
+
+    def block_fn(cfg, n, gen):
+        if threading.current_thread() is threading.main_thread():
+            assert in_helper.wait(5)  # the helper holds the other block
+            return np.zeros(n)
+        in_helper.set()
+        assert drained.wait(5)  # the caller has taken the last block and found none left
+        raise RuntimeError("helper block fails")
+
+    monkeypatch.setattr(mc, "_blocks", lambda trials: Blocks(blocks(trials)))
+    with pytest.raises(RuntimeError, match="helper block fails"):
+        mc._map_blocks(_cfg(trials=8), block_fn, threads=2, out=np.empty(8))
+    assert drained.is_set()
+
+
+def test_workers_take_every_block_exactly_once(monkeypatch):
+    # more workers than cores, switching often: a block taken twice or never shows
+    monkeypatch.setattr(mc, "BLOCK_SIZE", 1)
+    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: set(range(64)))
+    cfg, calls = _cfg(trials=3000), []
+
+    def block_fn(cfg, n, gen):
+        calls.append(n)
+        return gen.random(n)
+
+    out = np.full(cfg.trials, np.nan)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        mc._map_blocks(cfg, block_fn, threads=8, out=out)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(calls) == cfg.trials
+    expected = [RngHandle(cfg.seed, b).generator().random() for b in range(cfg.trials)]
+    assert out.tolist() == expected
 
 
 def test_engine_reaches_traced_names_through_module_globals(monkeypatch):
