@@ -1,13 +1,11 @@
 """Distribution evaluation, histograms, and goodness of fit.
 
 The SISO residual SI gain |h|^2 with h ~ CN(mu, nu^2) follows a scaled
-non-central chi-squared law; its density is evaluated in the log domain
-through the exponentially scaled Bessel function so large Rician factors
-do not overflow.
+non-central chi-squared law; its density is evaluated through the
+exponentially scaled Bessel function, with its exponent taken without
+cancellation, so large Rician factors neither overflow nor lose digits.
 
-``gamma_pdf`` and ``gamma_cdf`` are numpy and ``math`` code only, so
-importing this module, and every ``fdsim`` command, loads no scipy; only
-``si_pdf_siso`` imports ``scipy.special``, when it is called. The CDF is
+Every function here is numpy and ``math`` code only. The Gamma CDF is
 the regularised lower incomplete gamma P(a, x), a = kappa, x = x/theta,
 and each value depends on its own x alone, so ``ks_distance`` may evaluate
 it on any subset of a sample. Below a = 1e3 it is the power series
@@ -68,10 +66,16 @@ def si_pdf_siso(x, varpi: float, omega: float):
     p(x) = (1+varpi)/omega * exp(-(varpi + (1+varpi) x / omega))
            * I0(2 sqrt(varpi (1+varpi) x / omega))
 
-    Evaluated as exp(log ...) * i0e(...) for numerical stability.
+    With a = sqrt(varpi), b = sqrt((1+varpi) x/omega) and z = 2ab, p is
+    exp(log1p(varpi) - log(omega) - (a - b)^2) e^-z I0(z), and a - b is
+    (varpi (1 - x/omega) - x/omega)/(a + b), which does not cancel. e^-z
+    I0(z) is ``np.i0(z) * exp(-z)`` below z = 700, where ``np.i0`` does not
+    overflow, and the asymptotic series of DLMF 10.40.1 to z^-6 from there
+    on. The relative error against mpmath is under 2e-14 for varpi <= 100,
+    and up to varpi = 1e200 under 1e-13 plus |a - b| sqrt(varpi) 2^-53, the
+    rounding of x/omega (tests/test_stats.py). p is 0 at x = inf and NaN at
+    NaN, with no numpy warning.
     """
-    from scipy import special
-
     if not (varpi >= 0 and math.isfinite(varpi)):
         raise InvalidParameterError(f"varpi must be >= 0, got {varpi}")
     if not (omega > 0 and math.isfinite(omega)):
@@ -79,11 +83,30 @@ def si_pdf_siso(x, varpi: float, omega: float):
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise InvalidParameterError("x must be >= 0")
-    with np.errstate(invalid="ignore"):  # x = inf gives inf - inf or 0 inf; the density is 0
-        arg = 2.0 * np.sqrt(varpi * (1.0 + varpi) * x / omega)
-        log_pref = math.log1p(varpi) - math.log(omega) - varpi - (1.0 + varpi) * x / omega + arg
-    out = np.where(x == np.inf, 0.0, np.exp(log_pref) * special.i0e(arg))
+    a = math.sqrt(varpi)
+    # x/omega overflows to inf, and then gives 0 inf or inf/inf, where the
+    # density is 0; a + b = 0 only at varpi = x = 0, where a - b is 0
+    with np.errstate(invalid="ignore", over="ignore"):
+        u = x / omega
+        b = np.sqrt(u) * math.sqrt(1.0 + varpi)
+        d = np.where(a + b > 0, (varpi * (1.0 - u) - u) / (a + b), 0.0)  # a - b
+        out = np.exp(math.log1p(varpi) - math.log(omega) - d * d) * _i0e(2.0 * a * b)
+    out = np.where(b == np.inf, 0.0, out)
     return out if out.ndim else float(out)
+
+
+# e^-z I0(z) ~ (2 pi z)^-1/2 sum_k ((2k-1)!!)^2 / (k! 8^k z^k), k = 0..6,
+# highest first: from z = 700 on the next term is under 1e-19 (DLMF 10.40.1).
+_I0E_ASYMPTOTIC = np.cumprod([1.0] + [(2 * k - 1) ** 2 / (8 * k) for k in range(1, 7)])[::-1]
+
+
+def _i0e(z: np.ndarray) -> np.ndarray:
+    """e^-z I0(z) over z >= 0, inf or NaN."""
+    small = z < 700.0  # np.i0 overflows near 713
+    zs = np.where(small, z, 0.0)
+    zl = np.where(small, 700.0, z)
+    asymptotic = np.polyval(_I0E_ASYMPTOTIC, 1.0 / zl) / np.sqrt(2.0 * math.pi * zl)
+    return np.where(small, np.i0(zs) * np.exp(-zs), asymptotic)
 
 
 def gamma_pdf(x, p: GammaParams):

@@ -249,9 +249,11 @@ def test_si_golden_run(tmp_path):
 
 
 def test_no_command_loads_scipy(tmp_path):
-    # only si_pdf_siso loads scipy; the engine's workers need no executor
+    # scipy is unimportable here, so any import of it fails the run; the
+    # engine's workers need no executor
     code = f"""
 import sys
+sys.modules["scipy"] = None
 import numpy as np
 import fdsim
 from fdsim.cli import main
@@ -263,7 +265,9 @@ assert main(["moments"]) == 0
 print(sorted(m for m in sys.modules if m.split(".")[0] in ("concurrent", "logging", "queue")))
 for kappa in (0.7, 1.0, 2.4, 1e10):
     fdsim.gamma_pdf(np.linspace(0, 2 * kappa, 9), fdsim.GammaParams(kappa, 1.3))
-print(sorted(m for m in sys.modules if m.startswith("scipy")))
+p = fdsim.si_pdf_siso([0.0, 1.0, np.inf, np.nan], 0.5, 1.0)
+assert p[2] == 0.0 and np.isnan(p[3]) and fdsim.si_pdf_siso(1.0, 1e150, 1.0) > 1e74
+print(sorted(m for m, mod in sys.modules.items() if m.startswith("scipy") and mod is not None))
 """
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     env.pop("FDSIM_SEED", None)

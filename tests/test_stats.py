@@ -82,6 +82,65 @@ class TestSisoPdf:
         with pytest.raises(InvalidParameterError):
             si_pdf_siso(1.0, 0.5, 0.0)
 
+    def test_scaled_bessel_factor_matches_scipy(self):
+        from fdsim.stats import _i0e  # np.i0 below z = 700, the asymptotic series from 700 on
+
+        for z in (np.linspace(0, 700, 700_001), np.geomspace(700, 1e300, 100_001)):
+            assert np.max(np.abs(_i0e(z) / special.i0e(z) - 1)) < 1e-14
+
+    @pytest.mark.parametrize("omega", [1.0, 2.0, 0.3])
+    def test_matches_mpmath_up_to_varpi_100(self, omega):
+        for varpi in (0.0, 0.5, 1.0, 10.0, 100.0):
+            x = _siso_grid(varpi, omega)
+            ref = np.array([_siso_pdf_mp(t, varpi, omega) for t in x])
+            assert np.max(np.abs(si_pdf_siso(x, varpi, omega) / ref - 1)) < 2e-14
+
+    @pytest.mark.parametrize("varpi", [1e4, 1e8, 1e12, 1e16, 1e150, 1e200])
+    def test_matches_mpmath_at_large_rician_factors(self, varpi):
+        # 1e-13 where x/omega rounds exactly, as at a power of 2; elsewhere its
+        # rounding adds up to |a - b| sqrt(varpi) 2^-53, a = sqrt(varpi) and
+        # b = sqrt((1+varpi) x/omega)
+        for omega, rounding in ((1.0, 0.0), (2.0, 0.0), (0.3, 2.0**-53)):
+            x = _siso_grid(varpi, omega)
+            ref = np.array([_siso_pdf_mp(t, varpi, omega) for t in x])
+            a_b = np.abs(math.sqrt(varpi) - np.sqrt(x / omega * (1 + varpi)))
+            bound = 1e-13 + a_b * math.sqrt(varpi) * rounding
+            assert np.all(np.abs(si_pdf_siso(x, varpi, omega) / ref - 1) < bound)
+
+    def test_extreme_arguments(self):
+        # warnings are errors here
+        assert si_pdf_siso(1.0, 1e150, 1.0) == pytest.approx(2.8209479177387814e74, rel=1e-13)
+        assert si_pdf_siso(1.0, 1e200, 1.0) == pytest.approx(2.8209479177387814e99, rel=1e-13)
+        assert si_pdf_siso(1.0, 1e110, 1e200) == 0.0
+        # x/omega overflows: the density is 0, not inf - inf or 0 inf
+        assert si_pdf_siso([1e300, np.inf], 0.0, 1e-10).tolist() == [0.0, 0.0]
+        assert si_pdf_siso([1e300, np.inf], 1e200, 1e-10).tolist() == [0.0, 0.0]
+        assert si_pdf_siso(0.0, 0.0, 2.0) == 0.5
+
+
+def _siso_grid(varpi: float, omega: float) -> np.ndarray:
+    """Up to 41 points where the SISO density is not negligible: to five
+    standard deviations either side of the mean omega at large varpi."""
+    if varpi <= 10:
+        return omega * np.linspace(0, 6, 41)
+    if varpi <= 100:
+        return omega * np.linspace(0.3, 1.8, 41)
+    # past varpi = 1e32 the spread nears an ulp of omega, and points repeat
+    return np.unique(omega * (1 + 5 * math.sqrt(2 / varpi) * np.linspace(-1, 1, 41)))
+
+
+def _siso_pdf_mp(x: float, varpi: float, omega: float) -> float:
+    """The SISO density from the exact float arguments, by the definition.
+
+    Its exponent's terms of order varpi cancel to O(1), so the precision
+    grows with varpi.
+    """
+    with mpmath.workdps(30 + int(math.log10(1 + varpi))):
+        x, varpi, omega = mpmath.mpf(x), mpmath.mpf(varpi), mpmath.mpf(omega)
+        z = 2 * mpmath.sqrt(varpi * (1 + varpi) * x / omega)
+        pref = (1 + varpi) / omega * mpmath.exp(-(varpi + (1 + varpi) * x / omega))
+        return float(pref * mpmath.besseli(0, z))
+
 
 class TestGammaLaw:
     def test_cdf_saturates(self):
