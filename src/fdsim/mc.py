@@ -32,9 +32,13 @@ returns ``||X e_k||^2 = 1 / D_k^2``, so ``(x R)_k = (x X)_k / ||X e_k||``.
 It forward-substitutes X one column at a time (no matrix product or LAPACK
 call, T never formed): ``X[k, k] = 1 / T_kk`` and, for l > k, ``X[l, k] =
 -(sum over k <= m < l of T[l, m] X[m, k]) / T_ll``; column k's write ``(x
-X)_k = sum over l >= k of x_l X[l, k]`` reads only ``x[k:]``, so besides x
-the walk holds O(K) vectors of trials.  Every sum runs in increasing
-index; each trial's arithmetic is its own.
+X)_k = sum over l >= k of x_l X[l, k]`` reads only ``x[k:]``, so x may be a
+strided view, overwritten row by row.  Besides x the walk holds the
+column's K - k vectors of trials and two scratch vectors, one for a term
+``T[l, m] X[m, k]`` (or, in halves, ``|X[l, k]|^2``) and one for a term
+``x_l X[l, k]``: every step writes into an array the walk owns, with no
+per-term temporaries.  Every sum runs in increasing index from its first
+term; each trial's arithmetic is its own.
 
 Unit vectors (``_q``, trials last).  ``_q(K, M)`` is sqrt(M) times the
 first K entries of a uniform unit vector of C^M, ``sqrt(M) g /
@@ -199,54 +203,89 @@ def _map_blocks(cfg: ExperimentConfig, block_fn, threads: int, out) -> None:
 
 
 def _sq(z: np.ndarray) -> np.ndarray:
-    return z.real**2 + z.imag**2
+    """``|z|^2``, rounded as ``z.real**2 + z.imag**2``."""
+    out = np.square(z.real)
+    out += np.square(z.imag)
+    return out
 
 
 def _zf_draw(n: int, K: int, M: int, gen: Generator) -> tuple[np.ndarray, np.ndarray]:
     """T's below-diagonal entries, column by column, and ``1 / T_ii`` of n K x M links T Q."""
     below = generate_batch(1, K * (K - 1) // 2, n, RAYLEIGH, gen)[0]
-    diag_inv = 1.0 / np.sqrt([gen.gamma(M - i, size=n) for i in range(K)])
+    diag_inv = np.empty((K, n))
+    for i in range(K):
+        diag_inv[i] = gen.gamma(M - i, size=n)
+    np.divide(1.0, np.sqrt(diag_inv, out=diag_inv), out=diag_inv)
     return below, diag_inv
 
 
 def _zf_solve(below: np.ndarray, diag_inv: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``||T^-1 e_k||^2`` of ``_zf_draw``'s factors T; overwrites the stack of
-    1 x K rows ``x[K, ..., n]`` with ``x T^-1``, one column of ``X = T^-1`` at a time."""
+    """``||T^-1 e_k||^2`` of ``_zf_draw``'s factors T; overwrites the stack of 1 x K rows
+    ``x[K, ..., n]``, which may be a strided view, with ``x T^-1``, one column of ``X =
+    T^-1`` at a time.  Row k is written only after the last read of ``x[k]``."""
     K, n = diag_inv.shape
-    norm2 = np.empty((K, n))
+    norm2 = np.negative(diag_inv)  # row l holds -1 / T_ll until column l writes its norm
+    col = np.empty((K, n), complex)  # X[k:, k] in col[k:]
+    term = np.empty(n, complex)  # one T[l, m] X[m, k], or |X[l, k]|^2 in two halves
+    re2, im2 = term.view(float)[:n], term.view(float)[n:]
+    row = np.empty(x.shape[1:], complex)  # one x_l X[l, k]
     for k in range(K):
-        col = [diag_inv[k]]  # X[k:, k]
+        col[k] = diag_inv[k]
         for l in range(k + 1, K):  # X[l, k]; `below` holds T's columns one after another
-            terms = (below[m * (2 * K - m - 1) // 2 + l - m - 1] * col[m - k] for m in range(k, l))
-            col.append(sum(terms) * -diag_inv[l])
-        norm2[k] = sum(_sq(v) for v in col)  # ||X e_k||^2
-        x[k] = sum(x[l] * v for l, v in enumerate(col, k))  # reads only x[k:]
+            T_l = [below[m * (2 * K - m - 1) // 2 + l - m - 1] for m in range(k, l)]  # T[l, k:l]
+            np.multiply(T_l[0], col[k], out=col[l])
+            for T_lm, X_mk in zip(T_l[1:], col[k + 1:l]):
+                col[l] += np.multiply(T_lm, X_mk, out=term)
+            col[l] *= norm2[l]  # -1 / T_ll
+        np.square(diag_inv[k], out=norm2[k])  # ||X e_k||^2
+        for v in col[k + 1:]:
+            np.square(v.real, out=re2)
+            re2 += np.square(v.imag, out=im2)
+            norm2[k] += re2
+        x[k] *= col[k]  # (x X)_k reads only x[k:]
+        for l in range(k + 1, K):
+            x[k] += np.multiply(x[l], col[l], out=row)
     return norm2
 
 
 def _q(n: int, K: int, M: int, gen: Generator) -> np.ndarray:
     """sqrt(M) times the first K entries of ``n`` uniform unit vectors of C^M, trials last."""
     g = generate_batch(1, K, n, RAYLEIGH, gen)[0]
-    s = gen.gamma(M - K, size=n)
-    g *= math.sqrt(M) / np.sqrt(np.sum(_sq(g), axis=0) + s)
+    scale = _sq(g).sum(axis=0)
+    scale += gen.gamma(M - K, size=n)
+    np.divide(math.sqrt(M), np.sqrt(scale, out=scale), out=scale)
+    g *= scale
     return g
 
 
 def _si_link(q_rx: np.ndarray, q_tx: np.ndarray, spec: RicianSpec, gen: Generator) -> np.ndarray:
     """SI links ``mu q_rx q_tx^T + nu Z`` seen through the beamformers; trials last."""
     X = generate_batch(len(q_rx), len(q_tx), q_rx.shape[1], RicianSpec(0.0, spec.nu), gen)
-    X += spec.mu * q_rx[:, None] * q_tx
+    mean = np.empty(X.shape[2:], complex)  # one entry of the mean, for every trial
+    for X_r, q_r in zip(X, q_rx):
+        mu_q_r = spec.mu * q_r
+        for X_rc, q_c in zip(X_r, q_tx):
+            X_rc += np.multiply(mu_q_r, q_c, out=mean)
     return X
+
+
+def _gain(x: np.ndarray, norm2: np.ndarray) -> np.ndarray:
+    """``sum over k of |x[k]|^2 / norm2[k]``, the power gains of a walked stack ``x``."""
+    gain = _sq(x)
+    gain /= norm2
+    return gain.sum(axis=0)
 
 
 def _si_gains_block(cfg: ExperimentConfig, n: int, gen: Generator) -> np.ndarray:
     """Uplink-side residual SI gains ||w_1^T H_si V||^2 for one block."""
     K, M, N = cfg.geom.K, cfg.geom.M, cfg.geom.N
-    below, diag_inv = _zf_draw(n, K, M, gen)  # H_down = T Q, V = Q^H R
+    T = _zf_draw(n, K, M, gen)  # H_down = T Q, V = Q^H R
     q = _q(n, K, M, gen)
     x = _si_link(_q(n, 1, N, gen), q, cfg.si_spec, gen)[0]  # w_1^T H_si Q^H
-    norm2 = _zf_solve(below, diag_inv, x)
-    return (_sq(x) / norm2).sum(axis=0)
+    del q
+    norm2 = _zf_solve(*T, x)
+    del T
+    return _gain(x, norm2)
 
 
 def _gamma_block(cfg: ExperimentConfig, n: int, gen: Generator) -> np.ndarray:
@@ -306,27 +345,34 @@ TERMS = ("useful", "mui", "ici", "cmi", "si", "noise", "sinr")
 def _terms(useful, ici, cmi, si, noise) -> dict:
     """Assemble a block's SINR terms, (K, n) each; ZF nulls the multi-user term exactly."""
     mui = np.zeros_like(useful)
-    sinr = useful / (mui + ici + cmi + si + noise)
+    sinr = mui + ici
+    for term in (cmi, si, noise):
+        sinr += term
+    np.divide(useful, sinr, out=sinr)
     return dict(zip(TERMS, (useful, mui, ici, cmi, si, noise, sinr)))
 
 
 @np.errstate(over="raise")  # a term that overflows, at a huge noise_power say, fails the run
 def _sinr_block_downlink(cfg: ExperimentConfig, n: int, gen: Generator) -> dict:
     L, K, M = cfg.geom.L, cfg.geom.K, cfg.geom.M
-    useful = 1 / _zf_solve(*_zf_draw(n, K, M, gen), np.empty((K, 0, n), complex))  # no row: D^2
+    useful = _zf_solve(*_zf_draw(n, K, M, gen), np.empty((K, 0, n), complex))  # no row: D^-2
+    np.divide(1, useful, out=useful)
 
     ici = np.zeros((K, n))
     for _ in range(L - 1):
         T_j = _zf_draw(n, K, M, gen)  # other cell's own downlink
         Z = generate_batch(K, K, n, RAYLEIGH, gen)  # H_cross^T
         cross = _zf_solve(*T_j, Z)
-        ici += (_sq(Z) / cross[:, None]).sum(axis=0)  # H_cross V_j
+        del T_j
+        ici += _gain(Z, cross[:, None])  # H_cross V_j
+        del Z
 
     # Cross-mode: one Rayleigh scalar per FD radio in every cell except self.
     cmi = _sq(generate_batch(L * K - 1, K, n, RAYLEIGH, gen)).sum(axis=0)
 
     si = _sq(_si_link(np.ones((1, n)), np.ones((K, n)), cfg.si_spec, gen)[0])
-    noise = cfg.noise_power * _sq(generate_batch(1, K, n, RAYLEIGH, gen)[0])
+    noise = _sq(generate_batch(1, K, n, RAYLEIGH, gen)[0])
+    noise *= cfg.noise_power
 
     return _terms(useful, ici, cmi, si, noise)
 
@@ -339,29 +385,40 @@ def _sinr_block_uplink(cfg: ExperimentConfig, n: int, gen: Generator) -> dict:
     T_own = _zf_draw(n, K, M, gen)  # own cell's downlink, fixes V
     q_own = _q(n, K, M, gen)
     link = _si_link(q_own, q_up, cfg.si_spec, gen)  # H_si^T
+    del q_own, q_up
     own = _zf_solve(*T_own, link)
+    del T_own
     up = _zf_solve(*T_up, link.swapaxes(0, 1))  # 1 / D'^2, which scales every W row
-    si = (_sq(link) / own[:, None]).sum(axis=0)  # W H_si V_own
+    si = _gain(link, own[:, None])  # W H_si V_own
+    del link
 
     # Inter-cell: uplink transmissions of FD radios in other cells; own-cell
     # radios already enter through the multi-user term.
     Z = generate_batch(K * (L - 1), K, n, RAYLEIGH, gen)  # H_x^T
     _zf_solve(*T_up, Z.swapaxes(0, 1))
     ici = _sq(Z).sum(axis=0)  # W H_x
+    del Z
 
     cmi = np.zeros((K, n))
     for _ in range(L - 1):
         T_j = _zf_draw(n, K, M, gen)
         Z = generate_batch(K, K, n, RAYLEIGH, gen)  # H_cross^T
         cross = _zf_solve(*T_j, Z)
+        del T_j
         _zf_solve(*T_up, Z.swapaxes(0, 1))
-        cmi += (_sq(Z) / cross[:, None]).sum(axis=0)  # W H_cross V_j
+        cmi += _gain(Z, cross[:, None])  # W H_cross V_j
+        del Z
 
     z = generate_batch(1, K, n, RAYLEIGH, gen)  # eta^T
     _zf_solve(*T_up, z.swapaxes(0, 1))
-    noise = cfg.noise_power * _sq(z[0])  # W eta
+    del T_up
+    noise = _sq(z[0])  # W eta
+    noise *= cfg.noise_power
 
-    return _terms(1 / up, ici / up, cmi / up, si / up, noise / up)
+    for term in (ici, cmi, si, noise):
+        term /= up
+    np.divide(1, up, out=up)
+    return _terms(up, ici, cmi, si, noise)
 
 
 def run_sinr(cfg: ExperimentConfig, threads: int = 1) -> dict:

@@ -411,6 +411,47 @@ def _zf_dense(below, diag_inv):
     return (x / np.sqrt(norm2[:, None])).T, 1 / norm2.T
 
 
+def _zf_solve_reference(below, diag_inv, x):
+    """`mc._zf_solve` as stream layout 11 first wrote it: each sum a generator
+    summed by Python's `sum()` from int 0, each term and partial sum a fresh array."""
+    K, n = diag_inv.shape
+    norm2 = np.empty((K, n))
+    for k in range(K):
+        col = [diag_inv[k]]  # X[k:, k]
+        for l in range(k + 1, K):  # X[l, k]; `below` holds T's columns one after another
+            terms = (below[m * (2 * K - m - 1) // 2 + l - m - 1] * col[m - k] for m in range(k, l))
+            col.append(sum(terms) * -diag_inv[l])
+        norm2[k] = sum(v.real**2 + v.imag**2 for v in col)  # ||X e_k||^2
+        x[k] = sum(x[l] * v for l, v in enumerate(col, k))  # reads only x[k:]
+    return norm2
+
+
+def _walked_rows(K, n, gen):
+    """Every kind of stack the engine walks, drawn from ``gen``."""
+    return {
+        "row": generate_batch(1, K, n, SPEC, gen)[0],  # the `si` block's one 1 x K row
+        "strided": generate_batch(K, K, n, SPEC, gen).swapaxes(0, 1),  # the uplink's W side
+        "no rows": np.empty((K, 0, n), complex),  # the downlink's D^2
+    }
+
+
+@pytest.mark.parametrize("n", [mc.BLOCK_SIZE, 3616])
+@pytest.mark.parametrize("K", [1, 2, 3, 8, 16])
+def test_walk_matches_the_reference_bit_for_bit(K, n):
+    # the in-place walk keeps every operation's operands and order; it takes
+    # each sum's first term as is, where `sum()` adds it to int 0, which can
+    # only flip the sign of a zero, and a continuous draw holds none
+    below, diag_inv = mc._zf_draw(n, K, 64, RngHandle(84, K).generator())
+    drawn = below.tobytes(), diag_inv.tobytes()
+    got = _walked_rows(K, n, RngHandle(85, K).generator())
+    want = _walked_rows(K, n, RngHandle(85, K).generator())
+    for name, x in got.items():
+        norm2 = mc._zf_solve(below, diag_inv, x)
+        assert norm2.tobytes() == _zf_solve_reference(below, diag_inv, want[name]).tobytes(), name
+        assert x.tobytes() == want[name].tobytes(), name
+    assert (below.tobytes(), diag_inv.tobytes()) == drawn  # T_up is walked again
+
+
 @pytest.mark.parametrize("K", range(1, 9))
 def test_bartlett_inverse_matches_lapack(K):
     # forward substitution on the packed draws; the reference forms T from the
@@ -544,9 +585,10 @@ def test_si_k3_block_memory_is_bounded():
 
 
 def test_si_block_memory_is_bounded():
-    # one K = 8 block peaked at 8.65 MB with its whole-block T^-1 (16 K^2 B a trial)
+    # one K = 8 block peaked at 8.65 MB with its whole-block T^-1 (16 K^2 B a trial),
+    # then at 4.07 MB with a fresh array for each term of the walk's sums
     peak = _si_block_peak(8)
-    assert peak <= 5e6, peak
+    assert peak <= 3.71e6, peak
 
 
 @pytest.mark.parametrize("K, bound", [(16, 14e6), (32, 50e6)])
