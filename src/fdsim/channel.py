@@ -45,6 +45,7 @@ class RicianSpec:
             raise InvalidParameterError(
                 f"mu^2 + nu^2 must be finite, got mu = {self.mu}, nu = {self.nu}"
             )
+        object.__setattr__(self, "mu", self.mu + 0.0)  # -0.0 -> 0.0
 
     @property
     def varpi(self) -> float:

@@ -6,6 +6,15 @@ Subcommands:
   moments  print the closed-form moments and Gamma parameters
   sinr     run multi-cell SINR sampling and write per-term samples
 
+The first argument names the subcommand; each later one is ``--name value``
+or ``--name=value`` for one of the subcommand's settings in ``_SETTINGS`` or
+``--config``, and a unique prefix of a name will do.  The last of a repeated
+flag wins.  ``-h`` or ``--help`` prints the usage text and exits 0.  Flag,
+config-file and ``FDSIM_SEED`` values go through one type-and-choices check,
+and every malformed argument, like every other user error, is reported on one
+line, ``fdsim: invalid parameters: <why>``, with exit status 2, before any
+Monte Carlo work.
+
 Numbers are written as round-trip ``repr`` text, integers and float64s by
 orjson: per block of rows, one call for each CSV run of same-dtype columns or
 for each JSONL column.  The writer works in bytes end to end: a block's text
@@ -18,7 +27,6 @@ output set, and every file it would have replaced as it was.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
@@ -69,7 +77,7 @@ _COMMANDS = {
     "sinr": "multi-cell SINR term sampling",
 }
 
-# setting -> (the subcommands that take it, its add_argument keywords, its default)
+# setting -> (the subcommands that take it, its type, choices and help, its default)
 _MODEL, _RUN = ("si", "moments", "sinr"), ("si", "sinr")
 _SETTINGS = {
     "M": (_MODEL, dict(type=int, help="transmit antennas at the FD node"), 16),
@@ -85,10 +93,12 @@ _SETTINGS = {
     "out": (_RUN, dict(help="output file path"), None),
     "threads": (_RUN, dict(type=int, help="worker thread cap, >= 1 (default 1)"), 1),
     "bins": (("si",), dict(type=int, help="histogram bin count; omit to emit raw samples"), None),
-    "mode": (("si",), dict(choices=["empirical", "theoretical", "both"]), "empirical"),
+    "mode": (("si",), dict(choices=["empirical", "theoretical", "both"],
+                           help="experiments to run (default empirical)"), "empirical"),
     "L": (("sinr",), dict(type=int, help="number of cells (default 1)"), 1),
     "noise": (("sinr",), dict(type=float, help="noise power (default 1.0)"), 1.0),
-    "direction": (("sinr",), dict(choices=["downlink", "uplink"]), "downlink"),
+    "direction": (("sinr",), dict(choices=["downlink", "uplink"],
+                                  help="link direction (default downlink)"), "downlink"),
 }
 
 
@@ -199,43 +209,102 @@ def _atomic_write(files: dict) -> None:
             os.unlink(old)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="fdsim", description=__doc__.splitlines()[0])
-    sub = p.add_subparsers(dest="command", required=True)
-    for command, help_text in _COMMANDS.items():
-        p_cmd = sub.add_parser(command, help=help_text)
+def _typed(key: str, val, source: str):
+    """A flag, config-file or ``FDSIM_SEED`` value through the ``type`` and
+    ``choices`` of setting ``key``; ``source`` names where it came from."""
+    kwargs = _SETTINGS[key][1]
+    try:
+        if isinstance(val, (bool, list, dict)):
+            raise TypeError
+        val = kwargs.get("type", str)(str(val))
+        if "choices" in kwargs and val not in kwargs["choices"]:
+            raise ValueError
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"{source}: invalid --{key} value: {val!r}") from None
+    return val
+
+
+def _usage(command=None) -> str:
+    """The ``--help`` text of fdsim, or of one subcommand and its flags."""
+    if command is None:
+        rows = [("-h, --help", "show this help and exit"), *_COMMANDS.items()]
+        head = f"usage: fdsim {{{','.join(_COMMANDS)}}} [flags]\n\n{__doc__.splitlines()[0]}"
+        tail = "`fdsim <subcommand> --help` lists the flags of a subcommand."
+    else:
+        rows = [("-h, --help", "show this help and exit")]
         for name, (commands, kwargs, _) in _SETTINGS.items():
             if command in commands:
-                p_cmd.add_argument(f"--{name}", **kwargs)
-        p_cmd.add_argument("--config", help="JSON file with flag defaults; flags override")
-    return p
+                if "choices" in kwargs:
+                    kind = "{" + ",".join(kwargs["choices"]) + "}"
+                else:
+                    kind = {int: "INT", float: "FLOAT"}.get(kwargs.get("type"), "PATH")
+                rows.append((f"--{name} {kind}", kwargs["help"]))
+        rows.append(("--config PATH", "JSON file with flag defaults; flags override"))
+        head = f"usage: fdsim {command} [flags]\n\n{_COMMANDS[command]}"
+        tail = ("`--K 3` and `--K=3` are the same, a unique prefix of a flag will do,\n"
+                "and the last of a repeated flag wins.")
+    lines = [f"  {a:<22}{b}" if len(a) < 22 else f"  {a}\n{'':24}{b}" for a, b in rows]
+    return "\n".join([head, "", *lines, "", tail, ""])
 
 
-def _merge_config(ns: argparse.Namespace) -> dict:
+def _parse(argv: list):
+    """``{"command": <subcommand>, <flag name>: <value>, ...}`` from ``argv``,
+    or None once ``-h`` or ``--help`` has printed its usage text.
+
+    ``argv[0]`` names the subcommand; each later argument is ``--name value``
+    or ``--name=value``, where ``name`` is one of the subcommand's settings in
+    ``_SETTINGS`` or ``config``, or a unique prefix of one (an exact name wins
+    over a prefix).  A value that begins with ``--`` takes the ``=`` form.
+    Each value goes through ``_typed``; the last of a repeated flag wins.
+    Every malformed argument raises ``InvalidParameterError``."""
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        sys.stdout.write(_usage())
+        return None
+    if command not in _COMMANDS:
+        got = f", got {command!r}" if argv else ""
+        raise InvalidParameterError(f"expected a subcommand, one of {', '.join(_COMMANDS)}{got}")
+    names = [k for k, (commands, _, _) in _SETTINGS.items() if command in commands]
+    names += ["config", "help"]
+    args, rest = {"command": command}, iter(argv[1:])
+    for arg in rest:
+        flag, eq, value = arg[2:].partition("=")
+        if arg[:2] != "--" or not flag:  # a stray value, a one-dash flag or a bare "--"
+            matches = []
+        else:
+            matches = [n for n in names if n == flag] or [n for n in names if n.startswith(flag)]
+        if arg == "-h" or matches == ["help"]:
+            sys.stdout.write(_usage(command))
+            return None
+        if not matches:
+            raise InvalidParameterError(f"unrecognized arguments: {arg}")
+        if len(matches) > 1:
+            raise InvalidParameterError(
+                f"ambiguous option: --{flag} could match {', '.join('--' + n for n in matches)}")
+        name = matches[0]
+        if not eq:
+            value = next(rest, "--")
+            if value.startswith("--"):
+                raise InvalidParameterError(f"--{name} expects one value")
+        args[name] = value if name == "config" else _typed(name, value, "command line")
+    return args
+
+
+def _merge_config(args: dict) -> dict:
     """Resolve flag > config file > default (FDSIM_SEED for the seed) per setting.
 
-    Config-file and FDSIM_SEED values go through the setting's ``type``
-    and ``choices``; the setting names are the keys of ``_SETTINGS``.  The
+    ``args`` holds the subcommand and its flag values, as ``_parse`` gives
+    them.  Config-file and FDSIM_SEED values go through ``_typed`` as the
+    flags did; the setting names are the keys of ``_SETTINGS``.  The
     result holds only the settings of the running subcommand: config
     values for the other settings are type-checked, then dropped.
     """
-    def typed(key, val, source):
-        kwargs = _SETTINGS[key][1]
-        try:
-            if isinstance(val, (bool, list, dict)):
-                raise TypeError
-            val = kwargs.get("type", str)(str(val))
-            if "choices" in kwargs and val not in kwargs["choices"]:
-                raise ValueError
-        except (TypeError, ValueError):
-            raise InvalidParameterError(f"{source}: invalid --{key} value: {val!r}") from None
-        return val
-
     file_vals = {}
-    if ns.config:
-        source = f"--config {ns.config}"
+    config = args.get("config")
+    if config:
+        source = f"--config {config}"
         try:
-            with open(ns.config) as fh:
+            with open(config) as fh:
                 file_vals = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise InvalidParameterError(f"cannot read {source}: {exc}") from None
@@ -244,13 +313,12 @@ def _merge_config(ns: argparse.Namespace) -> dict:
         unknown = set(file_vals) - set(_SETTINGS)
         if unknown:
             raise InvalidParameterError(f"unknown keys in --config: {sorted(unknown)}")
-        file_vals = {k: typed(k, v, source) for k, v in file_vals.items() if v is not None}
+        file_vals = {k: _typed(k, v, source) for k, v in file_vals.items() if v is not None}
 
     merged = {}
     for k, (commands, _, default) in _SETTINGS.items():
-        if ns.command in commands:
-            flag = getattr(ns, k)
-            merged[k] = flag if flag is not None else file_vals.get(k, default)
+        if args["command"] in commands:
+            merged[k] = args.get(k, file_vals.get(k, default))
 
     mu_given = merged["mu"] is not None or merged["nu"] is not None
     factor_given = merged["varpi"] is not None or merged["omega"] is not None
@@ -258,7 +326,7 @@ def _merge_config(ns: argparse.Namespace) -> dict:
         raise InvalidParameterError("(--mu, --nu) and (--varpi, --omega) are mutually exclusive")
 
     if "seed" in merged and merged["seed"] is None:
-        merged["seed"] = typed("seed", os.environ.get("FDSIM_SEED", "0"), "FDSIM_SEED")
+        merged["seed"] = _typed("seed", os.environ.get("FDSIM_SEED", "0"), "FDSIM_SEED")
     for key in ("bins", "threads"):
         if merged.get(key) is not None and merged[key] < 1:
             raise InvalidParameterError(f"--{key} must be >= 1, got {merged[key]}")
@@ -361,15 +429,18 @@ def _cmd_sinr(merged: dict, cfg: ExperimentConfig) -> dict:
 
 
 def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
     try:
-        merged = _merge_config(ns)
-        if ns.command != "moments":
-            _check_out(ns.command, merged)
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            return 0
+        command = args["command"]
+        merged = _merge_config(args)
+        if command != "moments":
+            _check_out(command, merged)
         spec = _resolve_spec(merged)
         geom = SystemGeometry(L=merged.get("L", 1), K=merged["K"], M=merged["M"], N=merged["N"])
         head = [geom.M, geom.N, geom.K, spec.mu, spec.nu]
-        if ns.command == "moments":
+        if command == "moments":
             row = head + _closed_form(geom, spec)
             table = _table(MOMENT_COLUMNS, [[np.array([v]) for v in row]], merged["format"])
             sys.stdout.write(b"".join(table).decode())
@@ -377,7 +448,7 @@ def main(argv=None) -> int:
         cfg = ExperimentConfig(
             geom=geom, si_spec=spec, trials=merged["trials"], seed=merged["seed"],
         )
-        if ns.command == "si":
+        if command == "si":
             files = _cmd_si(merged, cfg, head, _closed_form(geom, spec))
         else:
             files = _cmd_sinr(merged, cfg)

@@ -277,6 +277,27 @@ print(sorted(m for m, mod in sys.modules.items() if m.startswith("scipy") and mo
     assert proc.stdout.splitlines()[-2:] == ["[]", "[]"]
 
 
+def test_no_command_loads_argparse_gettext_or_locale(tmp_path):
+    # fdsim parses its own flags, so no run pays for argparse's imports
+    code = f"""
+import sys
+from fdsim.cli import main
+out = {str(tmp_path)!r}
+assert main(["si", "--mode", "both", "--trials", "500", "--out", out + "/si.csv"]) == 0
+assert main(["si", "--threads", "2", "--trials", "5000", "--out", out + "/si2.csv"]) == 0
+assert main(["sinr", "--L", "2", "--K", "2", "--trials", "200", "--out", out + "/sinr.csv"]) == 0
+assert main(["moments"]) == 0
+assert main(["--help"]) == 0
+print(sorted(m for m in ("argparse", "gettext", "locale") if m in sys.modules))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("FDSIM_SEED", None)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_si_seeded_reruns_byte_identical(tmp_path):
     out_a = str(tmp_path / "a.csv")
     out_b = str(tmp_path / "b.csv")
@@ -437,10 +458,11 @@ def test_sinr_takes_no_gamma_match_floor(tmp_path, direction, spec):
     assert len((tmp_path / "sinr.csv").read_text().splitlines()) == 11
 
 
-def test_unknown_flag_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["si", "--badflag"])
-    assert exc.value.code == 2
+def test_unknown_flag_exits_2(capsys):
+    assert main(["si", "--badflag"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "fdsim: invalid parameters: unrecognized arguments: --badflag"
+    ]
 
 
 def test_mutually_exclusive_spec_flags_exit_2(tmp_path):
@@ -1198,6 +1220,12 @@ def test_moments_defaults_golden_stdout(capsys):
     assert capsys.readouterr().out == GOLDEN_MOMENTS_DEFAULTS
 
 
+@pytest.mark.parametrize("spec", [["--mu", "-0.0"], ["--varpi", "-0.0"]])
+def test_negative_zero_mean_is_written_as_zero(capsys, spec):
+    assert main(["moments", *spec]) == 0
+    assert capsys.readouterr().out == GOLDEN_MOMENTS_DEFAULTS
+
+
 class _Resolved(Exception):
     pass
 
@@ -1258,3 +1286,109 @@ RUN_FLAGS = {"trials", "seed", "out", "threads"}
 def test_help_lists_exactly_the_subcommands_flags(capsys, command, flags):
     assert _exit_code([command, "--help"]) == 0
     assert set(re.findall(r"--(\w+)", capsys.readouterr().out)) == flags
+
+
+def test_top_level_help_lists_the_subcommands(capsys):
+    for flag in ("-h", "--help"):
+        assert main([flag]) == 0
+        out = capsys.readouterr().out
+        assert all(f"  {command} " in out for command in ("si", "moments", "sinr"))
+
+
+def _resolve(argv):
+    return cli._merge_config(cli._parse(argv))
+
+
+@pytest.mark.parametrize("same", [
+    pytest.param(["si", "--trials=50", "--mode=both", "--mu=-0.5", "--out=a=b.csv"],
+                 id="equals-form"),
+    pytest.param(["si", "--trials", "9", "--mode", "theoretical", "--trials", "50", "--mode",
+                  "both", "--mu", "-0.5", "--out", "x.csv", "--out", "a=b.csv"],
+                 id="last-copy-wins"),
+    pytest.param(["si", "--tri", "50", "--mod", "both", "--mu", "-0.5", "--ou", "a=b.csv"],
+                 id="unique-prefix"),
+])
+def test_flag_forms_resolve_alike(monkeypatch, same):
+    monkeypatch.delenv("FDSIM_SEED", raising=False)
+    expected = _resolve(["si", "--trials", "50", "--mode", "both", "--mu", "-0.5",
+                         "--out", "a=b.csv"])
+    assert (expected["trials"], expected["mode"], expected["mu"]) == (50, "both", -0.5)
+    assert expected["out"] == "a=b.csv"
+    assert _resolve(same) == expected
+
+
+def test_an_exact_name_wins_over_a_prefix(monkeypatch):
+    # no setting's name is a prefix of another's yet, so plant one that is
+    monkeypatch.setitem(cli._SETTINGS, "mux", (("si",), dict(type=float, help="x"), None))
+    assert cli._parse(["si", "--mu", "1", "--mux", "2"]) == {"command": "si", "mu": 1.0,
+                                                             "mux": 2.0}
+    with pytest.raises(cli.InvalidParameterError, match="--m could match --mu, --mode, --mux"):
+        cli._parse(["si", "--m", "1"])
+
+
+_OUT = ["--out", "run.csv"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["si", *_OUT, "--badflag", "1"], "unrecognized arguments: --badflag",
+                 id="unknown-flag"),
+    pytest.param(["si", *_OUT, "--noise", "2"], "unrecognized arguments: --noise",
+                 id="flag-of-sinr"),
+    pytest.param(["sinr", *_OUT, "--bins=5"], "unrecognized arguments: --bins=5",
+                 id="flag-of-si"),
+    pytest.param(["si", *_OUT, "-M", "3"], "unrecognized arguments: -M", id="one-dash"),
+    pytest.param(["si", *_OUT, "--trials"], "--trials expects one value", id="missing-last"),
+    pytest.param(["si", "--trials", *_OUT], "--trials expects one value",
+                 id="missing-before-a-flag"),
+    pytest.param(["si", *_OUT, "stray"], "unrecognized arguments: stray", id="positional"),
+    pytest.param(["si", *_OUT, "--", "--K", "2"], "unrecognized arguments: --", id="double-dash"),
+    pytest.param([], "expected a subcommand, one of si, moments, sinr", id="no-subcommand"),
+    pytest.param(["--trials", "5", *_OUT],
+                 "expected a subcommand, one of si, moments, sinr, got '--trials'",
+                 id="flag-first"),
+    pytest.param(["simulate", *_OUT],
+                 "expected a subcommand, one of si, moments, sinr, got 'simulate'",
+                 id="unknown-subcommand"),
+    pytest.param(["si", *_OUT, "--trials", "1e3"],
+                 "command line: invalid --trials value: '1e3'", id="bad-type"),
+    pytest.param(["sinr", *_OUT, "--direction=sideways"],
+                 "command line: invalid --direction value: 'sideways'", id="bad-choice"),
+    pytest.param(["si", *_OUT, "--m", "both"],
+                 "ambiguous option: --m could match --mu, --mode", id="ambiguous-prefix"),
+])
+def test_every_malformed_argument_is_one_line_and_exit_2(tmp_path, monkeypatch, capsys,
+                                                         no_monte_carlo, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"fdsim: invalid parameters: {message}"]
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def _bad_value(key):
+    kwargs = cli._SETTINGS[key][1]
+    if "choices" in kwargs:
+        return "sideways"
+    return {int: "four", float: "loud"}.get(kwargs.get("type"), "missing/run.csv")
+
+
+@pytest.mark.parametrize("key", list(cli._SETTINGS))
+def test_a_flag_and_the_config_file_share_one_check(tmp_path, monkeypatch, capsys,
+                                                    no_monte_carlo, key):
+    monkeypatch.chdir(tmp_path)
+    command = "sinr" if "si" not in cli._SETTINGS[key][0] else "si"
+    argv = [command, "--trials", "10", *(_OUT if key != "out" else [])]
+    bad = _bad_value(key)
+    (tmp_path / "cfg.json").write_text(json.dumps({key: bad}))
+    assert main([*argv, f"--{key}", bad]) == 2
+    from_flag = capsys.readouterr().err.splitlines()
+    assert main([*argv, "--config", "cfg.json"]) == 2
+    from_config = capsys.readouterr().err.splitlines()
+    assert len(from_flag) == len(from_config) == 1
+    assert (from_flag[0].replace("command line: ", "")
+            == from_config[0].replace("--config cfg.json: ", ""))
+    if key != "out":  # any text is a path: the --out check rejects this one
+        assert from_flag[0] == (f"fdsim: invalid parameters: command line: "
+                                f"invalid --{key} value: {bad!r}")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
