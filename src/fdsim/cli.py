@@ -17,13 +17,16 @@ Monte Carlo work.
 
 Numbers are written as round-trip ``repr`` text, integers and float64s by
 orjson: per block of rows, one call for each CSV run of same-dtype columns or
-for each JSONL column.  The writer works in bytes end to end: a block's text
-goes from orjson through one split and one join (for one column, a
-comma-to-newline replace) to the file, with no str in between.  A run streams
-its output, one block of rows at a time, into staged temporary files, opened
-in binary mode, that are renamed together once every file is complete.  A
-failed or interrupted run leaves the directory as it found it: none of its
-output set, and every file it would have replaced as it was.
+for each JSONL column.  ``fdsim sinr`` cuts its table at trial boundaries and
+makes each trial's index text once, not once per row: one call per block for
+the trial numbers, and each ``k`` held in a constant separator.  The writer
+works in bytes end to end: a block's text goes from orjson through one split
+and one join (for one column, a comma-to-newline replace) to the file, with
+no str in between.  A run streams its output, one block of rows at a time,
+into staged temporary files, opened in binary mode, that are renamed
+together once every file is complete.  A failed or interrupted run leaves
+the directory as it found it: none of its output set, and every file it
+would have replaced as it was.
 """
 from __future__ import annotations
 
@@ -135,23 +138,30 @@ def _interleave(pieces: list, seps: list, end: bytes) -> bytes:
     return b"".join(parts)
 
 
-def _csv_block(block: list) -> bytes:
-    """A block's CSV rows.  A one-column block's row ends replace its commas;
-    otherwise the text of each run of same-dtype columns is split into rows."""
-    if len(block) == 1:
-        return _run_text(block[0])[1:-1].replace(b",", b"\n") + b"\n"
+def _csv_rows(block: list) -> list:
+    """The text of each run of a block's same-dtype columns, split into rows."""
     runs = (np.stack(list(run), axis=1) for _, run in groupby(block, key=lambda c: c.dtype))
-    rows = [_run_text(run)[2:-2].split(b"],[") for run in runs]  # less "[[" and "]]"
-    return _interleave(rows, [b""] + [b","] * (len(rows) - 1), b"\n")
+    return [_run_text(run)[2:-2].split(b"],[") for run in runs]  # less "[[" and "]]"
 
 
-def _jsonl_block(block: list, keys: list) -> bytes:
-    """A block's JSONL records; ``keys[j]`` opens column j's member, whose
-    values are split from the column's text."""
+def _jsonl_values(block: list) -> list:
+    """The text of each of a block's columns, split into values."""
     if any(c.dtype.kind == "f" and not np.isfinite(c).all() for c in block):
         raise ValueError("Out of range float values are not JSON compliant")
-    values = [_run_text(column)[1:-1].split(b",") for column in block]
-    return _interleave(values, keys, b"}\n")
+    return [_run_text(column)[1:-1].split(b",") for column in block]
+
+
+def _jsonl_keys(header) -> list:
+    """The text that opens each column's JSONL member: ``{"a": ``, then ``, "b": ``."""
+    return [f"{', ' if j else '{'}{json.dumps(h)}: ".encode() for j, h in enumerate(header)]
+
+
+def _csv_block(block: list) -> bytes:
+    """A block's CSV rows.  A one-column block's row ends replace its commas."""
+    if len(block) == 1:
+        return _run_text(block[0])[1:-1].replace(b",", b"\n") + b"\n"
+    rows = _csv_rows(block)
+    return _interleave(rows, [b""] + [b","] * (len(rows) - 1), b"\n")
 
 
 def _row_blocks(columns: list):
@@ -170,11 +180,43 @@ def _table(header, blocks, fmt: str):
     The block helpers return only that join, so a block's pieces are freed
     before the next block's are made."""
     if fmt == "jsonl":
-        keys = [f"{', ' if j else '{'}{json.dumps(h)}: ".encode() for j, h in enumerate(header)]
+        keys = _jsonl_keys(header)
     else:
         yield ",".join(header).encode() + b"\n"
     for block in blocks:
-        yield _jsonl_block(block, keys) if fmt == "jsonl" else _csv_block(block)
+        if fmt == "jsonl":
+            yield _interleave(_jsonl_values(block), keys, b"}\n")
+        else:
+            yield _csv_block(block)
+
+
+def _sinr_table(terms: dict, fmt: str):
+    """Yield ``fdsim sinr``'s table as ``_table`` writes it, one ``bytes`` per
+    block of ``BLOCK_SIZE // K`` trials (at least one).  Row k of trial t is
+    t's text, split once from one ``_run_text`` of the block's trial numbers,
+    a constant separator holding k, then the terms' text: one 2-D run split
+    into rows (CSV) or one run per term split into values (JSONL).  One parts
+    template, its separators in place, serves every block."""
+    trials, K = terms["sinr"].shape
+    step = max(BLOCK_SIZE // K, 1)
+    if fmt == "jsonl":
+        first, k_key, *keys = _jsonl_keys(SINR_COLUMNS)
+        seps, end = [[first, k_key + b"%d" % k + keys[0], *keys[1:]] for k in range(K)], b"}\n"
+    else:
+        yield ",".join(SINR_COLUMNS).encode() + b"\n"
+        seps, end = [[b"", b",%d," % k] for k in range(K)], b"\n"
+    rows = [[x for sep in row for x in (sep, None)] + [end] for row in seps]  # None: a piece
+    width, template = len(rows[0]), [x for row in rows for x in row] * step
+    for t0 in range(0, trials, step):
+        t1 = min(t0 + step, trials)
+        parts = template if t1 - t0 == step else template[:(t1 - t0) * K * width]
+        index = _run_text(np.arange(t0, t1))[1:-1].split(b",")
+        for k in range(K):
+            parts[1 + k * width::K * width] = index
+        block = [terms[key][t0:t1].ravel() for key in TERMS]
+        for j, piece in enumerate(_jsonl_values(block) if fmt == "jsonl" else _csv_rows(block)):
+            parts[3 + 2 * j::width] = piece
+        yield b"".join(parts)
 
 
 def _atomic_write(files: dict) -> None:
@@ -421,11 +463,7 @@ def _cmd_sinr(merged: dict, cfg: ExperimentConfig) -> dict:
         moment_match(m1, var)  # which raises as it does for `si`
     cfg = replace(cfg, noise_power=merged["noise"], direction=Direction(merged["direction"]))
     terms = run_sinr(cfg, threads=merged["threads"])
-    T, K = cfg.trials, cfg.geom.K
-    rows = (np.arange(i, min(i + BLOCK_SIZE, T * K)) for i in range(0, T * K, BLOCK_SIZE))
-    blocks = _row_blocks([terms[key].ravel() for key in TERMS])
-    blocks = ([r // K, r % K, *block] for r, block in zip(rows, blocks))  # trial, k
-    return {merged["out"]: _table(SINR_COLUMNS, blocks, merged["format"])}
+    return {merged["out"]: _sinr_table(terms, merged["format"])}
 
 
 def main(argv=None) -> int:

@@ -16,6 +16,11 @@ whatever the number of workers.  Every normal comes from ``generate_batch``
 (one ``standard_normal`` in C order, each entry's real part, then its
 imaginary part), and every draw holds the trial index on its last axis.
 No run draws a channel matrix or runs a ZF kernel, and nothing is redrawn.
+Before its first block a run allocates, then frees, one untouched array of
+a block's whole draw, every complex normal it draws (``_try_draw``; the
+counts per trial below, halved): a geometry too large to draw fails at
+once, and on glibc the free raises the mmap and trim thresholds above a
+block's heap use, so a worker's heap keeps its pages from block to block.
 
 ZF factors (``_zf_draw``, ``_zf_solve``).  A Rayleigh K x M link factors
 as ``T Q`` (the complex Bartlett decomposition; Goodman 1963; Edelman
@@ -303,7 +308,14 @@ def _empty(what: str, *shape: int, dtype=float) -> np.ndarray:
 
 
 def _try_draw(cfg: ExperimentConfig, count: int) -> None:
-    """Allocate, then free, a block's largest draw, ``count`` complex normals a trial."""
+    """Allocate, then free, a block's whole draw: ``count`` complex normals a trial,
+    every normal a block draws, in one array whose pages are never touched.
+
+    A geometry whose block cannot draw fails at once.  On glibc the freed array
+    is an mmapped chunk at least as large as a block's heap use, so freeing it
+    raises the dynamic mmap threshold to its size and the trim threshold to
+    twice that (mallopt(3)): the main heap then keeps one block's pages between
+    blocks instead of trimming them and faulting them back in."""
     n = min(cfg.trials, BLOCK_SIZE)
     _empty(f"a draw of {count} complex normals a trial", count, n, dtype=complex)
 
@@ -326,7 +338,7 @@ def run_si_empirical(cfg: ExperimentConfig, threads: int = 1) -> McReport:
     stream-layout statement gives it; no trial is regenerated.
     """
     K = cfg.geom.K
-    _try_draw(cfg, max(K * (K - 1) // 2, K))  # T's below-diagonal entries, or q
+    _try_draw(cfg, K * (K - 1) // 2 + 2 * K + 1)  # T, q, w_1^T 1 and Z
     return _report(cfg, _si_gains_block, threads)
 
 
@@ -425,14 +437,16 @@ def run_sinr(cfg: ExperimentConfig, threads: int = 1) -> dict:
     """All SINR terms over cfg.trials, (trials, K) arrays allocated before any block runs.
 
     Sampled from the exact law of the ZF chain, as the module docstring's
-    stream-layout statement gives it; ``mui`` is exactly 0.  A block's
-    largest draw is tried first, so a cell count too large for it fails at once.
+    stream-layout statement gives it; ``mui`` is exactly 0.  A block's whole
+    draw is tried first, so a cell count too large for it fails at once.
     """
     L, K = cfg.geom.L, cfg.geom.K
-    if cfg.direction is Direction.DOWNLINK:  # the cross-mode scalars, or the noise
-        block_fn, count = _sinr_block_downlink, max(L * K - 1, 1) * K
-    else:  # W H_x, or the SI link
-        block_fn, count = _sinr_block_uplink, max(L - 1, 1) * K * K
+    if cfg.direction is Direction.DOWNLINK:  # L factors T; each Z; cross-mode; SI and noise
+        block_fn = _sinr_block_downlink
+        count = L * K * (K - 1) // 2 + K * K * (L - 1) + K * (L * K - 1) + 2 * K
+    else:  # L + 1 factors T; q', q and noise; SI, W H_x and each W H_cross
+        block_fn = _sinr_block_uplink
+        count = (L + 1) * K * (K - 1) // 2 + 3 * K + K * K * (2 * L - 1)
     _try_draw(cfg, count)
     terms = {key: _empty(f"trials {cfg.trials}", cfg.trials, K) for key in TERMS}
     _map_blocks(cfg, block_fn, threads, {key: out.T for key, out in terms.items()})

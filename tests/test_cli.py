@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import fdsim.cli as cli
-from fdsim.cli import SINR_COLUMNS, _row_blocks, _table, main
-from fdsim.mc import BLOCK_SIZE, Direction
+from fdsim.cli import SINR_COLUMNS, _row_blocks, _sinr_table, _table, main
+from fdsim.mc import BLOCK_SIZE, TERMS, Direction, run_sinr
 
 GOLDEN_SUMMARY = (
     "M,N,K,mu,nu,trials,seed,emp_m1,emp_m2,emp_var,cf_m1,cf_m2,cf_var,kappa,theta,ks\n"
@@ -610,6 +610,53 @@ def test_sinr_jsonl_golden_run(tmp_path, monkeypatch, direction):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SINR_JSONL_SHA256[direction]
 
 
+def _per_row_index_table(terms, fmt):
+    """The SINR table with a per-row index, as ``fdsim sinr`` once wrote it:
+    each block of ``BLOCK_SIZE`` rows r takes ``trial`` and ``k`` from ``r // K``
+    and ``r % K``, then goes through ``_table``."""
+    T, K = terms["sinr"].shape
+    rows = (np.arange(i, min(i + BLOCK_SIZE, T * K)) for i in range(0, T * K, BLOCK_SIZE))
+    blocks = _row_blocks([terms[key].ravel() for key in TERMS])
+    blocks = ([r // K, r % K, *block] for r, block in zip(rows, blocks))
+    return b"".join(_table(SINR_COLUMNS, blocks, fmt))
+
+
+@pytest.mark.parametrize("noise", ["1", "0"])
+@pytest.mark.parametrize("trials", [1, 7, 4097])
+@pytest.mark.parametrize("K", [1, 2, 3, 5])  # no whole number of K = 3 or 5 trials fills 4096 rows
+@pytest.mark.parametrize("direction", ["downlink", "uplink"])
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_sinr_index_is_written_as_the_per_row_index(tmp_path, monkeypatch, fmt, direction, K,
+                                                    trials, noise):
+    runs = []
+
+    def recording(*args, **kwargs):
+        runs.append(run_sinr(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "run_sinr", recording)
+    out = tmp_path / f"sinr.{fmt}"
+    assert main(["sinr", "--L", "2", "--K", str(K), "--direction", direction, "--noise", noise,
+                 "--trials", str(trials), "--format", fmt, "--out", str(out)]) == 0
+    expected = _per_row_index_table(runs[0], fmt)
+    assert _lines(out.read_bytes().decode()) == _lines(expected.decode())
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_sinr_table_cuts_blocks_at_trials(monkeypatch, fmt):
+    # 7 trials of K = 5 rows: BLOCK_SIZE // K trials a block, or one where
+    # K > BLOCK_SIZE; some values lie outside [1e-4, 1e16), whose text is repr's
+    gen = np.random.default_rng(8)
+    terms = {key: gen.standard_normal((7, 5)) * 10.0 ** gen.integers(-6, 18, size=(7, 5))
+             for key in TERMS}
+    expected = _per_row_index_table(terms, fmt)
+    for block, rows in [(11, [10, 10, 10, 5]), (4, [5] * 7)]:
+        monkeypatch.setattr(cli, "BLOCK_SIZE", block)
+        pieces = list(_sinr_table(terms, fmt))
+        assert [p.count(b"\n") for p in pieces[fmt == "csv":]] == rows  # less the csv header
+        assert _lines(b"".join(pieces).decode()) == _lines(expected.decode())
+
+
 # sha256 of `fdsim moments --M 16 --N 8 --K 3 --mu 0.5 --nu 1` on stdout, per format
 GOLDEN_MOMENTS_SHA256 = {
     "csv": "b44ca38f70ee35e79e9eb6ecc766f439d8941fbe0d401c9e88770d8affa8638b",
@@ -746,26 +793,32 @@ def test_sinr_trials_that_cannot_be_allocated_fail_before_monte_carlo(
 
 
 @pytest.mark.parametrize("argv, code, message", [
+    # the "Counts per trial" of the mc docstring, halved: 2L complex normals a
+    # downlink trial and 2L + 2 an uplink one at K = 1, K(K - 1)/2 + 2K + 1 an si one
     (["sinr", "--direction", "downlink", "--L", str(10**15)], 1,
-     "fdsim: out of memory: Unable to allocate 142. PiB"),
+     "fdsim: out of memory: Unable to allocate 284. PiB for an array with shape "
+     "(2000000000000000, 10)"),
     (["sinr", "--direction", "uplink", "--L", str(10**15)], 1,
-     "fdsim: out of memory: Unable to allocate 142. PiB"),
+     "fdsim: out of memory: Unable to allocate 284. PiB for an array with shape "
+     "(2000000000000002, 10)"),
     (["si", "--mode", "empirical", *[f"--{x}={2**25}" for x in "KMN"]], 1,
-     "fdsim: out of memory: Unable to allocate 80.0 PiB"),
+     "fdsim: out of memory: Unable to allocate 80.0 PiB for an array with shape "
+     "(562950003752961, 10)"),
     (["sinr", "--direction", "downlink", "--L", str(2**70)], 2,
-     "fdsim: invalid parameters: a draw of 1180591620717411303423 complex normals"),
+     "fdsim: invalid parameters: a draw of 2361183241434822606848 complex normals"),
     (["sinr", "--direction", "uplink", "--L", str(2**70)], 2,
-     "fdsim: invalid parameters: a draw of 1180591620717411303423 complex normals"),
+     "fdsim: invalid parameters: a draw of 2361183241434822606850 complex normals"),
     (["si", "--mode", "empirical", *[f"--{x}={2**70}" for x in "KMN"]], 2,
-     "fdsim: invalid parameters: a draw of 696898287454081973172400900209902591410176"),
+     "fdsim: invalid parameters: a draw of 696898287454081973174762083451337414017025"),
 ], ids=[f"{what}-{size}" for size in ("unallocatable", "unsizable")
         for what in ("downlink", "uplink", "si")])
 def test_geometry_whose_draw_cannot_be_allocated_fails_before_monte_carlo(
         tmp_path, monkeypatch, capsys, argv, code, message):
-    # the draw that grows with L (sinr) or K (si) is tried before the first
-    # block; a downlink block would loop over the L - 1 other cells first
+    # a block's whole draw, which grows with L (sinr) or K (si), is tried
+    # before the first block; a downlink block would loop over the L - 1
+    # other cells first
     def forbidden(*args, **kwargs):
-        raise AssertionError("Monte Carlo work started before the largest draw was tried")
+        raise AssertionError("Monte Carlo work started before the block's whole draw was tried")
 
     for name in ("_blocks", "_si_gains_block", "_sinr_block_downlink", "_sinr_block_uplink"):
         monkeypatch.setattr(f"fdsim.mc.{name}", forbidden)
@@ -857,13 +910,6 @@ def no_monte_carlo(monkeypatch):
         monkeypatch.setattr(f"fdsim.cli.{name}", forbidden)
 
 
-def _exit_code(argv):
-    try:
-        return main(argv)
-    except SystemExit as exc:
-        return exc.code
-
-
 @pytest.mark.parametrize("extra", [
     ["--bins", "0"],
     ["--threads", "0"],
@@ -884,7 +930,7 @@ def test_user_errors_fail_before_monte_carlo(tmp_path, monkeypatch, capsys, no_m
         argv = ["sinr", "--trials", "10", "--out", "run.csv", *extra[1:]]
     else:
         argv = _si_args("run.csv") + extra
-    assert _exit_code(argv) == 2
+    assert main(argv) == 2
     assert capsys.readouterr().err.splitlines()[-1].startswith("fdsim")
     assert list(tmp_path.iterdir()) == []
 
@@ -987,7 +1033,7 @@ def test_out_naming_a_directory_exits_2(tmp_path, monkeypatch, capsys, no_monte_
                                         command, out):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "sub").mkdir()
-    assert _exit_code([command, "--trials", "10", "--out", out]) == 2
+    assert main([command, "--trials", "10", "--out", out]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == ["fdsim: invalid parameters: --out must name a file in an existing directory"]
     assert [p.name for p in tmp_path.rglob("*")] == ["sub"]
@@ -1003,7 +1049,7 @@ def test_si_output_named_by_a_directory_exits_2(tmp_path, monkeypatch, capsys, n
     # --out is a free name, but a file fdsim si derives from it is a directory
     monkeypatch.chdir(tmp_path)
     (tmp_path / target).mkdir()
-    assert _exit_code(["si", "--mode", mode, "--trials", "10", "--out", "run.csv"]) == 2
+    assert main(["si", "--mode", mode, "--trials", "10", "--out", "run.csv"]) == 2
     assert capsys.readouterr().err.splitlines() == [
         f"fdsim: invalid parameters: --out would write {target}, which is a directory"
     ]
@@ -1022,7 +1068,7 @@ def test_out_name_over_name_max_exits_2(tmp_path, monkeypatch, capsys, no_monte_
     monkeypatch.chdir(tmp_path)
     name_max = os.pathconf(tmp_path, "PC_NAME_MAX")
     out = "a" * (name_max + extra - 4) + ".csv"
-    assert _exit_code([*argv, "--trials", "10", "--out", out]) == 2
+    assert main([*argv, "--trials", "10", "--out", out]) == 2
     longest = name_max + extra + (len("_" + argv[2]) if argv[0] == "si" else 0)
     assert capsys.readouterr().err.splitlines() == [
         f"fdsim: invalid parameters: --out gives a {longest}-byte file name, over the "
@@ -1035,7 +1081,7 @@ def test_out_name_over_name_max_exits_2(tmp_path, monkeypatch, capsys, no_monte_
 def test_out_in_a_directory_the_process_cannot_write_exits_2(tmp_path, monkeypatch, capsys,
                                                             no_monte_carlo, command):
     monkeypatch.setattr(os, "access", lambda path, mode: False)
-    assert _exit_code([command, "--trials", "10", "--out", str(tmp_path / "run.csv")]) == 2
+    assert main([command, "--trials", "10", "--out", str(tmp_path / "run.csv")]) == 2
     assert capsys.readouterr().err.splitlines() == [
         "fdsim: invalid parameters: --out must name a file in a directory this process can "
         "write to"
@@ -1048,7 +1094,7 @@ def test_out_in_a_read_only_directory_exits_2(tmp_path, capsys, no_monte_carlo):
     locked = tmp_path / "locked"
     locked.mkdir(mode=0o500)
     try:
-        assert _exit_code(["sinr", "--trials", "10", "--out", str(locked / "run.csv")]) == 2
+        assert main(["sinr", "--trials", "10", "--out", str(locked / "run.csv")]) == 2
     finally:
         locked.chmod(0o700)
     assert "can write to" in capsys.readouterr().err
@@ -1135,7 +1181,7 @@ def test_write_error_exits_1_with_no_output(tmp_path, monkeypatch, capsys, where
 def test_flag_the_subcommand_does_not_read_exits_2(tmp_path, monkeypatch, capsys,
                                                    no_monte_carlo, argv):
     monkeypatch.chdir(tmp_path)
-    assert _exit_code(argv) == 2
+    assert main(argv) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
@@ -1166,7 +1212,7 @@ def test_bad_config_or_env_value_exits_2(tmp_path, monkeypatch, capsys, no_monte
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         args += ["--config", "cfg.json"]
-    assert _exit_code(args) == 2
+    assert main(args) == 2
     assert capsys.readouterr().err.splitlines()[-1].startswith("fdsim")
     assert sorted(p.name for p in tmp_path.iterdir()) == (["cfg.json"] if config else [])
 
@@ -1177,7 +1223,7 @@ def test_unreadable_config_exits_2(tmp_path, monkeypatch, capsys, no_monte_carlo
     monkeypatch.chdir(tmp_path)
     if text is not None:
         (tmp_path / "cfg.json").write_text(text)
-    assert _exit_code(_si_args("run.csv") + ["--config", "cfg.json"]) == 2
+    assert main(_si_args("run.csv") + ["--config", "cfg.json"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert [line for line in err if line.startswith("fdsim")] == err[-1:]
     assert "cannot read --config cfg.json" in err[-1]
@@ -1284,7 +1330,7 @@ RUN_FLAGS = {"trials", "seed", "out", "threads"}
     ("sinr", MODEL_FLAGS | RUN_FLAGS | {"L", "noise", "direction"}),
 ])
 def test_help_lists_exactly_the_subcommands_flags(capsys, command, flags):
-    assert _exit_code([command, "--help"]) == 0
+    assert main([command, "--help"]) == 0
     assert set(re.findall(r"--(\w+)", capsys.readouterr().out)) == flags
 
 

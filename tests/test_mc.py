@@ -1,9 +1,13 @@
+import os
+import platform
 import signal
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -299,6 +303,30 @@ def test_workers_take_every_block_exactly_once(monkeypatch):
     assert out.tolist() == expected
 
 
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+def test_one_worker_does_not_refault_its_blocks():
+    # the block's whole draw, tried and freed before the first block, raises
+    # glibc's trim threshold above a block's heap use, so the calling thread's
+    # heap keeps one block's pages between blocks; when it was trimmed after
+    # each block, 5 blocks took about 4,400 minor faults against 900 for one
+    code = """
+import resource
+from fdsim import ExperimentConfig, RicianSpec, SystemGeometry, run_si_empirical
+for trials in (4096, 5 * 4096):
+    cfg = ExperimentConfig(geom=SystemGeometry(L=1, K=8, M=64, N=32),
+                           si_spec=RicianSpec(0.5, 1.0), trials=trials, seed=1)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_si_empirical(cfg, threads=1)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    one, five = map(int, proc.stdout.split())
+    assert five < 1.5 * one, (one, five)
+
+
 def test_engine_reaches_traced_names_through_module_globals(monkeypatch):
     # perfbench times each layer by replacing these fdsim.mc attributes; a
     # call that bypasses the module global hides its span
@@ -363,12 +391,20 @@ def test_normals_per_trial(monkeypatch):
         def generator(self):
             return Counting(super().generator())
 
+    tried = []  # the complex normals a trial that each run's _try_draw receives
+    real_try = mc._try_draw
+
     def count(run, cfg):
         drawn.update(normal=0, gamma=0)
+        tried.clear()
         run(cfg)
+        # the try holds every normal a block draws, so its count keeps one source
+        if run is not run_si_theoretical:
+            assert tried == [drawn["normal"] / (2 * cfg.trials)], run.__name__
         return drawn["normal"], drawn["gamma"]
 
     monkeypatch.setattr(mc, "RngHandle", CountingHandle)
+    monkeypatch.setattr(mc, "_try_draw", lambda cfg, n: real_try(cfg, n) or tried.append(n))
     K, M, N, T = 3, 16, 8, 1000
     # layout 9: T, g and z, and g of w_1^T 1; the diagonal of T, s of q and of w_1^T 1
     assert count(run_si_empirical, _cfg(K=K, M=M, N=N, trials=T)) == (
