@@ -56,12 +56,12 @@ except ImportError:
 
 fig, axes = plt.subplots(1, 2, figsize=(11, 4))
 for ax, (K, emp, thr, g) in zip(axes, panels):
-    h = histogram(emp.samples, 80)
-    widths = np.diff(h.bin_edges)
-    centers = h.bin_edges[:-1] + widths / 2
-    ax.bar(centers, h.counts / (h.total * widths), width=widths,
+    bin_edges, counts = histogram(emp.samples, 80)
+    widths = np.diff(bin_edges)
+    centers = bin_edges[:-1] + widths / 2
+    ax.bar(centers, counts / (emp.samples.size * widths), width=widths,
            alpha=0.45, label="empirical (Monte Carlo)")
-    x = np.linspace(1e-6, float(h.bin_edges[-1]), 400)
+    x = np.linspace(1e-6, float(bin_edges[-1]), 400)
     ax.plot(x, gamma_pdf(x, g), "r-", lw=2, label="matched Gamma")
     ax.set_title(f"K = {K}")
     ax.set_xlabel("residual SI power gain")

@@ -4,9 +4,11 @@
 Samples every term from its exact law under ZF beamformers from Rayleigh
 channels, drawn from the channels' triangular factors instead of the
 channel matrices, and compares the Monte Carlo term means against their
-known laws: ZF useful gain ~ Gamma(M-K+1, 1) (downlink) / Gamma(N-K+1, 1)
-(uplink), inter-cell gains ~ Gamma(K, 1) per interfering cell, and the
-residual SI mean K (mu^2 + nu^2).
+known values: ZF useful gain ~ Gamma(M-K+1, 1) (downlink) / Gamma(N-K+1, 1)
+(uplink), and the residual SI mean K (mu^2 + nu^2).  A gain through another
+cell's ZF precoder (downlink ``ici``, uplink ``cmi``) has mean K per
+interfering cell, as Gamma(K, 1) has, but not its law: its variance is
+K (M + 1) / (M - K + 2), 2.125 here against Gamma(2, 1)'s 2 (measured 2.12).
 
 Run (default 50k trials per direction):
     python3 demos/sinr_terms.py [trials]

@@ -28,7 +28,6 @@ from .mc import (
     run_sinr,
 )
 from .stats import (
-    Histogram,
     gamma_cdf,
     gamma_pdf,
     histogram,

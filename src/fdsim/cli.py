@@ -16,17 +16,18 @@ line, ``fdsim: invalid parameters: <why>``, with exit status 2, before any
 Monte Carlo work.
 
 Numbers are written as round-trip ``repr`` text, integers and float64s by
-orjson: per block of rows, one call for each CSV run of same-dtype columns or
-for each JSONL column.  ``fdsim sinr`` cuts its table at trial boundaries and
-makes each trial's index text once, not once per row: one call per block for
-the trial numbers, and each ``k`` held in a constant separator.  The writer
-works in bytes end to end: a block's text goes from orjson through one split
-and one join (for one column, a comma-to-newline replace) to the file, with
-no str in between.  A run streams its output, one block of rows at a time,
-into staged temporary files, opened in binary mode, that are renamed
-together once every file is complete.  A failed or interrupted run leaves
-the directory as it found it: none of its output set, and every file it
-would have replaced as it was.
+orjson.  One writer, ``_table``, writes every table, ``si`` samples and
+histograms, the summary, ``moments`` and ``fdsim sinr``, one block of rows at
+a time: one orjson call a block for each CSV run of same-dtype columns or
+each JSONL column.  ``fdsim sinr``'s ``(trials, K)`` terms give each trial's
+index text once, not once per row: one call a block for the trial numbers,
+and each ``k`` held in a constant separator.  The writer works in bytes end
+to end: a block's text goes from orjson through one split and one join (for
+one column, a comma-to-newline replace) to the file, with no str in between.
+A run streams its output, one block of rows at a time, into staged temporary
+files, opened in binary mode, that are renamed together once every file is
+complete.  A failed or interrupted run leaves the directory as it found it:
+none of its output set, and every file it would have replaced as it was.
 """
 from __future__ import annotations
 
@@ -129,93 +130,61 @@ def _run_text(values: np.ndarray) -> bytes:
     return text
 
 
-def _interleave(pieces: list, seps: list, end: bytes) -> bytes:
-    """Equal-length lists of byte strings made rows by one join: row i is
-    ``seps[0] pieces[0][i] seps[1] pieces[1][i] ... end``."""
-    parts = ([x for sep in seps for x in (sep, None)] + [end]) * len(pieces[0])
-    for j, piece in enumerate(pieces):
-        parts[2 * j + 1::2 * len(pieces) + 1] = piece
-    return b"".join(parts)
-
-
-def _csv_rows(block: list) -> list:
-    """The text of each run of a block's same-dtype columns, split into rows."""
-    runs = (np.stack(list(run), axis=1) for _, run in groupby(block, key=lambda c: c.dtype))
-    return [_run_text(run)[2:-2].split(b"],[") for run in runs]  # less "[[" and "]]"
-
-
-def _jsonl_values(block: list) -> list:
-    """The text of each of a block's columns, split into values."""
+def _texts(block: list, fmt: str) -> list:
+    """The text of each CSV run of a block's same-dtype columns, split into rows,
+    or of each JSONL column, split into values."""
+    if fmt == "csv":
+        runs = (np.stack(list(run), axis=1) for _, run in groupby(block, key=lambda c: c.dtype))
+        return [_run_text(run)[2:-2].split(b"],[") for run in runs]  # less "[[" and "]]"
     if any(c.dtype.kind == "f" and not np.isfinite(c).all() for c in block):
         raise ValueError("Out of range float values are not JSON compliant")
     return [_run_text(column)[1:-1].split(b",") for column in block]
 
 
-def _jsonl_keys(header) -> list:
-    """The text that opens each column's JSONL member: ``{"a": ``, then ``, "b": ``."""
-    return [f"{', ' if j else '{'}{json.dumps(h)}: ".encode() for j, h in enumerate(header)]
+def _table(header, columns: list, fmt: str):
+    """Yield the CSV or JSONL bytes of a table of equal-length ndarray columns
+    of numbers: the CSV header, then one ``bytes`` per block of rows.
 
-
-def _csv_block(block: list) -> bytes:
-    """A block's CSV rows.  A one-column block's row ends replace its commas."""
-    if len(block) == 1:
-        return _run_text(block[0])[1:-1].replace(b",", b"\n") + b"\n"
-    rows = _csv_rows(block)
-    return _interleave(rows, [b""] + [b","] * (len(rows) - 1), b"\n")
-
-
-def _row_blocks(columns: list):
-    """Equal-length columns cut into blocks of ``BLOCK_SIZE`` rows."""
-    return ([c[i:i + BLOCK_SIZE] for c in columns] for i in range(0, len(columns[0]), BLOCK_SIZE))
-
-
-def _table(header, blocks, fmt: str):
-    """Yield the CSV or JSONL bytes of a table, one ``bytes`` per block of
-    rows; each block is a list of equal-length ndarray columns of numbers.
-
-    The writer works in bytes end to end: each CSV run of same-dtype columns
-    or JSONL column in a block takes its text from one ``_run_text`` call,
-    which one split cuts into rows (CSV) or values (JSONL), and one join puts
-    the block together.
-    The block helpers return only that join, so a block's pieces are freed
-    before the next block's are made."""
-    if fmt == "jsonl":
-        keys = _jsonl_keys(header)
-    else:
-        yield ",".join(header).encode() + b"\n"
-    for block in blocks:
-        if fmt == "jsonl":
-            yield _interleave(_jsonl_values(block), keys, b"}\n")
-        else:
-            yield _csv_block(block)
-
-
-def _sinr_table(terms: dict, fmt: str):
-    """Yield ``fdsim sinr``'s table as ``_table`` writes it, one ``bytes`` per
-    block of ``BLOCK_SIZE // K`` trials (at least one).  Row k of trial t is
-    t's text, split once from one ``_run_text`` of the block's trial numbers,
-    a constant separator holding k, then the terms' text: one 2-D run split
-    into rows (CSV) or one run per term split into values (JSONL).  One parts
-    template, its separators in place, serves every block."""
-    trials, K = terms["sinr"].shape
+    1-D columns give a row per entry, in blocks of ``BLOCK_SIZE`` rows.
+    ``(trials, K)`` columns, as ``run_sinr`` gives them, give K rows a trial,
+    led by the ``header[:2]`` index ``trial,k``, in blocks of ``BLOCK_SIZE //
+    K`` trials (at least one): the trial numbers' text comes from one
+    ``_run_text`` a block, split once, and each k is held in a constant
+    separator.  A block's values take their text from ``_texts``, one
+    ``_run_text`` call for each CSV run or JSONL column.  One parts template,
+    sized to the table's rows with every separator in place, takes each
+    block's pieces and makes its bytes by one join; a one-column CSV table
+    instead replaces the commas of its block's text with row ends."""
+    index = columns[0].ndim == 2
+    K, n = columns[0].shape[1] if index else 1, len(columns[0])
     step = max(BLOCK_SIZE // K, 1)
     if fmt == "jsonl":
-        first, k_key, *keys = _jsonl_keys(SINR_COLUMNS)
-        seps, end = [[first, k_key + b"%d" % k + keys[0], *keys[1:]] for k in range(K)], b"}\n"
+        seps = [f"{', ' if j else '{'}{json.dumps(h)}: ".encode() for j, h in enumerate(header)]
+        end = b"}\n"
     else:
-        yield ",".join(SINR_COLUMNS).encode() + b"\n"
-        seps, end = [[b"", b",%d," % k] for k in range(K)], b"\n"
-    rows = [[x for sep in row for x in (sep, None)] + [end] for row in seps]  # None: a piece
-    width, template = len(rows[0]), [x for row in rows for x in row] * step
-    for t0 in range(0, trials, step):
-        t1 = min(t0 + step, trials)
-        parts = template if t1 - t0 == step else template[:(t1 - t0) * K * width]
-        index = _run_text(np.arange(t0, t1))[1:-1].split(b",")
-        for k in range(K):
-            parts[1 + k * width::K * width] = index
-        block = [terms[key][t0:t1].ravel() for key in TERMS]
-        for j, piece in enumerate(_jsonl_values(block) if fmt == "jsonl" else _csv_rows(block)):
-            parts[3 + 2 * j::width] = piece
+        yield ",".join(header).encode() + b"\n"
+        if len(columns) == 1 and not index:  # a block's commas become its row ends
+            for t0 in range(0, n, step):
+                yield _run_text(columns[0][t0:t0 + step])[1:-1].replace(b",", b"\n") + b"\n"
+            return
+        runs = sum(1 for _ in groupby(c.dtype for c in columns))
+        seps, end = [b""] + [b","] * (2 * index + runs - 1), b"\n"
+    if index:  # the trial's text, then a separator holding k
+        rows = [[seps[0], seps[1] + b"%d" % k + seps[2], *seps[3:]] for k in range(K)]
+    else:
+        rows = [seps]
+    rows = [[x for sep in row for x in (sep, None)] + [end] for row in rows]  # None: a piece
+    width, template = len(rows[0]), [x for row in rows for x in row] * min(step, n)
+    for t0 in range(0, n, step):
+        t1 = min(t0 + step, n)
+        size = (t1 - t0) * K * width
+        parts = template if size == len(template) else template[:size]
+        if index:
+            trials = _run_text(np.arange(t0, t1))[1:-1].split(b",")
+            for k in range(K):
+                parts[1 + k * width::K * width] = trials
+        for j, piece in enumerate(_texts([c[t0:t1].ravel() for c in columns], fmt)):
+            parts[1 + 2 * (j + index)::width] = piece
         yield b"".join(parts)
 
 
@@ -441,11 +410,10 @@ def _cmd_si(merged: dict, cfg: ExperimentConfig, head: list, cf: list) -> dict:
     files = {}
     for label, report in runs.items():
         if bins is None:
-            table = _table(["si_gain"], _row_blocks([report.samples]), fmt)
+            table = _table(["si_gain"], [report.samples], fmt)
         else:
-            h = histogram(report.samples, bins)
-            columns = [h.bin_edges[:-1], h.counts]
-            table = _table(["bin_left", "count"], _row_blocks(columns), fmt)
+            bin_edges, counts = histogram(report.samples, bins)
+            table = _table(["bin_left", "count"], [bin_edges[:-1], counts], fmt)
         files[_data_path(out, label, fmt)] = table
     rows = [
         head + [cfg.trials, cfg.seed, r.emp_m1, r.emp_m2, r.emp_var]
@@ -453,7 +421,7 @@ def _cmd_si(merged: dict, cfg: ExperimentConfig, head: list, cf: list) -> dict:
         for r in runs.values()
     ]
     columns = [np.array(c) for c in zip(*rows)]
-    files[_data_path(out, "summary", fmt)] = _table(SUMMARY_COLUMNS, [columns], fmt)
+    files[_data_path(out, "summary", fmt)] = _table(SUMMARY_COLUMNS, columns, fmt)
     return files
 
 
@@ -463,7 +431,7 @@ def _cmd_sinr(merged: dict, cfg: ExperimentConfig) -> dict:
         moment_match(m1, var)  # which raises as it does for `si`
     cfg = replace(cfg, noise_power=merged["noise"], direction=Direction(merged["direction"]))
     terms = run_sinr(cfg, threads=merged["threads"])
-    return {merged["out"]: _sinr_table(terms, merged["format"])}
+    return {merged["out"]: _table(SINR_COLUMNS, [terms[key] for key in TERMS], merged["format"])}
 
 
 def main(argv=None) -> int:
@@ -480,7 +448,7 @@ def main(argv=None) -> int:
         head = [geom.M, geom.N, geom.K, spec.mu, spec.nu]
         if command == "moments":
             row = head + _closed_form(geom, spec)
-            table = _table(MOMENT_COLUMNS, [[np.array([v]) for v in row]], merged["format"])
+            table = _table(MOMENT_COLUMNS, [np.array([v]) for v in row], merged["format"])
             sys.stdout.write(b"".join(table).decode())
             return 0
         cfg = ExperimentConfig(

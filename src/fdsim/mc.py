@@ -355,13 +355,12 @@ TERMS = ("useful", "mui", "ici", "cmi", "si", "noise", "sinr")
 
 
 def _terms(useful, ici, cmi, si, noise) -> dict:
-    """Assemble a block's SINR terms, (K, n) each; ZF nulls the multi-user term exactly."""
-    mui = np.zeros_like(useful)
-    sinr = mui + ici
-    for term in (cmi, si, noise):
-        sinr += term
+    """Assemble a block's SINR terms, (K, n) each, but ``mui``, which ZF nulls exactly."""
+    sinr = ici + cmi
+    sinr += si
+    sinr += noise
     np.divide(useful, sinr, out=sinr)
-    return dict(zip(TERMS, (useful, mui, ici, cmi, si, noise, sinr)))
+    return dict(useful=useful, ici=ici, cmi=cmi, si=si, noise=noise, sinr=sinr)
 
 
 @np.errstate(over="raise")  # a term that overflows, at a huge noise_power say, fails the run
@@ -437,8 +436,9 @@ def run_sinr(cfg: ExperimentConfig, threads: int = 1) -> dict:
     """All SINR terms over cfg.trials, (trials, K) arrays allocated before any block runs.
 
     Sampled from the exact law of the ZF chain, as the module docstring's
-    stream-layout statement gives it; ``mui`` is exactly 0.  A block's whole
-    draw is tried first, so a cell count too large for it fails at once.
+    stream-layout statement gives it; ``mui`` is exactly 0, a read-only view
+    of one zero.  A block's whole draw is tried first, so a cell count too
+    large for it fails at once.
     """
     L, K = cfg.geom.L, cfg.geom.K
     if cfg.direction is Direction.DOWNLINK:  # L factors T; each Z; cross-mode; SI and noise
@@ -448,6 +448,7 @@ def run_sinr(cfg: ExperimentConfig, threads: int = 1) -> dict:
         block_fn = _sinr_block_uplink
         count = (L + 1) * K * (K - 1) // 2 + 3 * K + K * K * (2 * L - 1)
     _try_draw(cfg, count)
-    terms = {key: _empty(f"trials {cfg.trials}", cfg.trials, K) for key in TERMS}
+    terms = {key: _empty(f"trials {cfg.trials}", cfg.trials, K) for key in TERMS if key != "mui"}
     _map_blocks(cfg, block_fn, threads, {key: out.T for key, out in terms.items()})
-    return terms
+    mui = np.broadcast_to(0.0, (cfg.trials, K))
+    return {key: terms.get(key, mui) for key in TERMS}

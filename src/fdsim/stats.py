@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,22 +41,12 @@ from .closedform import GammaParams
 from .exceptions import InvalidParameterError
 
 __all__ = [
-    "Histogram",
     "si_pdf_siso",
     "gamma_pdf",
     "gamma_cdf",
     "ks_distance",
     "histogram",
 ]
-
-
-@dataclass(frozen=True)
-class Histogram:
-    """Equal-width histogram over [0, max(samples)]."""
-
-    bin_edges: np.ndarray
-    counts: np.ndarray
-    total: int
 
 
 def si_pdf_siso(x, varpi: float, omega: float):
@@ -313,8 +302,8 @@ def _ks_sup(j: np.ndarray, f: np.ndarray, n: int) -> float:
     return float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
 
 
-def histogram(samples, bin_count: int) -> Histogram:
-    """Equal-width histogram over [0, max(samples)]."""
+def histogram(samples, bin_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(bin_edges, counts)`` of an equal-width histogram over [0, max(samples)]."""
     s = np.asarray(samples, dtype=float)
     if s.size == 0:
         raise InvalidParameterError("need at least one sample")
@@ -325,4 +314,4 @@ def histogram(samples, bin_count: int) -> Histogram:
     if hi <= 0:
         hi = 1.0  # all-zero samples: still produce a valid, if degenerate, grid
     counts, edges = np.histogram(s, bins=bin_count, range=(0.0, hi))
-    return Histogram(bin_edges=edges, counts=counts, total=int(s.size))
+    return edges, counts

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import fdsim.cli as cli
-from fdsim.cli import SINR_COLUMNS, _row_blocks, _sinr_table, _table, main
+from fdsim.cli import SINR_COLUMNS, _table, main
 from fdsim.mc import BLOCK_SIZE, TERMS, Direction, run_sinr
 
 GOLDEN_SUMMARY = (
@@ -62,7 +62,7 @@ def test_table_matches_one_shot_formatter(fmt, width):
         np.resize(np.array(EDGE_FLOATS[::-1]), n),
     ][:width]
     expected = _one_shot_table(header, [c.tolist() for c in columns], fmt)
-    pieces = list(_table(header, _row_blocks(columns), fmt))
+    pieces = list(_table(header, columns, fmt))
     assert _lines(b"".join(pieces).decode()) == _lines(expected)
     assert max(p.count(b"\n") for p in pieces) <= BLOCK_SIZE
 
@@ -138,12 +138,12 @@ def test_table_text_is_repr(fmt, case):
         columns = [c[np.isfinite(c)] if c.dtype.kind == "f" else c for c in columns]
     header = [f"c{j}" for j in range(len(columns))]
     expected = _one_shot_table(header, [c.tolist() for c in columns], fmt)
-    assert _lines(b"".join(_table(header, _row_blocks(columns), fmt)).decode()) == _lines(expected)
+    assert _lines(b"".join(_table(header, columns, fmt)).decode()) == _lines(expected)
 
 
 def test_non_finite_csv_text_is_repr():
     column = np.array([np.inf, -np.inf, np.nan, 2.5, -np.nan])
-    text = b"".join(_table(["x"], _row_blocks([column]), "csv")).decode()
+    text = b"".join(_table(["x"], [column], "csv")).decode()
     assert text == "x\ninf\n-inf\nnan\n2.5\nnan\n"
 
 
@@ -152,7 +152,7 @@ def test_non_finite_jsonl_value_raises(value):
     column = np.ones(BLOCK_SIZE + 1)
     column[-1] = value
     with pytest.raises(ValueError, match="not JSON compliant"):
-        list(_table(["x"], _row_blocks([column]), "jsonl"))
+        list(_table(["x"], [column], "jsonl"))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
@@ -181,7 +181,7 @@ def test_in_range_floats_make_no_float_repr_call(monkeypatch, fmt):
 
     monkeypatch.setattr(cli, "repr", counting_repr, raising=False)
     monkeypatch.setattr(cli.orjson, "dumps", counting_dumps)
-    text = b"".join(_table(SINR_COLUMNS, _row_blocks(columns), fmt)).decode()
+    text = b"".join(_table(SINR_COLUMNS, columns, fmt)).decode()
     # one call per block per CSV run (the int index columns, then the float
     # terms) or per JSONL column
     runs = [np.int64, np.float64] if fmt == "csv" else [np.int64] * 2 + [np.float64] * 7
@@ -191,7 +191,7 @@ def test_in_range_floats_make_no_float_repr_call(monkeypatch, fmt):
     reprs.clear()
     dumps.clear()
     columns[-1][[5, BLOCK_SIZE, n - 1]] = outside
-    text = b"".join(_table(SINR_COLUMNS, _row_blocks(columns), fmt)).decode()
+    text = b"".join(_table(SINR_COLUMNS, columns, fmt)).decode()
     assert reprs == [float] * len(outside) and len(dumps) == len(runs) * 2
     assert _lines(text) == one_shot()
 
@@ -222,7 +222,7 @@ ASSEMBLY_SHAPES = {n: _assembly_shapes(n) for n in ASSEMBLY_ROWS}
 def test_table_yields_the_bytes_of_each_block(n, shape, fmt):
     columns = ASSEMBLY_SHAPES[n][shape]
     header = [f"c{j}" for j in range(len(columns))]
-    pieces = list(_table(header, _row_blocks(columns), fmt))
+    pieces = list(_table(header, columns, fmt))
     blocks = -(-n // BLOCK_SIZE)
     assert [type(p) for p in pieces] == [bytes] * ((fmt == "csv") + blocks)  # csv header first
     expected = _one_shot_table(header, [c.tolist() for c in columns], fmt)
@@ -612,13 +612,12 @@ def test_sinr_jsonl_golden_run(tmp_path, monkeypatch, direction):
 
 def _per_row_index_table(terms, fmt):
     """The SINR table with a per-row index, as ``fdsim sinr`` once wrote it:
-    each block of ``BLOCK_SIZE`` rows r takes ``trial`` and ``k`` from ``r // K``
-    and ``r % K``, then goes through ``_table``."""
+    each row r takes ``trial`` and ``k`` from ``r // K`` and ``r % K``, whole
+    1-D columns that go through ``_table`` with the terms, raveled."""
     T, K = terms["sinr"].shape
-    rows = (np.arange(i, min(i + BLOCK_SIZE, T * K)) for i in range(0, T * K, BLOCK_SIZE))
-    blocks = _row_blocks([terms[key].ravel() for key in TERMS])
-    blocks = ([r // K, r % K, *block] for r, block in zip(rows, blocks))
-    return b"".join(_table(SINR_COLUMNS, blocks, fmt))
+    r = np.arange(T * K)
+    columns = [r // K, r % K, *(terms[key].ravel() for key in TERMS)]
+    return b"".join(_table(SINR_COLUMNS, columns, fmt))
 
 
 @pytest.mark.parametrize("noise", ["1", "0"])
@@ -652,7 +651,7 @@ def test_sinr_table_cuts_blocks_at_trials(monkeypatch, fmt):
     expected = _per_row_index_table(terms, fmt)
     for block, rows in [(11, [10, 10, 10, 5]), (4, [5] * 7)]:
         monkeypatch.setattr(cli, "BLOCK_SIZE", block)
-        pieces = list(_sinr_table(terms, fmt))
+        pieces = list(_table(SINR_COLUMNS, [terms[key] for key in TERMS], fmt))
         assert [p.count(b"\n") for p in pieces[fmt == "csv":]] == rows  # less the csv header
         assert _lines(b"".join(pieces).decode()) == _lines(expected.decode())
 

@@ -193,8 +193,14 @@ def test_a_stopped_run_waits_only_for_the_blocks_in_flight(monkeypatch, stop):
         time.sleep(0.1)
         return np.zeros(n)
 
-    with pytest.raises(RuntimeError if stop == "raise" else KeyboardInterrupt):
-        mc._map_blocks(cfg, block_fn, threads=2, out=np.empty(cfg.trials))
+    # Python installs no SIGINT handler where it starts with SIGINT ignored, as
+    # a background job does; the test's own handler raises KeyboardInterrupt
+    handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        with pytest.raises(RuntimeError if stop == "raise" else KeyboardInterrupt):
+            mc._map_blocks(cfg, block_fn, threads=2, out=np.empty(cfg.trials))
+    finally:
+        signal.signal(signal.SIGINT, handler)
     started = len(ran)
     time.sleep(0.3)
     # the blocks in flight on the two workers end; the queued ones never start
@@ -576,7 +582,6 @@ def test_sinr_block_matches_lapack_reference(direction, L, K, M, N):
     n = 3000
     got = block_fn(cfg, n, RngHandle(83, L).generator())
     ref = _sinr_block_lapack(cfg, n, RngHandle(83, L).generator())
-    assert np.all(got["mui"] == 0)
     for key, want in ref.items():
         assert got[key].shape == (K, n), key
         assert np.allclose(got[key].T, want, rtol=1e-12, atol=0), key
@@ -599,7 +604,7 @@ def _si_block_peak(K, M=64, N=32):
 
 
 @pytest.mark.parametrize("argv, per_trial", [
-    (["sinr", "--L", "2", "--K", "2", "--direction", "uplink"], 7 * 2 * 8),  # K terms of 7 kinds
+    (["sinr", "--L", "2", "--K", "2", "--direction", "uplink"], 6 * 2 * 8),  # K terms of 6 kinds
     (["si", "--mode", "empirical"], 2 * 8),  # the gains, then KS's one sorted copy
 ], ids=["sinr-uplink", "si-empirical"])
 def test_a_run_holds_only_its_designed_bytes_per_trial(tmp_path, argv, per_trial):
