@@ -4,11 +4,25 @@
 Samples every term from its exact law under ZF beamformers from Rayleigh
 channels, drawn from the channels' triangular factors instead of the
 channel matrices, and compares the Monte Carlo term means against their
-known values: ZF useful gain ~ Gamma(M-K+1, 1) (downlink) / Gamma(N-K+1, 1)
-(uplink), and the residual SI mean K (mu^2 + nu^2).  A gain through another
-cell's ZF precoder (downlink ``ici``, uplink ``cmi``) has mean K per
-interfering cell, as Gamma(K, 1) has, but not its law: its variance is
-K (M + 1) / (M - K + 2), 2.125 here against Gamma(2, 1)'s 2 (measured 2.12).
+known values.  Each term's law, per stream (one radio's term; the K streams
+of a trial share their beamformers, so they are not independent), for L
+cells of K radios with M transmit and N receive antennas, K <= M and, in
+the uplink, K <= N:
+
+- ``useful``: Gamma(M - K + 1, 1) downlink, Gamma(N - K + 1, 1) uplink;
+- downlink ``cmi``: Gamma(LK - 1, 1); uplink ``ici``: Gamma(K(L - 1), 1);
+- ``noise``: exponential with mean ``noise_power``;
+- downlink ``ici`` and uplink ``cmi``, the gains through the other cells'
+  ZF precoders: mean K(L - 1) and variance (L - 1) K (M + 1) / (M - K + 2),
+  given the precoders a weighted sum of exponentials, not Gamma(K(L - 1), 1):
+  its variance is 2.125 here against the Gamma's 2;
+- ``si``: downlink |mu + nu z|^2 with z ~ CN(0, 1), mean mu^2 + nu^2; uplink
+  the residual SI gain at (K, M, N), mean K (mu^2 + nu^2) and variance
+  ``si_variance``;
+- ``mui``: exactly 0, nulled by ZF.
+
+At L = 1 the laws of shape 0 are the constant 0.  ``tests/test_mc.py`` pins
+each stated mean and variance within 4 SE at (L, K, M, N) = (2, 2, 16, 8).
 
 Run (default 50k trials per direction):
     python3 demos/sinr_terms.py [trials]

@@ -17,14 +17,15 @@ Monte Carlo work.
 
 Numbers are written as round-trip ``repr`` text, integers and float64s by
 orjson.  One writer, ``_table``, writes every table, ``si`` samples and
-histograms, the summary, ``moments`` and ``fdsim sinr``, one block of rows at
-a time: one orjson call a block for each CSV run of same-dtype columns or
-each JSONL column.  ``fdsim sinr``'s ``(trials, K)`` terms give each trial's
+histograms, the summary, ``moments`` and ``fdsim sinr``, in row blocks that
+it cuts itself, of at most ``_BLOCK_ROWS`` rows whatever the engine's block
+size: one orjson call a block for each CSV run of same-dtype columns or each
+JSONL column.  ``fdsim sinr``'s ``(trials, K)`` terms give each trial's
 index text once, not once per row: one call a block for the trial numbers,
 and each ``k`` held in a constant separator.  The writer works in bytes end
 to end: a block's text goes from orjson through one split and one join (for
 one column, a comma-to-newline replace) to the file, with no str in between.
-A run streams its output, one block of rows at a time, into staged temporary
+A run streams its output, one writer block at a time, into staged temporary
 files, opened in binary mode, that are renamed together once every file is
 complete.  A failed or interrupted run leaves the directory as it found it:
 none of its output set, and every file it would have replaced as it was.
@@ -53,7 +54,6 @@ from .closedform import (
 )
 from .exceptions import InvalidParameterError
 from .mc import (
-    BLOCK_SIZE,
     TERMS,
     Direction,
     ExperimentConfig,
@@ -75,34 +75,37 @@ MOMENT_COLUMNS = ["M", "N", "K", "mu", "nu", "m1", "m2", "var", "kappa", "theta"
 
 SINR_COLUMNS = ["trial", "k", *TERMS]
 
+# Rows a writer block holds at most, set apart from the engine's BLOCK_SIZE: a
+# block's text and parts then fit in the memory the last block freed, where a
+# 4096-trial block of K-row sinr trials faulted in new pages.
+_BLOCK_ROWS = 1024
+
 _COMMANDS = {
     "si": "residual SI distribution experiment",
     "moments": "closed-form moments and Gamma parameters",
     "sinr": "multi-cell SINR term sampling",
 }
 
-# setting -> (the subcommands that take it, its type, choices and help, its default)
+# setting -> (the subcommands that take it, its type or tuple of choices, its help, its default)
 _MODEL, _RUN = ("si", "moments", "sinr"), ("si", "sinr")
 _SETTINGS = {
-    "M": (_MODEL, dict(type=int, help="transmit antennas at the FD node"), 16),
-    "N": (_MODEL, dict(type=int, help="receive antennas at the FD node"), 8),
-    "K": (_MODEL, dict(type=int, help="number of FD radios / streams"), 1),
-    "mu": (_MODEL, dict(type=float, help="SI channel complex-Gaussian mean"), None),
-    "nu": (_MODEL, dict(type=float, help="SI channel std (sqrt of total variance)"), None),
-    "varpi": (_MODEL, dict(type=float, help="Rician factor (alternative to --mu/--nu)"), None),
-    "omega": (_MODEL, dict(type=float, help="fading attenuation (with --varpi)"), None),
-    "format": (_MODEL, dict(choices=["csv", "jsonl"], help="output format (default csv)"), "csv"),
-    "trials": (_RUN, dict(type=int, help="Monte Carlo trial count"), 100000),
-    "seed": (_RUN, dict(type=int, help="RNG seed (fallback: FDSIM_SEED, then 0)"), None),
-    "out": (_RUN, dict(help="output file path"), None),
-    "threads": (_RUN, dict(type=int, help="worker thread cap, >= 1 (default 1)"), 1),
-    "bins": (("si",), dict(type=int, help="histogram bin count; omit to emit raw samples"), None),
-    "mode": (("si",), dict(choices=["empirical", "theoretical", "both"],
-                           help="experiments to run (default empirical)"), "empirical"),
-    "L": (("sinr",), dict(type=int, help="number of cells (default 1)"), 1),
-    "noise": (("sinr",), dict(type=float, help="noise power (default 1.0)"), 1.0),
-    "direction": (("sinr",), dict(choices=["downlink", "uplink"],
-                                  help="link direction (default downlink)"), "downlink"),
+    "M": (_MODEL, int, "transmit antennas at the FD node", 16),
+    "N": (_MODEL, int, "receive antennas at the FD node", 8),
+    "K": (_MODEL, int, "number of FD radios / streams", 1),
+    "mu": (_MODEL, float, "SI channel complex-Gaussian mean", None),
+    "nu": (_MODEL, float, "SI channel std (sqrt of total variance)", None),
+    "varpi": (_MODEL, float, "Rician factor (alternative to --mu/--nu)", None),
+    "omega": (_MODEL, float, "fading attenuation (with --varpi)", None),
+    "format": (_MODEL, ("csv", "jsonl"), "output format", "csv"),
+    "trials": (_RUN, int, "Monte Carlo trial count", 100000),
+    "seed": (_RUN, int, "RNG seed (fallback: FDSIM_SEED, then 0)", None),
+    "out": (_RUN, str, "output file path", None),
+    "threads": (_RUN, int, "worker thread cap, >= 1", 1),
+    "bins": (("si",), int, "histogram bin count; omit to emit raw samples", None),
+    "mode": (("si",), ("empirical", "theoretical", "both"), "experiments to run", "empirical"),
+    "L": (("sinr",), int, "number of cells", 1),
+    "noise": (("sinr",), float, "noise power", 1.0),
+    "direction": (("sinr",), ("downlink", "uplink"), "link direction", "downlink"),
 }
 
 
@@ -145,10 +148,11 @@ def _table(header, columns: list, fmt: str):
     """Yield the CSV or JSONL bytes of a table of equal-length ndarray columns
     of numbers: the CSV header, then one ``bytes`` per block of rows.
 
-    1-D columns give a row per entry, in blocks of ``BLOCK_SIZE`` rows.
+    The writer cuts its own blocks, whatever the engine's: 1-D columns give a
+    row per entry, in blocks of ``_BLOCK_ROWS`` rows.
     ``(trials, K)`` columns, as ``run_sinr`` gives them, give K rows a trial,
-    led by the ``header[:2]`` index ``trial,k``, in blocks of ``BLOCK_SIZE //
-    K`` trials (at least one): the trial numbers' text comes from one
+    led by the ``header[:2]`` index ``trial,k``, in blocks of ``_BLOCK_ROWS
+    // K`` trials (at least one): the trial numbers' text comes from one
     ``_run_text`` a block, split once, and each k is held in a constant
     separator.  A block's values take their text from ``_texts``, one
     ``_run_text`` call for each CSV run or JSONL column.  One parts template,
@@ -157,7 +161,7 @@ def _table(header, columns: list, fmt: str):
     instead replaces the commas of its block's text with row ends."""
     index = columns[0].ndim == 2
     K, n = columns[0].shape[1] if index else 1, len(columns[0])
-    step = max(BLOCK_SIZE // K, 1)
+    step = max(_BLOCK_ROWS // K, 1)
     if fmt == "jsonl":
         seps = [f"{', ' if j else '{'}{json.dumps(h)}: ".encode() for j, h in enumerate(header)]
         end = b"}\n"
@@ -221,14 +225,14 @@ def _atomic_write(files: dict) -> None:
 
 
 def _typed(key: str, val, source: str):
-    """A flag, config-file or ``FDSIM_SEED`` value through the ``type`` and
-    ``choices`` of setting ``key``; ``source`` names where it came from."""
-    kwargs = _SETTINGS[key][1]
+    """A flag, config-file or ``FDSIM_SEED`` value through the type, or the
+    tuple of choices, of setting ``key``; ``source`` names where it came from."""
+    kind = _SETTINGS[key][1]
     try:
         if isinstance(val, (bool, list, dict)):
             raise TypeError
-        val = kwargs.get("type", str)(str(val))
-        if "choices" in kwargs and val not in kwargs["choices"]:
+        val = str(val) if isinstance(kind, tuple) else kind(str(val))
+        if isinstance(kind, tuple) and val not in kind:
             raise ValueError
     except (TypeError, ValueError):
         raise InvalidParameterError(f"{source}: invalid --{key} value: {val!r}") from None
@@ -236,20 +240,22 @@ def _typed(key: str, val, source: str):
 
 
 def _usage(command=None) -> str:
-    """The ``--help`` text of fdsim, or of one subcommand and its flags."""
+    """The ``--help`` text of fdsim, or of one subcommand, its flags and their defaults."""
     if command is None:
         rows = [("-h, --help", "show this help and exit"), *_COMMANDS.items()]
         head = f"usage: fdsim {{{','.join(_COMMANDS)}}} [flags]\n\n{__doc__.splitlines()[0]}"
         tail = "`fdsim <subcommand> --help` lists the flags of a subcommand."
     else:
         rows = [("-h, --help", "show this help and exit")]
-        for name, (commands, kwargs, _) in _SETTINGS.items():
+        for name, (commands, kind, text, default) in _SETTINGS.items():
             if command in commands:
-                if "choices" in kwargs:
-                    kind = "{" + ",".join(kwargs["choices"]) + "}"
+                if isinstance(kind, tuple):
+                    metavar = "{" + ",".join(kind) + "}"
                 else:
-                    kind = {int: "INT", float: "FLOAT"}.get(kwargs.get("type"), "PATH")
-                rows.append((f"--{name} {kind}", kwargs["help"]))
+                    metavar = {int: "INT", float: "FLOAT"}.get(kind, "PATH")
+                if default is not None:
+                    text += f" (default {default})"
+                rows.append((f"--{name} {metavar}", text))
         rows.append(("--config PATH", "JSON file with flag defaults; flags override"))
         head = f"usage: fdsim {command} [flags]\n\n{_COMMANDS[command]}"
         tail = ("`--K 3` and `--K=3` are the same, a unique prefix of a flag will do,\n"
@@ -275,7 +281,7 @@ def _parse(argv: list):
     if command not in _COMMANDS:
         got = f", got {command!r}" if argv else ""
         raise InvalidParameterError(f"expected a subcommand, one of {', '.join(_COMMANDS)}{got}")
-    names = [k for k, (commands, _, _) in _SETTINGS.items() if command in commands]
+    names = [k for k, (commands, *_) in _SETTINGS.items() if command in commands]
     names += ["config", "help"]
     args, rest = {"command": command}, iter(argv[1:])
     for arg in rest:
@@ -327,7 +333,7 @@ def _merge_config(args: dict) -> dict:
         file_vals = {k: _typed(k, v, source) for k, v in file_vals.items() if v is not None}
 
     merged = {}
-    for k, (commands, _, default) in _SETTINGS.items():
+    for k, (commands, _, _, default) in _SETTINGS.items():
         if args["command"] in commands:
             merged[k] = args.get(k, file_vals.get(k, default))
 
@@ -354,14 +360,16 @@ def _resolve_spec(merged: dict) -> RicianSpec:
     return RicianSpec(mu, nu)
 
 
-def _data_path(out: str, suffix: str, fmt: str) -> str:
+def _outputs(command: str, merged: dict) -> dict:
+    """``{label: path}`` of the files a run writes, in output order: ``--out``, or for
+    ``si`` ``<stem>_<label><ext or .format>`` per experiment, then the summary."""
+    out = merged["out"]
+    if command == "sinr":
+        return {"sinr": out}
+    labels = ["empirical", "theoretical"] if merged["mode"] == "both" else [merged["mode"]]
     stem, ext = os.path.splitext(out)
-    return f"{stem}_{suffix}{ext or '.' + fmt}"
-
-
-def _si_labels(merged: dict) -> list:
-    """The experiments an ``si`` run makes, in output order."""
-    return ["empirical", "theoretical"] if merged["mode"] == "both" else [merged["mode"]]
+    return {label: f"{stem}_{label}{ext or '.' + merged['format']}"
+            for label in [*labels, "summary"]}
 
 
 def _check_out(command: str, merged: dict) -> None:
@@ -374,11 +382,7 @@ def _check_out(command: str, merged: dict) -> None:
     if not os.access(directory, os.W_OK | os.X_OK):
         raise InvalidParameterError(
             "--out must name a file in a directory this process can write to")
-    if command == "sinr":
-        targets = [out]
-    else:
-        labels = _si_labels(merged) + ["summary"]
-        targets = [_data_path(out, label, merged["format"]) for label in labels]
+    targets = _outputs(command, merged).values()
     clash = next((t for t in targets if os.path.isdir(t)), None)
     if clash:
         raise InvalidParameterError(f"--out would write {clash}, which is a directory")
@@ -402,11 +406,11 @@ def _closed_form(geom: SystemGeometry, spec: RicianSpec) -> list:
 
 
 def _cmd_si(merged: dict, cfg: ExperimentConfig, head: list, cf: list) -> dict:
-    out, bins, fmt = merged["out"], merged["bins"], merged["format"]
+    bins, fmt, paths = merged["bins"], merged["format"], _outputs("si", merged)
     if bins is not None:  # try the histogram's allocations before any block runs
         _empty(f"--bins {bins}", bins + 1), _empty(f"--bins {bins}", bins, dtype=np.intp)
     run = {"empirical": run_si_empirical, "theoretical": run_si_theoretical}
-    runs = {label: run[label](cfg, threads=merged["threads"]) for label in _si_labels(merged)}
+    runs = {label: run[label](cfg, threads=merged["threads"]) for label in list(paths)[:-1]}
     files = {}
     for label, report in runs.items():
         if bins is None:
@@ -414,14 +418,14 @@ def _cmd_si(merged: dict, cfg: ExperimentConfig, head: list, cf: list) -> dict:
         else:
             bin_edges, counts = histogram(report.samples, bins)
             table = _table(["bin_left", "count"], [bin_edges[:-1], counts], fmt)
-        files[_data_path(out, label, fmt)] = table
+        files[paths[label]] = table
     rows = [
         head + [cfg.trials, cfg.seed, r.emp_m1, r.emp_m2, r.emp_var]
         + cf + [r.ks]
         for r in runs.values()
     ]
     columns = [np.array(c) for c in zip(*rows)]
-    files[_data_path(out, "summary", fmt)] = _table(SUMMARY_COLUMNS, columns, fmt)
+    files[paths["summary"]] = _table(SUMMARY_COLUMNS, columns, fmt)
     return files
 
 

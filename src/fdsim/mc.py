@@ -5,7 +5,8 @@ Stream layout 11, stated in full; CHANGES.md records the earlier layouts.
 Blocks.  A run allocates its result arrays, then cuts its trials into
 blocks of ``BLOCK_SIZE = 4096``: block b holds trials ``[b * BLOCK_SIZE,
 (b + 1) * BLOCK_SIZE)``, the last block the remainder, and the worker that
-runs it writes its results there.  The workers are the calling thread and
+runs it writes its results there.  ``BLOCK_SIZE`` sizes the substreams
+and this hand-off only.  The workers are the calling thread and
 ``min(threads, blocks, usable CPUs) - 1`` helper threads, so ``threads=1``
 starts none; each takes the next block in index order.  After a failure or
 an interrupt no worker takes another block, and the caller re-raises the
@@ -110,7 +111,7 @@ import numpy as np
 from numpy.random import Generator
 
 from .channel import RAYLEIGH, RicianSpec, RngHandle, generate_batch
-from .closedform import SystemGeometry, gamma_mimo
+from .closedform import GammaParams, SystemGeometry, gamma_mimo
 from .exceptions import InvalidParameterError
 from .stats import gamma_cdf, ks_distance
 
@@ -293,12 +294,6 @@ def _si_gains_block(cfg: ExperimentConfig, n: int, gen: Generator) -> np.ndarray
     return _gain(x, norm2)
 
 
-def _gamma_block(cfg: ExperimentConfig, n: int, gen: Generator) -> np.ndarray:
-    """One block of gains drawn from the moment-matched Gamma law."""
-    gp = gamma_mimo(cfg.geom, cfg.si_spec)
-    return gen.gamma(gp.kappa, gp.theta, size=n)
-
-
 def _empty(what: str, *shape: int, dtype=float) -> np.ndarray:
     """An array allocated before the first block runs; ``what`` names it in an error."""
     try:
@@ -320,11 +315,10 @@ def _try_draw(cfg: ExperimentConfig, count: int) -> None:
     _empty(f"a draw of {count} complex normals a trial", count, n, dtype=complex)
 
 
-def _report(cfg: ExperimentConfig, block_fn, threads: int) -> McReport:
+def _report(cfg: ExperimentConfig, block_fn, threads: int, gp: GammaParams) -> McReport:
     """The blocks' gains, in one array allocated before the first block runs, and their fit."""
     samples = _empty(f"trials {cfg.trials}", cfg.trials)
     _map_blocks(cfg, block_fn, threads, samples)
-    gp = gamma_mimo(cfg.geom, cfg.si_spec)
     emp_m1 = float(samples.mean())
     emp_m2 = float(np.mean(samples**2))
     ks = ks_distance(samples, lambda x: gamma_cdf(x, gp))
@@ -339,12 +333,13 @@ def run_si_empirical(cfg: ExperimentConfig, threads: int = 1) -> McReport:
     """
     K = cfg.geom.K
     _try_draw(cfg, K * (K - 1) // 2 + 2 * K + 1)  # T, q, w_1^T 1 and Z
-    return _report(cfg, _si_gains_block, threads)
+    return _report(cfg, _si_gains_block, threads, gamma_mimo(cfg.geom, cfg.si_spec))
 
 
 def run_si_theoretical(cfg: ExperimentConfig, threads: int = 1) -> McReport:
-    """Residual SI gains drawn directly from the moment-matched Gamma law."""
-    return _report(cfg, _gamma_block, threads)
+    """Residual SI gains drawn directly from the moment-matched Gamma law, matched once."""
+    gp = gamma_mimo(cfg.geom, cfg.si_spec)
+    return _report(cfg, lambda cfg, n, gen: gen.gamma(gp.kappa, gp.theta, size=n), threads, gp)
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,16 @@ import re
 import stat
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fdsim.cli as cli
-from fdsim.cli import SINR_COLUMNS, _table, main
-from fdsim.mc import BLOCK_SIZE, TERMS, Direction, run_sinr
+from fdsim import ExperimentConfig, RicianSpec, SystemGeometry
+from fdsim.cli import _BLOCK_ROWS, SINR_COLUMNS, _table, main
+from fdsim.mc import TERMS, Direction, run_sinr
 
 GOLDEN_SUMMARY = (
     "M,N,K,mu,nu,trials,seed,emp_m1,emp_m2,emp_var,cf_m1,cf_m2,cf_var,kappa,theta,ks\n"
@@ -50,7 +52,7 @@ EDGE_INTS = [0, 7, 2**53 + 1, 2**63 - 1, 2**63, 2**64 - 1]
 @pytest.mark.parametrize("width", [1, 3, 6])
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_table_matches_one_shot_formatter(fmt, width):
-    n = 2 * BLOCK_SIZE + 123  # more than two blocks of rows
+    n = 2 * _BLOCK_ROWS + 123  # more than two blocks of rows
     gen = np.random.default_rng(9)
     header = ["edge", "i", "x", "f32", "y", "z"][:width]
     columns = [  # at width 6 an object and a float32 column lie between float64 runs
@@ -64,7 +66,7 @@ def test_table_matches_one_shot_formatter(fmt, width):
     expected = _one_shot_table(header, [c.tolist() for c in columns], fmt)
     pieces = list(_table(header, columns, fmt))
     assert _lines(b"".join(pieces).decode()) == _lines(expected)
-    assert max(p.count(b"\n") for p in pieces) <= BLOCK_SIZE
+    assert max(p.count(b"\n") for p in pieces) <= _BLOCK_ROWS
 
 
 def _lines(text: str) -> list:
@@ -92,18 +94,18 @@ def _notation_switches():
 
 def _mixed_runs():
     """Tables of several same-dtype column runs, each more than two blocks long."""
-    n = 2 * BLOCK_SIZE + 5
+    n = 2 * _BLOCK_ROWS + 5
     gen = np.random.default_rng(19)
     terms = 10.0 ** gen.uniform(-4, 15, size=(3, n)) * gen.choice([-1.0, 1.0], size=(3, n))
     # values outside [1e-4, 1e16) on the run's first and last value and on
     # the first and last row of every block
-    edges = [0, BLOCK_SIZE - 1, BLOCK_SIZE, 2 * BLOCK_SIZE - 1, 2 * BLOCK_SIZE, n - 1]
+    edges = [0, _BLOCK_ROWS - 1, _BLOCK_ROWS, 2 * _BLOCK_ROWS - 1, 2 * _BLOCK_ROWS, n - 1]
     terms[0, edges], terms[1, edges[::2]], terms[2, edges] = 3e-05, 5e-324, -1e16
     # one float64 run whose block edges alternate between rows of values
     # outside [1e-4, 1e16) and rows of non-finite ones (JSONL drops the latter)
     spliced = 10.0 ** gen.uniform(-4, 15, size=(3, n)) * gen.choice([-1.0, 1.0], size=(3, n))
-    spliced[:, [0, 2 * BLOCK_SIZE - 1, 2 * BLOCK_SIZE]] = [[3e-05], [1e16], [-5e-324]]
-    spliced[:, [BLOCK_SIZE - 1, BLOCK_SIZE, n - 1]] = [[np.nan], [np.inf], [-np.inf]]
+    spliced[:, [0, 2 * _BLOCK_ROWS - 1, 2 * _BLOCK_ROWS]] = [[3e-05], [1e16], [-5e-324]]
+    spliced[:, [_BLOCK_ROWS - 1, _BLOCK_ROWS, n - 1]] = [[np.nan], [np.inf], [-np.inf]]
     return {
         "histogram shape": [np.linspace(0.0, 40.0, n, endpoint=False),
                             gen.integers(0, 10**6, size=n)],
@@ -116,7 +118,7 @@ def _mixed_runs():
 
 
 WRITER_CASES = {
-    "bit patterns": [_bit_patterns(2 * BLOCK_SIZE + 5)],
+    "bit patterns": [_bit_patterns(2 * _BLOCK_ROWS + 5)],
     "notation switches": [_notation_switches()],
     "signed zeros": [np.array([0.0, -0.0, 1.0, -0.0])],
     "integers": [
@@ -149,7 +151,7 @@ def test_non_finite_csv_text_is_repr():
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
 def test_non_finite_jsonl_value_raises(value):
-    column = np.ones(BLOCK_SIZE + 1)
+    column = np.ones(_BLOCK_ROWS + 1)
     column[-1] = value
     with pytest.raises(ValueError, match="not JSON compliant"):
         list(_table(["x"], [column], "jsonl"))
@@ -160,7 +162,7 @@ def test_in_range_floats_make_no_float_repr_call(monkeypatch, fmt):
     # a sinr-shaped table: two int index columns and seven float terms, mui all
     # zeros and the others across [1e-4, 1e16); then three values outside it
     gen = np.random.default_rng(3)
-    n, K = BLOCK_SIZE + 7, 2
+    n, K = _BLOCK_ROWS + 7, 2
     columns = [np.repeat(np.arange(n // K + 1), K)[:n], np.tile(np.arange(K), n)[:n]]
     columns += [10.0 ** gen.uniform(-4, 16, size=n) for _ in range(6)]
     columns.insert(3, np.zeros(n))  # mui
@@ -190,7 +192,7 @@ def test_in_range_floats_make_no_float_repr_call(monkeypatch, fmt):
 
     reprs.clear()
     dumps.clear()
-    columns[-1][[5, BLOCK_SIZE, n - 1]] = outside
+    columns[-1][[5, _BLOCK_ROWS, n - 1]] = outside
     text = b"".join(_table(SINR_COLUMNS, columns, fmt)).decode()
     assert reprs == [float] * len(outside) and len(dumps) == len(runs) * 2
     assert _lines(text) == one_shot()
@@ -212,7 +214,7 @@ def _assembly_shapes(n):
     }
 
 
-ASSEMBLY_ROWS = [1, BLOCK_SIZE + 9]  # one row, two blocks
+ASSEMBLY_ROWS = [1, 4 * _BLOCK_ROWS + 9]  # one row, five blocks
 ASSEMBLY_SHAPES = {n: _assembly_shapes(n) for n in ASSEMBLY_ROWS}
 
 
@@ -223,7 +225,7 @@ def test_table_yields_the_bytes_of_each_block(n, shape, fmt):
     columns = ASSEMBLY_SHAPES[n][shape]
     header = [f"c{j}" for j in range(len(columns))]
     pieces = list(_table(header, columns, fmt))
-    blocks = -(-n // BLOCK_SIZE)
+    blocks = -(-n // _BLOCK_ROWS)
     assert [type(p) for p in pieces] == [bytes] * ((fmt == "csv") + blocks)  # csv header first
     expected = _one_shot_table(header, [c.tolist() for c in columns], fmt)
     assert _lines(b"".join(pieces).decode()) == _lines(expected)
@@ -643,17 +645,34 @@ def test_sinr_index_is_written_as_the_per_row_index(tmp_path, monkeypatch, fmt, 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_sinr_table_cuts_blocks_at_trials(monkeypatch, fmt):
-    # 7 trials of K = 5 rows: BLOCK_SIZE // K trials a block, or one where
-    # K > BLOCK_SIZE; some values lie outside [1e-4, 1e16), whose text is repr's
+    # 7 trials of K = 5 rows: _BLOCK_ROWS // K trials a block, or one where
+    # K > _BLOCK_ROWS; some values lie outside [1e-4, 1e16), whose text is repr's
     gen = np.random.default_rng(8)
     terms = {key: gen.standard_normal((7, 5)) * 10.0 ** gen.integers(-6, 18, size=(7, 5))
              for key in TERMS}
     expected = _per_row_index_table(terms, fmt)
     for block, rows in [(11, [10, 10, 10, 5]), (4, [5] * 7)]:
-        monkeypatch.setattr(cli, "BLOCK_SIZE", block)
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
         pieces = list(_table(SINR_COLUMNS, [terms[key] for key in TERMS], fmt))
         assert [p.count(b"\n") for p in pieces[fmt == "csv":]] == rows  # less the csv header
         assert _lines(b"".join(pieces).decode()) == _lines(expected.decode())
+
+
+def test_sinr_table_streams_in_the_writers_own_blocks():
+    # the 65,536 rows of sinr-uplink's table; cut at the engine's 4096 trials
+    # a block, the writer's traced peak was 3.65 MB
+    cfg = ExperimentConfig(geom=SystemGeometry(L=2, K=2, M=16, N=8),
+                           si_spec=RicianSpec(0.5, 1.0), trials=32768, seed=11,
+                           direction=Direction.UPLINK)
+    terms = run_sinr(cfg)
+    tracemalloc.start()
+    try:
+        for _ in _table(SINR_COLUMNS, [terms[key] for key in TERMS], "csv"):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6, peak
 
 
 # sha256 of `fdsim moments --M 16 --N 8 --K 3 --mu 0.5 --nu 1` on stdout, per format
@@ -696,7 +715,7 @@ def test_non_finite_jsonl_value_exits_1_with_no_output(tmp_path, monkeypatch, ca
 
     monkeypatch.setattr("fdsim.cli.run_sinr", nan_terms)
     out = str(tmp_path / "sinr.jsonl")
-    argv = ["sinr", "--K", "2", "--trials", str(BLOCK_SIZE), "--format", "jsonl", "--out", out]
+    argv = ["sinr", "--K", "2", "--trials", str(_BLOCK_ROWS), "--format", "jsonl", "--out", out]
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("fdsim: numerical failure")
@@ -762,7 +781,7 @@ def test_trials_that_cannot_be_allocated_fail_before_monte_carlo(
     def forbidden(*args, **kwargs):
         raise AssertionError("Monte Carlo work started before the samples were allocated")
 
-    for name in ("_blocks", "_si_gains_block", "_gamma_block"):
+    for name in ("_blocks", "_si_gains_block"):
         monkeypatch.setattr(f"fdsim.mc.{name}", forbidden)
     assert main(_si_args(str(tmp_path / "run.csv"), trials=str(trials), mode=mode)) == code
     err = capsys.readouterr().err.splitlines()
@@ -1013,8 +1032,7 @@ def test_out_holding_a_nul_byte_fails_before_monte_carlo(tmp_path, monkeypatch, 
     def forbidden(*args, **kwargs):
         raise AssertionError("Monte Carlo work started before --out was checked")
 
-    for name in ("_blocks", "_si_gains_block", "_gamma_block",
-                 "_sinr_block_downlink", "_sinr_block_uplink"):
+    for name in ("_blocks", "_si_gains_block", "_sinr_block_downlink", "_sinr_block_uplink"):
         monkeypatch.setattr(f"fdsim.mc.{name}", forbidden)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cfg.json").write_text(json.dumps({"out": "run\u0000x.csv"}))
@@ -1330,7 +1348,13 @@ RUN_FLAGS = {"trials", "seed", "out", "threads"}
 ])
 def test_help_lists_exactly_the_subcommands_flags(capsys, command, flags):
     assert main([command, "--help"]) == 0
-    assert set(re.findall(r"--(\w+)", capsys.readouterr().out)) == flags
+    out = capsys.readouterr().out
+    assert set(re.findall(r"--(\w+)", out)) == flags
+    # each flag's help, on its line or the next, ends in its default where it has one
+    helps = dict(re.findall(r"^  --(\w+) \S+\s+(.*)", out, re.M))
+    for name, (commands, _, text, default) in cli._SETTINGS.items():
+        if command in commands:
+            assert helps[name] == text + ("" if default is None else f" (default {default})")
 
 
 def test_top_level_help_lists_the_subcommands(capsys):
@@ -1364,7 +1388,7 @@ def test_flag_forms_resolve_alike(monkeypatch, same):
 
 def test_an_exact_name_wins_over_a_prefix(monkeypatch):
     # no setting's name is a prefix of another's yet, so plant one that is
-    monkeypatch.setitem(cli._SETTINGS, "mux", (("si",), dict(type=float, help="x"), None))
+    monkeypatch.setitem(cli._SETTINGS, "mux", (("si",), float, "x", None))
     assert cli._parse(["si", "--mu", "1", "--mux", "2"]) == {"command": "si", "mu": 1.0,
                                                              "mux": 2.0}
     with pytest.raises(cli.InvalidParameterError, match="--m could match --mu, --mode, --mux"):
@@ -1412,10 +1436,10 @@ def test_every_malformed_argument_is_one_line_and_exit_2(tmp_path, monkeypatch, 
 
 
 def _bad_value(key):
-    kwargs = cli._SETTINGS[key][1]
-    if "choices" in kwargs:
+    kind = cli._SETTINGS[key][1]
+    if isinstance(kind, tuple):
         return "sideways"
-    return {int: "four", float: "loud"}.get(kwargs.get("type"), "missing/run.csv")
+    return {int: "four", float: "loud"}.get(kind, "missing/run.csv")
 
 
 @pytest.mark.parametrize("key", list(cli._SETTINGS))

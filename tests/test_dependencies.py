@@ -1,4 +1,5 @@
-"""pyproject.toml's runtime dependencies are exactly what ``src/fdsim`` imports."""
+"""pyproject.toml's runtime dependencies are exactly what ``src/fdsim`` imports, and
+its ``test`` extra exactly what ``tests/`` imports beyond them."""
 import ast
 import re
 import sys
@@ -28,13 +29,33 @@ def test_the_walk_finds_imports_inside_functions():
     assert _third_party_imports(source) == {"scipy"}
 
 
+def _declared(requirements: list) -> set[str]:
+    """The normalised distribution names of pyproject.toml requirements."""
+    names = (re.match(r"[A-Za-z0-9_.-]+", req).group() for req in requirements)
+    return {name.lower().replace("-", "_") for name in names}
+
+
+def _imported(directory: Path) -> set[str]:
+    imported = set()
+    for path in sorted(directory.rglob("*.py")):
+        imported |= _third_party_imports(path.read_text())
+    return imported
+
+
+def _project() -> dict:
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        return tomllib.load(f)["project"]
+
+
 def test_runtime_dependencies_are_what_the_package_imports():
     # a call-time import missing here, or a dependency nothing imports, fails
-    with open(ROOT / "pyproject.toml", "rb") as f:
-        listed = tomllib.load(f)["project"]["dependencies"]
-    names = (re.match(r"[A-Za-z0-9_.-]+", req).group() for req in listed)
-    declared = {name.lower().replace("-", "_") for name in names}
-    imported = set()
-    for path in sorted((ROOT / "src" / "fdsim").rglob("*.py")):
-        imported |= _third_party_imports(path.read_text())
-    assert imported == declared
+    assert _imported(ROOT / "src" / "fdsim") == _declared(_project()["dependencies"])
+
+
+def test_the_test_extra_is_what_the_tests_import_beyond_the_runtime():
+    # a new test import missing from the extra, or an extra nothing imports,
+    # fails; the suite's own helper modules, such as beamforming, are no dependency
+    project = _project()
+    own = {path.stem for path in (ROOT / "tests").glob("*.py")}
+    imported = _imported(ROOT / "tests") - own - _declared(project["dependencies"])
+    assert imported == _declared(project["optional-dependencies"]["test"])

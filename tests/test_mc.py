@@ -28,6 +28,7 @@ from fdsim import (
     run_si_empirical,
     run_si_theoretical,
     run_sinr,
+    si_variance,
 )
 from fdsim.channel import RAYLEIGH, generate_batch
 from fdsim.cli import main
@@ -137,6 +138,39 @@ class TestSinrUplink:
         for key in ("ici", "cmi"):
             assert t[key].shape == (2000, K)
             assert np.all(t[key] == 0)
+
+
+def _term_laws(direction, L, K, M, N, spec, noise):
+    """(mean, variance) per stream of each SINR term, as demos/sinr_terms.py states them."""
+    t2 = K * (M + 1) / (M - K + 2)  # E tr((V^H V)^2) of a ZF precoder V
+    gram = (K * (L - 1), (L - 1) * t2)  # gains through another cell's precoder
+    mu2, nu2 = spec.mu**2, spec.nu**2
+    if direction is Direction.DOWNLINK:
+        useful, ici, cmi = M - K + 1, gram, (L * K - 1,) * 2
+        si = (mu2 + nu2, nu2**2 + 2 * mu2 * nu2)  # |mu + nu z|^2
+    else:
+        geom = SystemGeometry(L=L, K=K, M=M, N=N)
+        useful, ici, cmi = N - K + 1, (K * (L - 1),) * 2, gram
+        si = (moment1(K, spec), si_variance(geom, spec))  # the SI gain at (K, M, N)
+    return {"useful": (useful, useful), "ici": ici, "cmi": cmi, "si": si,
+            "noise": (noise, noise**2)}
+
+
+@pytest.mark.parametrize("direction", [Direction.DOWNLINK, Direction.UPLINK])
+def test_each_sinr_term_has_its_stated_mean_and_variance(direction):
+    # one stream a trial, as the K streams of a trial share their beamformers;
+    # at seed 9 every estimate lies within 2.5 SE of its law
+    L, K, M, N, noise = 2, 2, 16, 8, 0.7
+    t = run_sinr(_cfg(L=L, K=K, M=M, N=N, trials=200_000, seed=9, noise_power=noise,
+                      direction=direction))
+    assert np.all(t["mui"] == 0)
+    for key, (mean, var) in _term_laws(direction, L, K, M, N, SPEC, noise).items():
+        x = t[key][:, 0]
+        d = x - x.mean()
+        m2, m4 = np.mean(d**2), np.mean(d**4)
+        z_mean = (x.mean() - mean) / np.sqrt(m2 / x.size)
+        z_var = (m2 - var) / np.sqrt((m4 - m2**2) / x.size)
+        assert abs(z_mean) < 4 and abs(z_var) < 4, (key, z_mean, z_var)
 
 
 def test_config_validation():
